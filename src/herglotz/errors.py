@@ -71,7 +71,3 @@ class SingularJacobian(HerglotzError):
         super().__init__(f"Newton Jacobian is singular (condition estimate {cond:.3e})")
         self.cond = cond
 
-
-class MaxItersExceeded(HerglotzError):
-    """Never raised by solve_extremal (which returns converged=False); kept
-    for callers that want to promote non-convergence to an exception."""

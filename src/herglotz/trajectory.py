@@ -50,6 +50,8 @@ def align_grid(a, b, tau, n=1, M=None, h=None) -> Grid:
     if M is None:
         if h is None:
             raise ValidationError("align_grid needs M or h")
+        if not (np.isfinite(h) and h > 0):
+            raise ValidationError(f"h must be a positive finite step, got {h!r}")
         M0 = max(10 * n, int(round((b - a) / h)))
         for d in range(0, max(64, M0 // 8)):
             for cand in (M0 + d, M0 - d) if d else (M0,):
@@ -293,17 +295,32 @@ def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
         with open(path) as fh:
             text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",")
     expected = trajectory_columns(p.n, p.m)
+    header = lines[0].split(",") if lines else []
     if header != expected:
         raise ValidationError(
             f"trajectory CSV columns {header} do not match expected {expected}")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    if len(lines) < 2:
+        raise ValidationError("trajectory CSV has a header but no data rows")
+    try:  # a non-numeric cell, or rows of unequal length
+        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    except ValueError as err:
+        raise ValidationError(f"trajectory CSV has a malformed data row: {err}") from None
+    if data.shape[1] != len(expected):
+        raise ValidationError(f"trajectory CSV data rows have {data.shape[1]} "
+                              f"cells, need {len(expected)}")
     t = data[:, 0]
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("trajectory CSV has a non-finite t value")
     M = len(t) - 1
     if M < 7:
         raise GridTooSmall("trajectory CSV has fewer than 8 nodes")
     grid = align_grid(t[0], t[-1], p.tau, n=p.n, M=M)
+    off = np.max(np.abs(t - grid.nodes()))
+    if off > _ALIGN_TOL * max(1.0, abs(grid.a), abs(grid.b)):
+        raise ValidationError(
+            f"trajectory CSV t column is not the uniform grid from {t[0]!r} to "
+            f"{t[-1]!r} with {M} steps (off by up to {off:.3g})")
     x = np.empty((p.m, p.n + 1, M + 1))
     col = 1
     for j in range(p.m):

@@ -351,3 +351,29 @@ def test_solve_free_particle_end_to_end(tmp_path, capsys):
     # extremal is x = 1 with z = exp(-t)
     assert np.max(np.abs(data[:, 1] - 1.0)) <= 1e-7
     assert np.max(np.abs(data[:, -1] - np.exp(-data[:, 0]))) <= 1e-7
+
+
+@pytest.mark.parametrize("h", ["0", "nan", "-1"])
+def test_solve_rejects_bad_step_exit_2(tmp_path, capsys, h):
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    assert main(["solve", spec, "--h", h]) == 2
+    assert "h must be a positive finite step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["header-only", "non-numeric", "non-uniform"])
+def test_verify_rejects_malformed_csv_exit_2(tmp_path, capsys, kind):
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+    capsys.readouterr()
+    header, *rows = open(out).read().splitlines()
+    cells = [row.split(",") for row in rows]
+    if kind == "header-only":
+        cells = []
+    elif kind == "non-numeric":
+        cells[3][1] = "abc"
+    else:  # node 5 moved by 0.3 of the step h = 1e-2
+        cells[5][0] = repr(float(cells[5][0]) + 3e-3)
+    text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
+    assert main(["verify", spec, write(tmp_path, "bad.csv", text)]) == 2
+    assert "trajectory CSV" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from herglotz import functional as fn
 from herglotz import trajectory as tr
 from herglotz.errors import SingularJacobian, ValidationError
 from herglotz.reduction import verify_reduction_equivalence
+from herglotz import solver as sv
 from herglotz.solver import SolveOptions, solve_extremal
 
 from conftest import (delayed_problem, make_problem, oscillator_closed_form,
@@ -180,3 +181,81 @@ def test_large_delay_short_first_block():
     res = solve_extremal(p, SolveOptions(M=200, h=None))
     assert res.converged
     assert res.report.norms_unflagged["el1"] <= 1e-6
+
+
+# z-free Lagrangians: (L, make_problem keywords).  The cross terms put bands
+# at +-p in the Jacobian; at tau = 0.9 the first block is short and the bands
+# of the two blocks overlap.
+Z_FREE = {
+    "oscillator": ("0.5*xd1^2 - 0.5*x1^2 - z", {}),
+    "delayed": ("0.5*xd1^2 + 0.25*tau_x1^2 - z", {"tau": 0.5}),
+    "delayed-velocity": ("0.5*xd1^2 + 0.5*tau_xd1^2 - z", {"tau": 0.25}),
+    "cross-delay": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.3*x1*tau_xd1 - 0.2*z",
+                    {"tau": 0.25, "mu": ("1 + 0.5*t",)}),
+    "n2-cross": ("0.5*xdd1^2 + 0.3*tau_xd1^2 + 0.2*x1*tau_xdd1 - 0.1*z",
+                 {"tau": 0.25, "n": 2, "mu": ("1 + 0.5*t",)}),
+    "n3": ("0.5*x1_d3^2 + 0.2*tau_x1^2 - z",
+           {"tau": 0.25, "n": 3, "mu": ("1 + t + 0.5*t^2",)}),
+    "m2-cross": ("0.5*xd1^2 + 0.5*xd2^2 + 0.25*tau_x1^2 - 0.3*x1*tau_xd2"
+                 " - 0.2*x2*tau_xd1 - 0.1*z",
+                 {"tau": 0.25, "m": 2, "mu": ("1", "2 - t")}),
+    "short-first-block": ("0.5*xd1^2 + 0.25*tau_x1^2 - z", {"tau": 0.9}),
+    "short-first-block-cross": (
+        "0.5*xd1^2 + 0.25*tau_x1^2 - 0.3*x1*tau_xd1 - z", {"tau": 0.9}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Z_FREE))
+def test_colored_jacobian_equals_dense(name):
+    L, kw = Z_FREE[name]
+    p = make_problem(L, **kw)
+    grid = tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200)
+    system = sv._System(p, grid)
+    marching = sv._System(p, grid)
+    marching.z_free = False
+    assert system.z_free
+    assert system.n_colors < system.n_unknowns / 2
+    inside = np.zeros((system.n_res, system.n_unknowns), dtype=bool)
+    inside[system.pattern] = True
+    U0 = system.pack(system.initial_positions())
+    rng = np.random.default_rng(3)
+    for U in (U0, U0 + 1e-2 * rng.standard_normal(U0.shape)):
+        R = system.residual(U)
+        assert np.array_equal(R, marching.residual(U))
+        dense = system._dense_jacobian(U, R, 1e-7)
+        colored = system.jacobian(U, R, 1e-7)
+        assert np.max(np.abs(colored - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert not np.any(dense[~inside])
+
+
+@pytest.mark.parametrize("L, tau", [
+    ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", 0.0),
+    ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2", 0.25),
+])
+def test_z_coupled_solve_takes_dense_path(monkeypatch, L, tau):
+    # z enters dL/dx1, so the z and psi maps couple every node
+    p = make_problem(L, tau=tau)
+    grid = tr.align_grid(p.a, p.b, p.tau, n=p.n, M=120)
+    assert not sv._System(p, grid).z_free
+
+    def refuse(*args):
+        raise AssertionError("coloring selected for a z-coupled Lagrangian")
+
+    monkeypatch.setattr(sv._System, "_colored_jacobian", refuse)
+    res = solve_extremal(p, SolveOptions(M=120, h=None, tol_r=1e-6))
+    assert res.converged
+    assert len(res.iterations) > 1
+    un = res.report.norms_unflagged
+    assert un["el1"] <= 1e-6 and un["el2"] <= 1e-6 and un["tc"] <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["delayed", "cross-delay", "m2-cross"])
+def test_colored_solve_matches_dense_solve(monkeypatch, name):
+    L, kw = Z_FREE[name]
+    p = make_problem(L, **kw)
+    opts = SolveOptions(M=200, h=None)
+    colored = solve_extremal(p, opts)
+    monkeypatch.setattr(sv._System, "jacobian", sv._System._dense_jacobian)
+    dense = solve_extremal(p, opts)
+    assert colored.converged and dense.converged
+    assert np.max(np.abs(colored.trajectory.x - dense.trajectory.x)) <= 1e-10
