@@ -169,17 +169,10 @@ def cmd_charge(args):
             fam_sections = specfile.parse_sections(fh.read())
         if "family" not in fam_sections:
             raise ValidationError(f"{args.family_file} has no [family] section")
-        kv = dict(fam_sections["family"])
-        wanted = {"T", "Z", "xi"} | {f"X{j}" for j in range(1, p.m + 1)}
-        unknown = set(kv) - wanted
-        missing = ({"T", "Z"} | {f"X{j}" for j in range(1, p.m + 1)}) - set(kv)
-        if unknown or missing:
-            raise ValidationError(
-                [f"unknown key '{k}' in [family]" for k in sorted(unknown)]
-                + [f"missing key '{k}' in [family]" for k in sorted(missing)])
-        fam_content = specfile.FamilyContent(
-            T=kv["T"], X=tuple(kv[f"X{j}"] for j in range(1, p.m + 1)),
-            Z=kv["Z"], xi=float(kv.get("xi", 0.0)))
+        problems = []
+        fam_content = specfile.parse_family(fam_sections["family"], p.m, problems)
+        if problems:
+            raise ValidationError(problems)
     if fam_content is None:
         raise ValidationError("charge needs a [family] section (in the problem "
                               "file or a separate family file)")

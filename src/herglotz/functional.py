@@ -82,6 +82,16 @@ def eval_on_nodes(p: pb.ProblemSpec, grid: tr.Grid, x, z, which="body"):
     return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
 
+def _rk4_step(L, t0, tm, t1, h, a0, am, a1, z0):
+    """One classical RK4 step of z' = L from z0 at t0 to t1 = t0 + h, with
+    the slot arguments a0, am, a1 at t0, the midpoint tm and t1."""
+    k1 = L(t0, *a0, z0)
+    k2 = L(tm, *am, z0 + 0.5 * h * k1)
+    k3 = L(tm, *am, z0 + 0.5 * h * k2)
+    k4 = L(t1, *a1, z0 + h * k3)
+    return z0 + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
     """March z across the grid; batch axes of x are carried through."""
     L = p.lagrangian.compiled("body")
@@ -94,17 +104,26 @@ def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
     z[..., 0] = gamma
     with np.errstate(all="ignore"):
         for i in range(grid.M):
-            zi = z[..., i]
-            ai = [A[..., i] for A in cur[1:]]
-            am = [A[..., i] for A in mid[1:]]
-            an = [A[..., i + 1] for A in cur[1:]]
-            tm = t[i] + 0.5 * h
-            k1 = L(t[i], *ai, zi)
-            k2 = L(tm, *am, zi + 0.5 * h * k1)
-            k3 = L(tm, *am, zi + 0.5 * h * k2)
-            k4 = L(t[i + 1], *an, zi + h * k3)
-            z[..., i + 1] = zi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            z[..., i + 1] = _rk4_step(
+                L, t[i], t[i] + 0.5 * h, t[i + 1], h,
+                [A[..., i] for A in cur[1:]], [A[..., i] for A in mid[1:]],
+                [A[..., i + 1] for A in cur[1:]], z[..., i])
     return z
+
+
+def rk4_steps(p: pb.ProblemSpec, grid: tr.Grid, x, z):
+    """The RK4 step maps of ``rk4_z`` at every step at once, with no march:
+    entry i is the value one step takes z[..., i] to, shape (..., M)."""
+    L = p.lagrangian.compiled("body")
+    cur = slot_args_nodes(p, grid, x)
+    mid = slot_args_mid(p, grid, x)
+    t = cur[0]
+    with np.errstate(all="ignore"):
+        out = _rk4_step(L, t[:-1], mid[0], t[1:], grid.h,
+                        [A[..., :-1] for A in cur[1:]], mid[1:],
+                        [A[..., 1:] for A in cur[1:]], z[..., :-1])
+    shape = np.broadcast_shapes(x.shape[:-3] + (grid.M,), np.shape(out))
+    return np.broadcast_to(out, shape)
 
 
 def simulate_z(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> tr.StateTrajectory:

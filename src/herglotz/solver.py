@@ -11,17 +11,23 @@ values, and the continuity constraints x^(k)(a) = mu^(k)(a) for k = 1..n-1,
 which makes the system square.  Junction and end zones stay in the root
 system but are excluded from the acceptance sup-norms of the final report.
 
-The Jacobian is a forward finite difference of the full residual map.  When
-no symbolic partial of L reads z, dL/dz is a constant, psi does not depend on
-x, and the residual is assembled without marching z at all.  Each residual
-row then reads the positions of a few stencil-neighbouring nodes only, plus
-the nodes one delay away when a current-slot partial reads a delayed slot or
-the reverse, so the Jacobian is assembled by Curtis-Powell-Reid column
-coloring: the structural pattern is derived from the stencil reach and the
-partials' free variables, columns that share no row get one color, and one
-batched residual per color replaces one per unknown.  For a z-coupled L the
-z map and the psi map couple every node, and the Jacobian is a dense forward
-difference evaluated in vectorized column chunks.
+The Jacobian is a forward finite difference assembled from local pieces,
+one path for every Lagrangian.  With F(U, z, psi) the condition map (the
+residual with z and psi held), J = F_U + F_z Dz + F_psi Dpsi.  Each row of F
+reads the positions of a few stencil-neighbouring nodes, plus the nodes one
+delay away when a current-slot partial reads a delayed slot or the reverse,
+and the z and psi values at its summands' nodes, plus one delay ahead in the
+delayed-sum block.  So F_U, F_z and F_psi are assembled by Curtis-Powell-Reid
+column coloring: the structural patterns are derived from the stencil reach
+and the partials' free variables, columns that share no row get one color,
+and one batched condition map per color replaces one per unknown.  z and psi
+are then condensed away exactly, as the state and the multiplier of the
+optimal-control view: z follows the RK4 steps z_{i+1} = Phi_i(z_i; positions
+near i), so Dz = dz/dU obeys Dz[i+1] = a_i Dz[i] + C_i with a_i = dPhi_i/dz_i
+and the colored local derivatives C_i = dPhi_i/dU; psi = exp(integral_t^b g)
+with g = dL/dz, so Dpsi = psi integral_to_b(G_U + G_z Dz).  When no symbolic
+partial of L reads z, F_z and G vanish, the residual is assembled without
+marching z at all, and J is F_U alone.
 """
 
 from __future__ import annotations
@@ -38,8 +44,6 @@ from . import multipliers as ml
 from . import problem as pb
 from . import trajectory as tr
 from .errors import SingularJacobian, ValidationError
-
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,34 @@ class _System:
         self.n_res = m * (self.sel1.size + self.sel2.size) + n * m + (n - 1) * m
         self.n_unknowns = m * M
         assert self.n_res == self.n_unknowns  # square by construction
-        self.z_free = not any("z" in ex.free_variables(e)
-                              for e in p.lagrangian.partials.values())
-        if self.z_free:
-            lo, hi = _row_intervals(p, grid, self.sel1, self.sel2)
-            self.pattern = _expand_pattern(lo, hi, m, M)
-            self.color, self.n_colors = _modular_coloring(lo, hi, m, M)
+        slots = set.union(*_slot_sets(p))
+        partials = p.lagrangian.partials
+        g_reads = ex.free_variables(partials["z"])
+        self.f_z = any("z" in ex.free_variables(partials[s]) for s in slots)
+        self.g_x = bool(g_reads & slots)  # psi depends on the positions
+        self.g_z = "z" in g_reads         # psi depends on z
+        self.z_free = not (self.f_z or self.g_z)
+        self.psi_free = not (self.g_x or self.g_z)
+        self._last = None
+        # position patterns: the condition rows, the RK4 steps of z when the
+        # conditions or psi read z, the dL/dz nodes when psi reads positions;
+        # one coloring serves all three
+        lo, hi = _row_intervals(p, grid, self.sel1, self.sel2)
+        self.pattern = _expand_pattern(lo, hi, m, M)
+        parts = [(lo, hi)]
+        if not self.z_free:
+            parts.append(_step_intervals(p, grid))
+            self.step_pattern = _expand_pattern(*parts[-1], m, M)
+        if self.g_x:
+            parts.append(_node_intervals(p, grid, g_reads))
+            self.g_pattern = _expand_pattern(*parts[-1], m, M)
+        self.color, self.n_colors = _modular_coloring(parts, m, M)
+        if not (self.z_free and self.psi_free):
+            lo, hi = _row_intervals(p, grid, self.sel1, self.sel2, nodes=True)
+            self.node_pattern = _expand_pattern(lo, hi, 1, M, first=0)
+            self.node_color, self.n_node_colors = _modular_coloring(
+                [(lo, hi)], 1, M, first=0)
+            self.node_blocks = _row_blocks(*self.node_pattern)
 
     def initial_positions(self):
         """Taylor extension of the history from a."""
@@ -142,66 +168,152 @@ class _System:
         pos[..., :, 1:] = U.reshape(batch + (m, M))
         return pos
 
-    def residual(self, U):
-        """R(U), batched over leading axes of U."""
+    def residual(self, U, z=None, psi=None):
+        """R(U), batched over leading axes of U.  Given z and psi (node
+        values, broadcast against the batch), they are held instead of
+        simulated: that is the condition map F(U, z, psi)."""
         p, grid = self.p, self.grid
-        pos = self.unpack(np.asarray(U, dtype=float))
-        x = tr.build_series(pos, grid.h, p.n)
+        U = np.asarray(U, dtype=float)
+        x = tr.build_series(self.unpack(U), grid.h, p.n)
+        if z is None:
+            z, psi = self._simulate(x)
+            if U.ndim == 1:  # the Jacobian at U reuses x, z and psi
+                self._last = (U.copy(), x, z, psi)
+        el1, el2 = cd.el_blocks(p, grid, x, z, psi)
+        tc = cd.transversality_values(p, grid, x, z, psi)
+        batch = U.shape[:-1]
+        parts = [el1[..., self.sel1].reshape(batch + (-1,))]
+        if self.sel2.size:
+            parts.append(el2[..., self.sel2].reshape(batch + (-1,)))
+        parts.append(tc.reshape(batch + (-1,)))
+        if p.n > 1:
+            cont = x[..., :, 1:p.n, 0] - self.mu_at_a
+            parts.append(cont.reshape(batch + (-1,)))
+        return np.concatenate(parts, axis=-1)
+
+    def _simulate(self, x):
+        """z and psi along the derivative series x."""
+        p, grid = self.p, self.grid
         if self.z_free:
             # psi and every summand ignore the z argument
             z = np.zeros(grid.M + 1)
         else:
             z = fn.rk4_z(p, grid, x, p.gamma)
-        psi = fn.psi_values(p, grid, x, z)
-        el1, el2 = cd.el_blocks(p, grid, x, z, psi)
-        tc = cd.transversality_values(p, grid, x, z, psi)
-        parts = [el1[..., self.sel1].reshape(U.shape[:-1] + (-1,))]
-        if self.sel2.size:
-            parts.append(el2[..., self.sel2].reshape(U.shape[:-1] + (-1,)))
-        parts.append(tc.reshape(U.shape[:-1] + (-1,)))
-        if p.n > 1:
-            cont = x[..., :, 1:p.n, 0] - self.mu_at_a
-            parts.append(cont.reshape(U.shape[:-1] + (-1,)))
-        return np.concatenate(parts, axis=-1)
+        return z, fn.psi_values(p, grid, x, z)
 
     def jacobian(self, U, R0, fd_step):
-        """Forward-difference Jacobian at U, where R0 = R(U): by column
-        coloring for a z-free L, column by column otherwise."""
-        if self.z_free:
-            return self._colored_jacobian(U, R0, fd_step)
-        return self._dense_jacobian(U, R0, fd_step)
+        """Forward-difference Jacobian at U, where R0 = R(U).
 
-    def _dense_jacobian(self, U, R0, fd_step):
-        nu = U.shape[0]
-        J = np.empty((self.n_res, nu))
-        deltas = fd_step * (1.0 + np.abs(U))
-        for lo in range(0, nu, _CHUNK):
-            cols = np.arange(lo, min(lo + _CHUNK, nu))
-            Ub = np.repeat(U[np.newaxis, :], cols.size, axis=0)
-            Ub[np.arange(cols.size), cols] += deltas[cols]
-            Rb = self.residual(Ub)
-            J[:, cols] = ((Rb - R0) / deltas[cols, np.newaxis]).T
-        return J
-
-    def _colored_jacobian(self, U, R0, fd_step):
-        """Perturb every column of one color at once; no two of them share a
-        row of the structural pattern, so each row of that residual sees a
-        single perturbed column, and the entries off the pattern are zero."""
+        With F(U, z, psi) the condition map, J = F_U + F_z Dz + F_psi Dpsi.
+        F_U, F_z and F_psi are colored differences of F with the other two
+        inputs held; Dz = dz/dU follows the RK4 steps, Dz[i+1] = a_i Dz[i]
+        + C_i; Dpsi = psi * integral_to_b(G_U + G_z Dz) with g = dL/dz.  For
+        a z-free L only F_U is non-zero."""
+        p, grid = self.p, self.grid
+        if self._last is not None and np.array_equal(self._last[0], U):
+            x, z, psi = self._last[1:]
+        else:
+            x = tr.build_series(self.unpack(U), grid.h, p.n)
+            z, psi = self._simulate(x)
         nu = U.shape[0]
         deltas = fd_step * (1.0 + np.abs(U))
         Ub = np.repeat(U[np.newaxis, :], self.n_colors, axis=0)
         Ub[self.color, np.arange(nu)] += deltas
-        Rb = np.empty((self.n_colors, self.n_res))
-        for lo in range(0, self.n_colors, _CHUNK):
-            Rb[lo:lo + _CHUNK] = self.residual(Ub[lo:lo + _CHUNK])
-        rows, cols = self.pattern
+        Rb = self.residual(Ub, z, psi)
+        coupled = not (self.z_free and self.psi_free)
+        if coupled:  # every batched evaluation runs before J is allocated
+            F_z, F_psi = self._node_derivatives(U, z, psi, R0, fd_step)
         J = np.zeros((self.n_res, nu))
-        J[rows, cols] = (Rb[self.color[cols], rows] - R0[rows]) / deltas[cols]
+        _fill(J, self.pattern, self.color, Rb, R0, deltas)
+        if not coupled:
+            return J
+        xb = tr.build_series(self.unpack(Ub), grid.h, p.n)
+        D = np.zeros((grid.M + 1, nu))
+        dz = fd_step * (1.0 + np.abs(z))
+        if not self.z_free:
+            # Dz: scatter C_i into row i + 1, then run the recurrence
+            phi0 = fn.rk4_steps(p, grid, x, z)
+            a = (fn.rk4_steps(p, grid, x, z + dz) - phi0) / dz[:-1]
+            _fill(D[1:], self.step_pattern, self.color,
+                  fn.rk4_steps(p, grid, xb, z), phi0, deltas)
+            for i in range(1, grid.M):
+                D[i + 1] += a[i] * D[i]
+            if self.f_z:
+                _apply(J, self.node_blocks, F_z, D)
+        if self.psi_free:
+            return J
+        # Dz becomes Dg = G_z Dz + G_U, then Dpsi = psi * integral_to_b(Dg)
+        g0 = fn.eval_on_nodes(p, grid, x, z, "z")
+        if self.g_z:
+            D *= ((fn.eval_on_nodes(p, grid, x, z + dz, "z") - g0)
+                  / dz)[:, np.newaxis]
+        else:
+            D[:] = 0.0
+        if self.g_x:
+            rows, cols = self.g_pattern
+            gb = fn.eval_on_nodes(p, grid, xb, z, "z")
+            D[rows, cols] += (gb[self.color[cols], rows] - g0[rows]) / deltas[cols]
+        _integrate_to_b(D, grid.h)
+        D *= psi[:, np.newaxis]
+        _apply(J, self.node_blocks, F_psi, D)
         return J
+
+    def _node_derivatives(self, U, z, psi, R0, fd_step):
+        """F_z and F_psi on the node pattern, from one batched condition map
+        that perturbs the z or the psi values of one node color at a time,
+        the positions held."""
+        K, color = self.n_node_colors, self.node_color
+        rows, cols = self.node_pattern
+        nodes = np.arange(self.grid.M + 1)
+        dz = fd_step * (1.0 + np.abs(z))
+        dpsi = fd_step * (1.0 + np.abs(psi))
+        Zb = np.repeat(z[np.newaxis, :], 2 * K, axis=0)
+        Pb = np.repeat(psi[np.newaxis, :], 2 * K, axis=0)
+        Zb[color, nodes] += dz
+        Pb[K + color, nodes] += dpsi
+        Fb = self.residual(np.broadcast_to(U, (2 * K,) + U.shape), Zb, Pb)
+        return ((Fb[color[cols], rows] - R0[rows]) / dz[cols],
+                (Fb[K + color[cols], rows] - R0[rows]) / dpsi[cols])
+
+
+def _fill(J, pattern, color, Rb, R0, deltas):
+    """Scatter the colored forward differences (Rb[color] - R0) / delta onto
+    the structural pattern of J; no two columns of one color share a row."""
+    rows, cols = pattern
+    J[rows, cols] = (Rb[color[cols], rows] - R0[rows]) / deltas[cols]
+
+
+def _apply(J, blocks, vals, D):
+    """J += F D for the sparse F with entry values ``vals``, one dense row
+    block of F at a time (see ``_row_blocks``)."""
+    for r0, r1, c0, c1, ent, dst in blocks:
+        B = np.zeros((r1 - r0) * (c1 - c0))
+        B[dst] = vals[ent]
+        J[r0:r1] += B.reshape(r1 - r0, c1 - c0) @ D[c0:c1]
+
+
+def _integrate_to_b(D, h):
+    """Replace each column of D by its ``fn.integral_to_b``, in place and
+    row by row from b, keeping only the two original rows a panel needs."""
+    M = D.shape[0] - 1
+    g1, g2 = D[M].copy(), None  # the original rows i + 1 and i + 2
+    D[M] = 0.0
+    for i in range(M - 1, -1, -1):
+        gi = D[i].copy()
+        if (M - i) % 2:  # a trapezoid, then the Simpson value at i + 1
+            D[i] += g1
+            D[i] *= 0.5 * h
+            D[i] += D[i + 1]
+        else:            # one more Simpson panel
+            D[i] += 4.0 * g1
+            D[i] += g2
+            D[i] *= h / 3.0
+            D[i] += D[i + 2]
+        g1, g2 = gi, g1
 
 
 # ---------------------------------------------------------------------------
-# structural Jacobian pattern and its coloring (z-free Lagrangians)
+# structural Jacobian patterns and their coloring
 
 def _stencil_reach(b0, b1, passes):
     """First and last input node read by ``passes`` applications of the
@@ -218,7 +330,18 @@ def _stencil_reach(b0, b1, passes):
     return lo, hi
 
 
-def _row_intervals(p, grid, sel1, sel2):
+def _slot_sets(p):
+    """The current and the delayed slot names of L."""
+    js, ks = range(1, p.m + 1), range(p.n + 1)
+    return ({pb.slot_name(j, k) for j in js for k in ks},
+            {pb.delayed_slot_name(j, k) for j in js for k in ks})
+
+
+def _reads_delayed(p):
+    return bool(ex.free_variables(p.lagrangian.body) & _slot_sets(p)[1])
+
+
+def _row_intervals(p, grid, sel1, sel2, nodes=False):
     """Position nodes each residual row can read, as up to three intervals
     per row (columns 0..2 of ``lo``/``hi``; empty where lo > hi), in the row
     order of ``_System.residual``; every component of a node shares them.
@@ -228,19 +351,28 @@ def _row_intervals(p, grid, sel1, sel2):
     s + p when a delayed-slot partial reads a current slot, through the
     shifted delayed term psi(t + tau) dL/dx_tau(t + tau).  Each block takes
     up to n stencil passes of those series, which take up to n passes of the
-    positions."""
-    lag, n, m, M, q = p.lagrangian, p.n, p.m, grid.M, grid.p
-    cur = {pb.slot_name(j, k) for j in range(1, m + 1) for k in range(n + 1)}
-    tau = {pb.delayed_slot_name(j, k) for j in range(1, m + 1)
-           for k in range(n + 1)}
-    reads = {s: ex.free_variables(lag.partials[s]) for s in cur | tau}
-    back = q > 0 and any(reads[s] & tau for s in cur)
-    fwd = q > 0 and any(reads[s] & cur for s in tau)
-    xl, xh = _stencil_reach(0, M, n)
-    empty = (np.full(1, M + 1), np.full(1, 0))
+    positions.
+
+    With ``nodes`` the intervals are those of the z and psi node values
+    (nodes 0..M) instead: the identity reach replaces the position stencil
+    reach, a summand at s reads them at s and, in the weighted block when L
+    reads a delayed slot, at s + p; the continuity rows read none."""
+    cur, tau = _slot_sets(p)
+    n, m, M, q = p.n, p.m, grid.M, grid.p
+    if nodes:
+        back = False
+        fwd = q > 0 and _reads_delayed(p)
+        xl = xh = np.arange(M + 1)
+    else:
+        reads = {s: ex.free_variables(p.lagrangian.partials[s])
+                 for s in cur | tau}
+        back = q > 0 and any(reads[s] & tau for s in cur)
+        fwd = q > 0 and any(reads[s] & cur for s in tau)
+        xl, xh = _stencil_reach(0, M, n)
+    empty = (np.full(1, M + 1), np.full(1, -1))
 
     def block(s0, s1, weighted):
-        # positions read by the summand series over the node ranges s0..s1;
+        # input nodes read by the summand series over the node ranges s0..s1;
         # weighted blocks lie left of b - tau, where s + p stays on the grid
         ivs = [(xl[s0], xh[s1])]
         ivs.append((xl[np.maximum(s0, q) - q], xh[np.maximum(s1 - q, 0)])
@@ -249,7 +381,7 @@ def _row_intervals(p, grid, sel1, sel2):
         lo = np.stack([np.broadcast_to(a, s0.shape) for a, _ in ivs], axis=-1)
         hi = np.stack([np.broadcast_to(b, s0.shape) for _, b in ivs], axis=-1)
         if back:  # the history answers below a: no unknown is read
-            hi[s1 < q, 1] = 0
+            hi[s1 < q, 1] = -1
         return lo, hi
 
     jn = grid.junction
@@ -261,47 +393,124 @@ def _row_intervals(p, grid, sel1, sel2):
     parts = [(np.tile(lo, (m, 1)), np.tile(hi, (m, 1))) for lo, hi in parts]
     # n*m transversality rows at b, differentiated over the whole grid, and
     # (n-1)*m continuity rows x^(k)(a)
-    tc = block(xl[-1:], xh[-1:], False)
+    sl, sh = _stencil_reach(0, M, n)
+    tc = block(sl[-1:], sh[-1:], False)
     parts.append(tuple(np.repeat(a, n * m, axis=0) for a in tc))
-    cont = (np.array([[xl[0], M + 1, M + 1]]), np.array([[xh[0], 0, 0]]))
+    cont = ((np.array([[M + 1] * 3]), np.array([[-1] * 3])) if nodes else
+            (np.array([[xl[0], M + 1, M + 1]]), np.array([[xh[0], -1, -1]])))
     parts.append(tuple(np.repeat(a, (n - 1) * m, axis=0) for a in cont))
     lo, hi = (np.concatenate(a) for a in zip(*parts))
-    # node 0 is pinned: unknowns are the nodes 1..M
+    # positions: node 0 is pinned, the unknowns are the nodes 1..M
+    return np.maximum(lo, 0 if nodes else 1), np.minimum(hi, M)
+
+
+def _step_intervals(p, grid):
+    """Position nodes RK4 step i (z_i to z_{i+1}) reads, i = 0..M-1, as two
+    intervals per step.  It reads the derivative series at i and i + 1 and
+    at the Hermite midpoint, whose top order takes i-1..i+2 (0..3 and
+    M-3..M at the ends); when L reads a delayed slot, the same at i - p,
+    where step p - 1 reads node 0 only and earlier steps the history."""
+    M, q = grid.M, grid.p
+    xl, xh = _stencil_reach(0, M, p.n)
+    i = np.arange(M)
+    s0 = np.minimum(np.maximum(i - 1, 0), M - 3)
+    s1 = np.maximum(np.minimum(i + 2, M), 3)
+    lo = np.full((M, 2), M + 1)
+    hi = np.full((M, 2), -1)
+    lo[:, 0], hi[:, 0] = xl[s0], xh[s1]
+    if q > 0 and _reads_delayed(p):
+        d = i[q:] - q
+        lo[q:, 1], hi[q:, 1] = xl[s0[d]], xh[s1[d]]
+        lo[q - 1, 1], hi[q - 1, 1] = xl[0], xh[0]
     return np.maximum(lo, 1), np.minimum(hi, M)
 
 
-def _expand_pattern(lo, hi, m, M):
-    """(rows, columns) of every structurally non-zero Jacobian entry; an
-    unknown is component j's position at node c, column j*M + c - 1."""
+def _node_intervals(p, grid, g_reads):
+    """Position nodes dL/dz at node i = 0..M reads, as two intervals per
+    node: the derivative series at i and, when it reads a delayed slot, at
+    i - p (the history below a)."""
+    cur, tau = _slot_sets(p)
+    M, q = grid.M, grid.p
+    xl, xh = _stencil_reach(0, M, p.n)
+    lo = np.full((M + 1, 2), M + 1)
+    hi = np.full((M + 1, 2), -1)
+    if g_reads & cur:
+        lo[:, 0], hi[:, 0] = xl, xh
+    if g_reads & tau:
+        lo[q:, 1], hi[q:, 1] = xl[:M + 1 - q], xh[:M + 1 - q]
+    return np.maximum(lo, 1), np.minimum(hi, M)
+
+
+def _expand_pattern(lo, hi, m, M, first=1):
+    """(rows, columns) of every structurally non-zero entry, each once and
+    sorted by row, then column; column j*N + c - first is component j at
+    node c, with N = M + 1 - first nodes first..M per component."""
+    N = M + 1 - first
     count = np.maximum(hi - lo + 1, 0).ravel()
     rows = np.repeat(np.repeat(np.arange(lo.shape[0]), lo.shape[1]), count)
-    first = np.repeat(lo.ravel() - np.cumsum(count) + count, count)
-    nodes = first + np.arange(count.sum())
-    cols = (np.arange(m)[:, np.newaxis] * M + nodes - 1).ravel()
-    return np.tile(rows, m), cols
+    start = np.repeat(lo.ravel() - np.cumsum(count) + count, count)
+    nodes = start + np.arange(count.sum()) - first
+    flat = np.sort((rows * m * N + (np.arange(m)[:, np.newaxis] * N + nodes)),
+                   axis=None)
+    return np.divmod(flat[np.r_[True, flat[1:] != flat[:-1]]], m * N)
 
 
-def _modular_coloring(lo, hi, m, M):
+def _modular_coloring(parts, m, M, first=1):
     """Color c mod P (and component) for the least period P such that no two
-    same-colored columns share a row: a node difference d conflicts when some
-    row reads one node in its interval a and the other in interval b, i.e.
-    d lies in [lo_b - hi_a, hi_b - lo_a], and P must have no multiple there.
-    Returns the color per unknown and the color count."""
-    K = lo.shape[1]
-    full = hi >= lo
-    a, b = np.meshgrid(np.arange(K), np.arange(K), indexing="ij")
-    both = full[:, a] & full[:, b]
-    dlo = np.maximum(lo[:, b] - hi[:, a], 1)[both]
-    dhi = np.minimum(hi[:, b] - lo[:, a], M - 1)[both]
-    keep = dlo <= dhi
-    mark = np.zeros(M + 1, dtype=np.int64)
-    np.add.at(mark, dlo[keep], 1)
-    np.add.at(mark, dhi[keep] + 1, -1)
+    same-colored columns share a row of any of the ``parts``, each a (lo, hi)
+    pair of row intervals: a node difference d conflicts when some row reads
+    one node in its interval a and the other in interval b, i.e. d lies in
+    [lo_b - hi_a, hi_b - lo_a], and P must have no multiple there.  Returns
+    the color per column (nodes first..M per component) and the color
+    count."""
+    N = M + 1 - first
+    mark = np.zeros(N + 1, dtype=np.int64)
+    for lo, hi in parts:
+        K = lo.shape[1]
+        full = hi >= lo
+        a, b = np.meshgrid(np.arange(K), np.arange(K), indexing="ij")
+        both = full[:, a] & full[:, b]
+        dlo = np.maximum(lo[:, b] - hi[:, a], 1)[both]
+        dhi = np.minimum(hi[:, b] - lo[:, a], N - 1)[both]
+        keep = dlo <= dhi
+        np.add.at(mark, dlo[keep], 1)
+        np.add.at(mark, dhi[keep] + 1, -1)
     conflict = np.cumsum(mark) > 0  # indexed by the node difference d
-    P = next(P for P in range(1, M + 1) if not conflict[P::P].any())
-    nodes = np.arange(1, M + 1)
+    P = next(P for P in range(1, N + 1) if not conflict[P::P].any())
+    nodes = np.arange(first, M + 1)
     color = (np.arange(m)[:, np.newaxis] * P + nodes % P).ravel()
     return color, m * P
+
+
+def _row_blocks(rows, cols, size=16):
+    """Plan for ``_apply``: the entries of a sparse operator (sorted by row,
+    then column) split into runs of consecutive columns per row, and the runs
+    of consecutive rows with the same run index grouped into dense blocks of
+    at most ``size`` rows whose column span stays narrow.  Each block is
+    (r0, r1, c0, c1, entry indices, flat offsets into the block)."""
+    new_row = np.r_[True, rows[1:] != rows[:-1]]
+    new_run = new_row | np.r_[True, cols[1:] > cols[:-1] + 1]
+    run = np.cumsum(new_run)
+    run -= np.maximum.accumulate(np.where(new_row, run, 0))
+    blocks = []
+    for k in range(run.max() + 1 if run.size else 0):
+        ent = np.flatnonzero(run == k)
+        starts = np.r_[0, np.flatnonzero(np.diff(rows[ent])) + 1, ent.size]
+        r = rows[ent[starts[:-1]]]
+        c0s, c1s = cols[ent[starts[:-1]]], cols[ent[starts[1:] - 1]] + 1
+        wide = size + int(np.max(c1s - c0s))
+        i = 0
+        while i < r.size:
+            j, c0, c1 = i + 1, c0s[i], c1s[i]
+            while (j < r.size and j - i < size and r[j] == r[j - 1] + 1
+                   and max(c1, c1s[j]) - min(c0, c0s[j]) <= wide):
+                c0, c1 = min(c0, c0s[j]), max(c1, c1s[j])
+                j += 1
+            e = ent[starts[i]:starts[j]]
+            dst = (rows[e] - r[i]) * (c1 - c0) + cols[e] - c0
+            blocks.append((r[i], r[j - 1] + 1, c0, c1, e, dst))
+            i = j
+    return blocks
 
 
 def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None,

@@ -164,15 +164,7 @@ def parse_problem_file(text) -> ProblemFileContent:
 
     family = None
     if "family" in sections and isinstance(m, int):
-        wanted = ("T", "Z", "xi") + tuple(f"X{j}" for j in range(1, m + 1))
-        fam_kv = _as_dict(sections["family"], "family", wanted, problems)
-        missing = [w for w in wanted if w not in fam_kv and w != "xi"]
-        problems.extend(f"missing key '{w}' in [family]" for w in missing)
-        if not missing:
-            xi = _number(fam_kv, "family", "xi", problems) if "xi" in fam_kv else 0.0
-            family = FamilyContent(T=fam_kv["T"],
-                                   X=tuple(fam_kv[f"X{j}"] for j in range(1, m + 1)),
-                                   Z=fam_kv["Z"], xi=xi if xi is not None else 0.0)
+        family = parse_family(sections["family"], m, problems)
 
     candidate = None
     if "candidate" in sections and isinstance(m, int):
@@ -188,6 +180,21 @@ def parse_problem_file(text) -> ProblemFileContent:
     return ProblemFileContent(a=a, b=b, tau=tau, gamma=gamma, n=n, m=m,
                               lagrangian_src=lagrangian, history_src=history,
                               family=family, candidate=candidate)
+
+
+def parse_family(pairs, m, problems):
+    """FamilyContent from the (key, value) pairs of a [family] section for m
+    components, or None; structural errors are appended to ``problems``."""
+    wanted = ("T", "Z", "xi") + tuple(f"X{j}" for j in range(1, m + 1))
+    fam_kv = _as_dict(pairs, "family", wanted, problems)
+    missing = [w for w in wanted if w not in fam_kv and w != "xi"]
+    problems.extend(f"missing key '{w}' in [family]" for w in missing)
+    if missing:
+        return None
+    xi = _number(fam_kv, "family", "xi", problems) if "xi" in fam_kv else 0.0
+    return FamilyContent(T=fam_kv["T"],
+                         X=tuple(fam_kv[f"X{j}"] for j in range(1, m + 1)),
+                         Z=fam_kv["Z"], xi=xi if xi is not None else 0.0)
 
 
 def _as_dict(pairs, section, allowed, problems):

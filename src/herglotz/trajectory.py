@@ -309,9 +309,12 @@ def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
     if data.shape[1] != len(expected):
         raise ValidationError(f"trajectory CSV data rows have {data.shape[1]} "
                               f"cells, need {len(expected)}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValidationError(f"trajectory CSV has a non-finite {expected[col]} "
+                              f"value in data row {row + 1}")
     t = data[:, 0]
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("trajectory CSV has a non-finite t value")
     M = len(t) - 1
     if M < 7:
         raise GridTooSmall("trajectory CSV has fewer than 8 nodes")

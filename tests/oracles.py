@@ -195,3 +195,19 @@ def first_order_delayed_comb(p, traj, psi):
                 past[i] = pb.history_derivative(p, 1, k + 1, grid.a + (i - q) * grid.h)
         D += psi * partial_on_nodes(p, traj, pb.delayed_slot_name(1, k)) * past
     return D
+
+
+def dense_jacobian(system, U, R0, fd_step, chunk=256):
+    """Forward difference of the full residual map of a solver system, one
+    column per unknown, with z and psi re-simulated for every perturbed U;
+    the residual is evaluated in batches of ``chunk`` columns."""
+    nu = U.shape[0]
+    J = np.empty((system.n_res, nu))
+    deltas = fd_step * (1.0 + np.abs(U))
+    for lo in range(0, nu, chunk):
+        cols = np.arange(lo, min(lo + chunk, nu))
+        Ub = np.repeat(U[np.newaxis, :], cols.size, axis=0)
+        Ub[np.arange(cols.size), cols] += deltas[cols]
+        Rb = system.residual(Ub)
+        J[:, cols] = ((Rb - R0) / deltas[cols, np.newaxis]).T
+    return J

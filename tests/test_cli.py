@@ -254,6 +254,19 @@ def test_charge_separate_family_file(tmp_path, capsys):
     assert main(["charge", spec, fam, "--h", "1e-2"]) == 0
 
 
+@pytest.mark.parametrize("body, message", [
+    ('xi = abc\n', "xi: not a number"),
+    ('xi = 0.0\nxi = 0.5\n', "duplicate key 'xi'"),
+], ids=["non-numeric-xi", "duplicate-xi"])
+def test_charge_family_file_rejected_exit_2(tmp_path, capsys, body, message):
+    no_family = OSCILLATOR.split("[family]")[0]
+    spec = write(tmp_path, "osc.spec", no_family)
+    fam = write(tmp_path, "fam.spec", "[family]\nT = \"t + s\"\nX1 = \"x1\"\n"
+                                      "Z = \"z\"\n" + body)
+    assert main(["charge", spec, fam, "--h", "1e-2"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_charge_requires_family(tmp_path, capsys):
     no_family = OSCILLATOR.split("[family]")[0]
     spec = write(tmp_path, "osc.spec", no_family)
@@ -377,3 +390,17 @@ def test_verify_rejects_malformed_csv_exit_2(tmp_path, capsys, kind):
     text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
     assert main(["verify", spec, write(tmp_path, "bad.csv", text)]) == 2
     assert "trajectory CSV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [("x1_d0", "nan"), ("z", "inf")])
+def test_verify_rejects_non_finite_cell_exit_2(tmp_path, capsys, column, value):
+    spec = write(tmp_path, "delayed.spec", DELAYED)
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+    capsys.readouterr()
+    header, *rows = open(out).read().splitlines()
+    cells = [row.split(",") for row in rows]
+    cells[9][header.split(",").index(column)] = value
+    text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
+    assert main(["verify", spec, write(tmp_path, "bad.csv", text)]) == 2
+    assert f"non-finite {column} value" in capsys.readouterr().err

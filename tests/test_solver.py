@@ -9,6 +9,7 @@ from herglotz.reduction import verify_reduction_equivalence
 from herglotz import solver as sv
 from herglotz.solver import SolveOptions, solve_extremal
 
+import oracles
 from conftest import (delayed_problem, make_problem, oscillator_closed_form,
                       oscillator_problem)
 
@@ -222,29 +223,51 @@ def test_colored_jacobian_equals_dense(name):
     for U in (U0, U0 + 1e-2 * rng.standard_normal(U0.shape)):
         R = system.residual(U)
         assert np.array_equal(R, marching.residual(U))
-        dense = system._dense_jacobian(U, R, 1e-7)
+        dense = oracles.dense_jacobian(system, U, R, 1e-7)
         colored = system.jacobian(U, R, 1e-7)
         assert np.max(np.abs(colored - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert not np.any(dense[~inside])
 
 
+def _dense_solve(monkeypatch, p, opts):
+    with monkeypatch.context() as patch:
+        patch.setattr(sv._System, "jacobian", oracles.dense_jacobian)
+        return solve_extremal(p, opts)
+
+
 @pytest.mark.parametrize("L, tau", [
     ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", 0.0),
     ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2", 0.25),
-])
-def test_z_coupled_solve_takes_dense_path(monkeypatch, L, tau):
-    # z enters dL/dx1, so the z and psi maps couple every node
+], ids=["tau0", "tau0.25"])
+def test_z_coupled_solve_avoids_dense_reference(monkeypatch, L, tau):
+    # z enters dL/dx1, so the z and psi maps couple every node; the Jacobian
+    # still evaluates no perturbed residual and marches z once per residual
     p = make_problem(L, tau=tau)
     grid = tr.align_grid(p.a, p.b, p.tau, n=p.n, M=120)
     assert not sv._System(p, grid).z_free
 
     def refuse(*args):
-        raise AssertionError("coloring selected for a z-coupled Lagrangian")
+        raise AssertionError("dense reference used by the solver")
 
-    monkeypatch.setattr(sv._System, "_colored_jacobian", refuse)
+    marches = []
+    residual = sv._System.residual
+    rk4_z = fn.rk4_z
+
+    def held_residual(self, U, z=None, psi=None):
+        assert np.ndim(U) == 1 or z is not None, "perturbed z re-simulated"
+        return residual(self, U, z, psi)
+
+    def counted_rk4_z(*args):
+        marches.append(args[2].ndim)
+        return rk4_z(*args)
+
+    monkeypatch.setattr(oracles, "dense_jacobian", refuse)
+    monkeypatch.setattr(sv._System, "residual", held_residual)
+    monkeypatch.setattr(fn, "rk4_z", counted_rk4_z)
     res = solve_extremal(p, SolveOptions(M=120, h=None, tol_r=1e-6))
     assert res.converged
     assert len(res.iterations) > 1
+    assert set(marches) == {3}  # the solve's residuals and the final z only
     un = res.report.norms_unflagged
     assert un["el1"] <= 1e-6 and un["el2"] <= 1e-6 and un["tc"] <= 1e-6
 
@@ -255,7 +278,124 @@ def test_colored_solve_matches_dense_solve(monkeypatch, name):
     p = make_problem(L, **kw)
     opts = SolveOptions(M=200, h=None)
     colored = solve_extremal(p, opts)
-    monkeypatch.setattr(sv._System, "jacobian", sv._System._dense_jacobian)
-    dense = solve_extremal(p, opts)
+    dense = _dense_solve(monkeypatch, p, opts)
     assert colored.converged and dense.converged
     assert np.max(np.abs(colored.trajectory.x - dense.trajectory.x)) <= 1e-10
+
+
+# z-coupled Lagrangians: z enters a slot partial, so the Jacobian is dense and
+# assembled as F_U + F_z Dz + F_psi Dpsi.  They cover tau = 0, a delayed slot,
+# z inside a delayed-slot partial with a z^2 term, n = 2, m = 2 with z in both
+# components, and the short first block at tau = 0.9 with z times tau_xd1.
+Z_COUPLED = {
+    "oscillator": ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", {}),
+    "delayed": ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2",
+                {"tau": 0.25}),
+    "z-delayed-partial": ("0.5*xd1^2 + 0.2*z*tau_x1 - 0.05*z^2",
+                          {"tau": 0.25, "gamma": 0.5, "mu": ("1 + 0.5*t",)}),
+    "n2": ("0.5*xdd1^2 + 0.1*tau_xd1^2 - 0.1*z*x1",
+           {"tau": 0.25, "n": 2, "mu": ("1 + 0.5*t",)}),
+    "m2": ("0.5*xd1^2 + 0.5*xd2^2 + 0.2*tau_x1*x2 - 0.1*z*x1 - 0.05*z*x2",
+           {"tau": 0.25, "m": 2, "mu": ("1", "2 - t")}),
+    "short-first-block": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*tau_xd1 - z",
+                          {"tau": 0.9}),
+}
+
+
+def _z_coupled_system(name, M=200):
+    L, kw = Z_COUPLED[name]
+    p = make_problem(L, **kw)
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=M))
+    U0 = system.pack(system.initial_positions())
+    U1 = U0 + 1e-2 * np.random.default_rng(5).standard_normal(U0.shape)
+    return system, (U0, U1)
+
+
+def _probe(f, base, step=1e-7):
+    """Forward difference of f at base, one column per entry of base."""
+    deltas = step * (1.0 + np.abs(base))
+    batch = np.repeat(base[np.newaxis, :], base.size, axis=0)
+    batch[np.arange(base.size), np.arange(base.size)] += deltas
+    f0 = f(base)
+    return ((np.broadcast_to(f(batch), (base.size,) + f0.shape) - f0)
+            / deltas[:, np.newaxis]).T
+
+
+def _outside(pattern, shape, probe):
+    inside = np.zeros(shape, dtype=bool)
+    inside[pattern] = True
+    return np.count_nonzero(probe[~inside])
+
+
+@pytest.mark.parametrize("name", sorted(Z_COUPLED))
+def test_condensed_jacobian_equals_dense(name):
+    system, points = _z_coupled_system(name)
+    assert not system.z_free and not system.psi_free
+    # condition rows with a z or psi node can read every unknown; the others
+    # (continuity) only their position pattern
+    inside = np.zeros((system.n_res, system.n_unknowns), dtype=bool)
+    inside[system.pattern] = True
+    inside[np.unique(system.node_pattern[0])] = True
+    local = np.zeros_like(inside)
+    local[system.pattern] = True
+    for U in points:
+        R = system.residual(U)
+        dense = oracles.dense_jacobian(system, U, R, 1e-7)
+        J = system.jacobian(U, R, 1e-7)
+        err = np.abs(J - dense)
+        assert np.max(err) <= 1e-6 * np.max(np.abs(dense))
+        # the condensed terms alone, off the position pattern
+        assert np.max(err[~local]) <= 1e-3 * np.max(np.abs(dense[~local]))
+        assert not np.any(dense[~inside])
+
+
+@pytest.mark.parametrize("name", sorted(Z_COUPLED))
+def test_condensed_local_patterns(name):
+    # every local derivative, probed densely, lies inside its derived pattern
+    system, points = _z_coupled_system(name)
+    p, grid = system.p, system.grid
+    M, nu, nr = grid.M, system.n_unknowns, system.n_res
+
+    def series(U):
+        return tr.build_series(system.unpack(U), grid.h, p.n)
+
+    def at_U(U, w):
+        return np.broadcast_to(U, w.shape[:-1] + U.shape)
+
+    for U in points:
+        system.residual(U)
+        _, x, z, psi = system._last
+        F_U = _probe(lambda V: system.residual(V, z, psi), U)
+        assert _outside(system.pattern, (nr, nu), F_U) == 0
+        F_z = _probe(lambda w: system.residual(at_U(U, w), w, psi), z)
+        F_psi = _probe(lambda w: system.residual(at_U(U, w), z, w), psi)
+        for probe in (F_z, F_psi):
+            assert _outside(system.node_pattern, (nr, M + 1), probe) == 0
+        C = _probe(lambda V: fn.rk4_steps(p, grid, series(V), z), U)
+        assert _outside(system.step_pattern, (M, nu), C) == 0
+        G_U = _probe(lambda V: fn.eval_on_nodes(p, grid, series(V), z, "z"), U)
+        assert _outside(system.g_pattern, (M + 1, nu), G_U) == 0
+
+
+@pytest.mark.parametrize("name", sorted(Z_COUPLED))
+def test_condensed_solve_matches_dense_solve(monkeypatch, name):
+    # n = 2 Newton iterations converge linearly with either Jacobian (their
+    # rounding noise is amplified by h^-4) and stall near 1e-7, so that solve
+    # stops at 1e-6, where the iterates agree to about 5e-9
+    tol_r, tol_x = (1e-6, 1e-8) if name == "n2" else (1e-9, 1e-10)
+    L, kw = Z_COUPLED[name]
+    p = make_problem(L, **kw)
+    opts = SolveOptions(M=120, h=None, tol_r=tol_r)
+    condensed = solve_extremal(p, opts)
+    dense = _dense_solve(monkeypatch, p, opts)
+    assert condensed.converged and dense.converged
+    assert len(condensed.iterations) == len(dense.iterations)
+    assert np.max(np.abs(condensed.trajectory.x - dense.trajectory.x)) <= tol_x
+
+
+@pytest.mark.parametrize("M", [9, 10])
+def test_integrate_to_b_in_place_matches_integral_to_b(M):
+    D = np.random.default_rng(M).standard_normal((M + 1, 4))
+    want = fn.integral_to_b(D.T, 0.1).T
+    sv._integrate_to_b(D, 0.1)
+    assert np.max(np.abs(D - want)) <= 1e-14
