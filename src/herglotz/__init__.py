@@ -4,8 +4,8 @@ residuals, extremal solver, Noether charges, and the Guinn-style reduction."""
 from .conditions import ResidualReport, dbr_residual, el_residual, full_report, transversality_residual
 from .errors import (DegenerateFamily, DomainError, ExprSyntaxError, GridTooSmall,
                      HerglotzError, NonFiniteLagrangian, OutOfHistoryRange,
-                     OutOfRange, SingularJacobian, UnboundVariable,
-                     UnknownFunction, ValidationError, ZeroDelay)
+                     SingularJacobian, UnboundVariable, UnknownFunction,
+                     ValidationError, ZeroDelay)
 from .expr import differentiate, evaluate, free_variables, parse_expression, simplify, substitute, unparse
 from .functional import PsiSeries, admissibility_defect, compute_psi, simulate_z
 from .multipliers import MultiplierSet, compute_phi, compute_phi_history
@@ -16,8 +16,7 @@ from .reduction import (ReducedProblem, guinn_reduce, map_trajectory, read_reduc
                         write_reduced_file)
 from .solver import SolveOptions, SolveResult, solve_extremal
 from .specfile import ProblemFileContent, parse_problem_file
-from .trajectory import (Grid, StateTrajectory, align_grid, differentiate_series,
-                         eval_slot, from_expressions, from_positions, interpolate,
-                         read_trajectory_csv, write_trajectory_csv)
+from .trajectory import (Grid, StateTrajectory, align_grid, from_expressions,
+                         from_positions, read_trajectory_csv, write_trajectory_csv)
 
 __version__ = "0.1.0"

@@ -23,8 +23,8 @@ from . import specfile
 from . import trajectory as tr
 from .errors import (DegenerateFamily, DomainError, ExprSyntaxError, GridTooSmall,
                      HerglotzError, NonFiniteLagrangian, OutOfHistoryRange,
-                     OutOfRange, SingularJacobian, UnboundVariable,
-                     UnknownFunction, ValidationError, ZeroDelay)
+                     SingularJacobian, UnboundVariable, UnknownFunction,
+                     ValidationError, ZeroDelay)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -34,7 +34,7 @@ EXIT_NO_CONVERGENCE = 4
 _VALIDATION_ERRORS = (ValidationError, ExprSyntaxError, UnknownFunction,
                       FileNotFoundError, IsADirectoryError)
 _NUMERIC_ERRORS = (DomainError, NonFiniteLagrangian, UnboundVariable,
-                   GridTooSmall, OutOfRange, OutOfHistoryRange,
+                   GridTooSmall, OutOfHistoryRange,
                    DegenerateFamily, SingularJacobian, ZeroDelay,
                    FloatingPointError)
 

@@ -94,32 +94,21 @@ class ResidualReport:
                 _masked_sup(self.dbr_delayed, self.dbr_delayed_flags))
 
 
-def el_summand_blocks(p, grid, x, z, psi):
-    """The l-indexed summand series for both blocks: list over l of
-    (W_l restricted to [0, junction], C_l restricted to [junction, M])."""
-    blocks = []
-    for l in range(0, p.n + 1):
-        W = ml.weighted_term(p, grid, x, z, psi, l)
-        C = ml.current_term(p, grid, x, z, psi, l)
-        blocks.append((W[..., :grid.junction + 1], C[..., grid.junction:]))
-    return blocks
-
-
 def el_blocks(p, grid, x, z, psi):
-    """Euler-Lagrange residual arrays (el1, el2) with batch support."""
-    blocks = el_summand_blocks(p, grid, x, z, psi)
-    el1 = np.zeros_like(blocks[0][0])
-    for l, (W, _) in enumerate(blocks):
-        d = W if l == 0 else tr.differentiate_values(W, grid.h, l)
-        el1 += d if l % 2 == 0 else -d
+    """Euler-Lagrange residual arrays (el1, el2) with batch support: the
+    alternating sum of the weighted summands on [0, junction] and of the
+    current ones on [junction, M]."""
+    jn = grid.junction
+    terms = ml.weighted_terms(p, grid, x, z, psi, range(p.n + 1))
+
+    def block(series):
+        return ml.alternating_sum(
+            series, 0, lambda s, l: tr.differentiate_values(s, grid.h, l))
+
+    el1 = block([W[..., :jn + 1] for _, W in terms])
     if grid.p == 0:
-        el2 = el1[..., -1:]
-    else:
-        el2 = np.zeros_like(blocks[0][1])
-        for l, (_, C) in enumerate(blocks):
-            d = C if l == 0 else tr.differentiate_values(C, grid.h, l)
-            el2 += d if l % 2 == 0 else -d
-    return el1, el2
+        return el1, el1[..., -1:]
+    return el1, block([C[..., jn:] for C, _ in terms])
 
 
 def el_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
@@ -132,18 +121,12 @@ def el_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
 def transversality_values(p, grid, x, z, psi):
     """For k = 1..n the value at b of sum_l (-1)^l d^l/dt^l (psi dL/dx^(l+k));
     the delayed summand is already null there."""
-    n = p.n
-    C = [None] + [ml.current_term(p, grid, x, z, psi, r) for r in range(1, n + 1)]
-    batch = C[1].shape[:-2]
-    tc = np.zeros(batch + (n, p.m))
-    for k in range(1, n + 1):
-        acc = np.zeros(batch + (p.m,))
-        for l in range(0, n - k + 1):
-            series = C[l + k]
-            d = series if l == 0 else tr.differentiate_values(series, grid.h, l)
-            acc += d[..., -1] if l % 2 == 0 else -d[..., -1]
-        tc[..., k - 1, :] = acc
-    return tc
+    C = [None] + [C for C, in ml.summand_terms(p, grid, x, z, psi,
+                                               range(1, p.n + 1),
+                                               kinds=(pb.slot_name,))]
+    return np.stack([ml.alternating_sum(
+        C, k, lambda s, l: tr.differentiate_values(s, grid.h, l)[..., -1])
+        for k in range(1, p.n + 1)], axis=-2)
 
 
 def transversality_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
@@ -202,7 +185,7 @@ def _args_at_breakpoint(p, grid, x, z):
     """L's arguments on the nodes of [a, b] and the left limit of them at
     a + tau, where the delayed slots read the history at a."""
     q = grid.p
-    args = fn.slot_args_nodes(p, grid, x) + [z]
+    args = fn.slot_args(p, grid, x) + [z]
     left = [np.asarray(A)[..., q] for A in args]
     base = 1 + p.m * (p.n + 1)  # first delayed slot in the argument order
     for j in range(1, p.m + 1):
@@ -256,9 +239,7 @@ def comb_series(p: pb.ProblemSpec, traj: tr.StateTrajectory,
 
 def comb_difference(D, q):
     """D(t) - D(t + tau) per node, D being zero past b."""
-    ahead = np.zeros_like(D)
-    ahead[:D.shape[-1] - q] = D[q:]
-    return D - ahead
+    return D - fn.ahead(D, q)
 
 
 def comb_integral(vals, left, grid, point=0.0):

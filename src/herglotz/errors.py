@@ -44,10 +44,6 @@ class OutOfHistoryRange(HerglotzError):
     pass
 
 
-class OutOfRange(HerglotzError):
-    pass
-
-
 class GridTooSmall(HerglotzError):
     pass
 

@@ -26,60 +26,48 @@ def history_node_values(p: pb.ProblemSpec, grid: tr.Grid, j, k, idx):
     return np.broadcast_to(np.asarray(out, dtype=float), t.shape).copy()
 
 
-def delayed_node_series(p: pb.ProblemSpec, grid: tr.Grid, x, j, k):
-    """x_j^(k)(t_i - tau) for every node: an index shift by the delay offset,
-    with the history expression answering below a."""
-    M, q = grid.M, grid.p
-    out = np.empty(x.shape[:-3] + (M + 1,))
-    if q:
-        out[..., :q] = history_node_values(p, grid, j, k, np.arange(-q, 0))
-    out[..., q:] = x[..., j - 1, k, :M + 1 - q]
+def slot_args(p: pb.ProblemSpec, grid: tr.Grid, x, mid=False):
+    """Value arrays of every Lagrangian argument except z, in the canonical
+    order of problem.arg_names, on the nodes or, with ``mid``, at the
+    interval midpoints t_i + h/2.  A delayed slot is an index shift by the
+    delay offset, with the history expression answering below a."""
+    h, q = grid.h, grid.p
+    t = grid.nodes()
+    off = 0.0
+    if mid:
+        x, t, off = tr.midpoint_values(x, h), t[:-1] + 0.5 * h, 0.5
+    N = x.shape[-1]
+    slots = [(j, k) for j in range(1, p.m + 1) for k in range(p.n + 1)]
+    args = [t] + [x[..., j - 1, k, :] for j, k in slots]
+    for j, k in slots:
+        out = np.empty(x.shape[:-3] + (N,))
+        if q:
+            out[..., :q] = history_node_values(p, grid, j, k, np.arange(-q, 0) + off)
+        out[..., q:] = x[..., j - 1, k, :N - q]
+        args.append(out)
+    return args
+
+
+def ahead(values, q, fill=0.0):
+    """A node series q steps ahead, values(t_i + tau), and ``fill`` past b."""
+    out = np.full_like(values, fill)
+    out[..., :values.shape[-1] - q] = values[..., q:]
     return out
 
 
-def slot_args_nodes(p: pb.ProblemSpec, grid: tr.Grid, x):
-    """Per-node value arrays for every Lagrangian argument except z, in the
-    canonical order of problem.arg_names."""
-    args = [grid.nodes()]
-    for j in range(1, p.m + 1):
-        for k in range(p.n + 1):
-            args.append(x[..., j - 1, k, :])
-    for j in range(1, p.m + 1):
-        for k in range(p.n + 1):
-            args.append(delayed_node_series(p, grid, x, j, k))
-    return args
-
-
-def slot_args_mid(p: pb.ProblemSpec, grid: tr.Grid, x):
-    """Same as slot_args_nodes but at interval midpoints t_i + h/2."""
-    mids = tr.midpoint_values(x, grid.h)  # (..., m, n+1, M)
-    args = [grid.nodes()[:-1] + 0.5 * grid.h]
-    for j in range(1, p.m + 1):
-        for k in range(p.n + 1):
-            args.append(mids[..., j - 1, k, :])
-    q = grid.p
-    M = grid.M
-    for j in range(1, p.m + 1):
-        for k in range(p.n + 1):
-            out = np.empty(x.shape[:-3] + (M,))
-            if q:
-                tpast = grid.a + grid.h * (np.arange(-q, 0) + 0.5)
-                vals = p.history_fn(j, k)(tpast)
-                out[..., :q] = np.broadcast_to(np.asarray(vals, dtype=float),
-                                               tpast.shape)
-            out[..., q:] = mids[..., j - 1, k, :M - q]
-            args.append(out)
-    return args
+def eval_args(p: pb.ProblemSpec, args, which, shape):
+    """The Lagrangian body or one partial at prebuilt arguments, broadcast
+    to at least ``shape`` (a read-only view)."""
+    with np.errstate(all="ignore"):
+        out = p.lagrangian.compiled(which)(*args)
+    shape = np.broadcast_shapes(shape, np.shape(out))
+    return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
 def eval_on_nodes(p: pb.ProblemSpec, grid: tr.Grid, x, z, which="body"):
     """Evaluate the Lagrangian body or one partial along the trajectory."""
-    fn = p.lagrangian.compiled(which)
-    args = slot_args_nodes(p, grid, x) + [z]
-    with np.errstate(all="ignore"):
-        out = fn(*args)
-    shape = np.broadcast_shapes(x.shape[:-3] + (grid.M + 1,), np.shape(out))
-    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+    return eval_args(p, slot_args(p, grid, x) + [z], which,
+                     x.shape[:-3] + (grid.M + 1,)).copy()
 
 
 def _rk4_step(L, t0, tm, t1, h, a0, am, a1, z0):
@@ -95,8 +83,8 @@ def _rk4_step(L, t0, tm, t1, h, a0, am, a1, z0):
 def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
     """March z across the grid; batch axes of x are carried through."""
     L = p.lagrangian.compiled("body")
-    cur = slot_args_nodes(p, grid, x)
-    mid = slot_args_mid(p, grid, x)
+    cur = slot_args(p, grid, x)
+    mid = slot_args(p, grid, x, mid=True)
     t = cur[0]
     h = grid.h
     batch = x.shape[:-3]
@@ -115,8 +103,8 @@ def rk4_steps(p: pb.ProblemSpec, grid: tr.Grid, x, z):
     """The RK4 step maps of ``rk4_z`` at every step at once, with no march:
     entry i is the value one step takes z[..., i] to, shape (..., M)."""
     L = p.lagrangian.compiled("body")
-    cur = slot_args_nodes(p, grid, x)
-    mid = slot_args_mid(p, grid, x)
+    cur = slot_args(p, grid, x)
+    mid = slot_args(p, grid, x, mid=True)
     t = cur[0]
     with np.errstate(all="ignore"):
         out = _rk4_step(L, t[:-1], mid[0], t[1:], grid.h,
@@ -126,13 +114,16 @@ def rk4_steps(p: pb.ProblemSpec, grid: tr.Grid, x, z):
     return np.broadcast_to(out, shape)
 
 
-def simulate_z(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> tr.StateTrajectory:
-    """Fill z on a trajectory by RK4 with z(a) = gamma.
+def simulate_z(p: pb.ProblemSpec, traj: tr.StateTrajectory,
+               z=None) -> tr.StateTrajectory:
+    """Fill z on a trajectory by RK4 with z(a) = gamma; a given ``z``, the
+    RK4 march along traj.x already done, is taken as it is.
 
     Raises NonFiniteLagrangian at the first node where the right-hand side
     stopped being finite.
     """
-    z = rk4_z(p, traj.grid, traj.x, p.gamma)
+    if z is None:
+        z = rk4_z(p, traj.grid, traj.x, p.gamma)
     bad = ~np.isfinite(z)
     if bad.any():
         i = int(np.argmax(bad))
@@ -163,15 +154,7 @@ class PsiSeries:
 
     def shifted(self):
         """psi(t_i + tau) per node, 1 beyond b."""
-        return psi_shift(self.values, self.p)
-
-
-def psi_shift(values, p):
-    if p == 0:
-        return values
-    out = np.ones_like(values)
-    out[..., :values.shape[-1] - p] = values[..., p:]
-    return out
+        return ahead(self.values, self.p, fill=1.0)
 
 
 def integral_to_b(g, h):

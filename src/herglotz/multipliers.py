@@ -26,32 +26,41 @@ class MultiplierSet:
     phi: np.ndarray  # (n, m, M+1)
 
 
-def current_term(p, grid, x, z, psi, r):
-    """psi(t) * dL/dx^(r)(t) for every component: (..., m, M+1)."""
-    out = np.empty(np.broadcast_shapes(x.shape[:-3], psi.shape[:-1])
-                   + (p.m, grid.M + 1))
-    for j in range(1, p.m + 1):
-        vals = fn.eval_on_nodes(p, grid, x, z, pb.slot_name(j, r))
-        out[..., j - 1, :] = psi * vals
-    return out
+def summand_terms(p, grid, x, z, psi, orders,
+                  kinds=(pb.slot_name, pb.delayed_slot_name)):
+    """psi(t) dL/ds_j^(r)(t), shape (..., m, M+1), per order r in ``orders``
+    (a list) and slot kind s (a tuple: current, then delayed slots), from
+    one build of L's arguments."""
+    args = fn.slot_args(p, grid, x) + [z]
+    batch = np.broadcast_shapes(x.shape[:-3], psi.shape[:-1])
+    nodes = x.shape[:-3] + (grid.M + 1,)
+    terms = []
+    for r in orders:
+        row = []
+        for kind in kinds:
+            S = np.empty(batch + (p.m, grid.M + 1))
+            for j in range(1, p.m + 1):
+                S[..., j - 1, :] = psi * fn.eval_args(p, args, kind(j, r), nodes)
+            row.append(S)
+        terms.append(tuple(row))
+    return terms
 
 
-def delayed_term(p, grid, x, z, psi, r):
-    """psi(t+tau) * dL/dx_tau^(r)(t+tau) per component, zero once t+tau > b."""
-    q = grid.p
-    out = np.zeros(np.broadcast_shapes(x.shape[:-3], psi.shape[:-1])
-                   + (p.m, grid.M + 1))
-    for j in range(1, p.m + 1):
-        vals = psi * fn.eval_on_nodes(p, grid, x, z, pb.delayed_slot_name(j, r))
-        if q == 0:
-            out[..., j - 1, :] = vals
-        else:
-            out[..., j - 1, :grid.M + 1 - q] = vals[..., q:]
-    return out
+def weighted_terms(p, grid, x, z, psi, orders):
+    """(C_r, W_r) per order: W_r adds psi(t+tau) dL/dx_tau^(r)(t+tau) to C_r,
+    the delayed summand being null once t + tau > b."""
+    return [(C, C + fn.ahead(D, grid.p))
+            for C, D in summand_terms(p, grid, x, z, psi, orders)]
 
 
-def weighted_term(p, grid, x, z, psi, r):
-    return current_term(p, grid, x, z, psi, r) + delayed_term(p, grid, x, z, psi, r)
+def alternating_sum(terms, k, diff, sign=1):
+    """sign * sum_{l=0}^{len(terms)-1-k} (-1)^l diff(terms[l + k], l), added
+    term by term with its own sign so that exact zeros keep theirs."""
+    acc = 0.0
+    for l in range(len(terms) - k):
+        d = diff(terms[l + k], l)
+        acc = acc + d if sign * (-1) ** l > 0 else acc - d
+    return acc
 
 
 def blockwise_derivative(vals, h, l, junction):
@@ -74,16 +83,13 @@ def compute_phi(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     if traj.z is None:
         raise ValidationError("trajectory has no z series; simulate it first")
     grid = traj.grid
-    n = p.n
-    W = [None] + [weighted_term(p, grid, traj.x, traj.z, psi.values, r)
-                  for r in range(1, n + 1)]
-    phi = np.zeros((n, p.m, grid.M + 1))
-    for k in range(1, n + 1):
-        acc = np.zeros((p.m, grid.M + 1))
-        for l in range(0, n - k + 1):
-            term = blockwise_derivative(W[l + k], grid.h, l, grid.junction)
-            acc += term if (l + 1) % 2 == 0 else -term
-        phi[k - 1] = acc
+    W = [None] + [W for _, W in weighted_terms(p, grid, traj.x, traj.z,
+                                               psi.values, range(1, p.n + 1))]
+    phi = np.zeros((p.n, p.m, grid.M + 1))
+    for k in range(1, p.n + 1):
+        phi[k - 1] = alternating_sum(
+            W, k, lambda s, l: blockwise_derivative(s, grid.h, l, grid.junction),
+            sign=-1)
     return MultiplierSet(psi=psi, phi=phi)
 
 
@@ -102,18 +108,15 @@ def compute_phi_history(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     """phi_k on [a - tau, a] (delayed-term-only branch of the closed form):
     shape (n, m, p+1).  Only the reduction cross-checks need this."""
     grid = traj.grid
-    n, q = p.n, grid.p
+    q = grid.p
     # the t-argument shift makes this the delayed term's generator series
     # evaluated on [a, a + tau]
-    S = [None] + [psi.values * np.stack(
-        [fn.eval_on_nodes(p, grid, traj.x, traj.z, pb.delayed_slot_name(j, r))
-         for j in range(1, p.m + 1)])
-        for r in range(1, n + 1)]
-    phi = np.zeros((n, p.m, q + 1))
-    for k in range(1, n + 1):
-        acc = np.zeros((p.m, q + 1))
-        for l in range(0, n - k + 1):
-            d = tr.differentiate_values(S[l + k], grid.h, l)[..., :q + 1]
-            acc += d if (l + 1) % 2 == 0 else -d
-        phi[k - 1] = acc
+    S = [None] + [D for D, in summand_terms(p, grid, traj.x, traj.z, psi.values,
+                                            range(1, p.n + 1),
+                                            kinds=(pb.delayed_slot_name,))]
+    phi = np.zeros((p.n, p.m, q + 1))
+    for k in range(1, p.n + 1):
+        phi[k - 1] = alternating_sum(
+            S, k, lambda s, l: tr.differentiate_values(s, grid.h, l)[..., :q + 1],
+            sign=-1)
     return phi

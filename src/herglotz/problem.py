@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import OutOfHistoryRange, UnboundVariable, ValidationError
+from .errors import OutOfHistoryRange, ValidationError
 
 _FD_POINTS = 10
 _FD_RELTOL = 1e-6
@@ -189,75 +189,48 @@ def build_problem(raw) -> ProblemSpec:
 def _check_partials_fd(lag, a, b, rng=None, points=_FD_POINTS, reltol=_FD_RELTOL):
     """Compare each symbolic partial with a central finite difference at
     random interior points.  Returns a list of failure descriptions."""
-    rng = rng or np.random.default_rng(12345)
-    failures = []
-    names = lag.args
-    checked = 0
-    attempts = 0
-    while checked < points and attempts < 40 * points:
-        attempts += 1
-        binding = {name: rng.uniform(0.6, 1.4) for name in names}
-        binding["t"] = rng.uniform(a, b)
-        results = _fd_compare_at(lag, binding, reltol)
-        if results is None:
-            continue  # non-finite evaluation; resample
-        checked += 1
-        failures.extend(results)
-    if checked < points:
+    samples = _fd_samples(lag, a, b, rng or np.random.default_rng(12345), points)
+    failures = [f"partial d/d{name} disagrees with finite differences at "
+                f"t={t:.6g}: symbolic {sym:.9g} vs fd {fd:.9g}"
+                for sample in samples for name, t, sym, fd in sample
+                if abs(sym - fd) > reltol * (1.0 + abs(sym))]
+    if len(samples) < points:
         failures.append("could not find enough finite evaluation points for the "
                         "finite-difference validation of the partials")
     return failures
 
 
-def _fd_compare_at(lag, binding, reltol, h=1e-6):
-    """Failure messages at one evaluation point, or None when the point is
-    unusable (non-finite values, domain errors)."""
-    results = []
-    try:
-        for name in lag.args:
-            sym = ex.evaluate(lag.partials[name], binding)
-            lo = dict(binding)
-            hi = dict(binding)
-            lo[name] -= h
-            hi[name] += h
-            fd = (ex.evaluate(lag.body, hi) - ex.evaluate(lag.body, lo)) / (2 * h)
-            if not (np.isfinite(sym) and np.isfinite(fd)):
-                return None
-            if abs(sym - fd) > reltol * (1.0 + abs(sym)):
-                results.append(
-                    f"partial d/d{name} disagrees with finite differences at "
-                    f"t={binding['t']:.6g}: symbolic {sym:.9g} vs fd {fd:.9g}")
-    except Exception:
-        return None
-    return results
-
-
 def check_derivatives(p: ProblemSpec, points=_FD_POINTS, seed=4242):
     """Finite-difference audit of every partial; returns a list of rows
     (slot, t, symbolic, fd, rel_err).  Used by the check-derivs command."""
-    rng = np.random.default_rng(seed)
-    lag = p.lagrangian
-    rows = []
-    checked = 0
+    samples = _fd_samples(p.lagrangian, p.a, p.b, np.random.default_rng(seed), points)
+    return [(name, t, sym, fd, abs(sym - fd) / (1.0 + abs(sym)))
+            for sample in samples for name, t, sym, fd in sample]
+
+
+def _fd_samples(lag, a, b, rng, points, h=1e-6):
+    """Up to ``points`` random evaluation points (slots in [0.6, 1.4], t in
+    [a, b]), each a list of (slot, t, symbolic partial, central difference)
+    over every slot.  A point where a value is non-finite or raises is
+    redrawn, within 40 * points draws in all."""
+    samples = []
     attempts = 0
-    while checked < points and attempts < 40 * points:
+    while len(samples) < points and attempts < 40 * points:
         attempts += 1
         binding = {name: rng.uniform(0.6, 1.4) for name in lag.args}
-        binding["t"] = rng.uniform(p.a, p.b)
+        binding["t"] = rng.uniform(a, b)
         try:
             sample = []
             for name in lag.args:
                 sym = ex.evaluate(lag.partials[name], binding)
                 lo, hi = dict(binding), dict(binding)
-                lo[name] -= 1e-6
-                hi[name] += 1e-6
-                fd = (ex.evaluate(lag.body, hi) - ex.evaluate(lag.body, lo)) / 2e-6
+                lo[name] -= h
+                hi[name] += h
+                fd = (ex.evaluate(lag.body, hi) - ex.evaluate(lag.body, lo)) / (2 * h)
                 if not (np.isfinite(sym) and np.isfinite(fd)):
                     raise ArithmeticError
-                rel = abs(sym - fd) / (1.0 + abs(sym))
-                sample.append((name, binding["t"], sym, fd, rel))
+                sample.append((name, binding["t"], sym, fd))
         except Exception:
             continue
-        rows.extend(sample)
-        checked += 1
-    return rows
+        samples.append(sample)
+    return samples

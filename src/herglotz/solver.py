@@ -28,6 +28,10 @@ and the colored local derivatives C_i = dPhi_i/dU; psi = exp(integral_t^b g)
 with g = dL/dz, so Dpsi = psi integral_to_b(G_U + G_z Dz).  When no symbolic
 partial of L reads z, F_z and G vanish, the residual is assembled without
 marching z at all, and J is F_U alone.
+
+The line search halves the full Newton step until the residual falls; its
+damping, the step tolerance and the difference step are module constants.
+The returned trajectory keeps z from the last residual at its positions.
 """
 
 from __future__ import annotations
@@ -46,22 +50,22 @@ from . import trajectory as tr
 from .errors import SingularJacobian, ValidationError
 
 
+_DAMPING = 1.0   # initial Newton damping: the full step, halved on failure
+_TOL_X = 1e-12   # stop once a step moves U by less, relative to 1 + |U|
+_FD_STEP = 1e-7  # relative forward-difference step of the Jacobian
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     M: int | None = None          # grid resolution; None = derive from h
     h: float | None = 1e-3
-    damping: float = 1.0          # initial Newton damping in (0, 1]
     max_iters: int = 25
     tol_r: float = 1e-6
-    tol_x: float = 1e-12
-    jacobian_fd_step: float = 1e-7
 
     def validate(self):
         problems = []
         if not self.tol_r > 0:
             problems.append(f"tol_r must be positive, got {self.tol_r!r}")
-        if not 0 < self.damping <= 1:
-            problems.append(f"damping must lie in (0, 1], got {self.damping!r}")
         if self.M is None and self.h is None:
             problems.append("one of M or h must be given")
         if self.h is not None and not (np.isfinite(self.h) and self.h > 0):
@@ -535,16 +539,15 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None,
 
     R = sys.residual(U)
     norm = _sup(R)
-    lam = opts.damping
-    log = [(0, norm, lam)]
+    log = [(0, norm, _DAMPING)]
     best_U, best_norm = U.copy(), norm
 
     for it in range(1, opts.max_iters + 1):
         if norm <= opts.tol_r:
             break
-        J = sys.jacobian(U, R, opts.jacobian_fd_step)
+        J = sys.jacobian(U, R, _FD_STEP)
         step = _newton_step(J, R)
-        lam = opts.damping
+        lam = _DAMPING
         accepted = False
         while lam >= 1e-8:
             U_try = U + lam * step
@@ -560,13 +563,15 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None,
             best_U, best_norm = U.copy(), norm
         if not accepted:
             break
-        if lam * _sup(step) <= opts.tol_x * (1.0 + _sup(U)):
+        if lam * _sup(step) <= _TOL_X * (1.0 + _sup(U)):
             break
 
     if best_norm < norm:
         U = best_U
-    traj = tr.from_positions(p, grid, sys.unpack(U))
-    traj = fn.simulate_z(p, traj)
+    # z from the last residual, when that one was evaluated at U
+    last = sys._last
+    z = last[2] if not sys.z_free and np.array_equal(last[0], U) else None
+    traj = fn.simulate_z(p, tr.from_positions(p, grid, sys.unpack(U)), z)
     psi = fn.compute_psi(p, traj)
     mult = ml.compute_phi(p, traj, psi)
     report = cd.full_report(p, traj, mult)

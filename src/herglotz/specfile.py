@@ -29,6 +29,7 @@ Unknown sections or keys are errors, never silently ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -116,6 +117,9 @@ def _number(kv, section, key, problems, integer=False):
         v = float(kv[key])
     except ValueError:
         problems.append(f"[{section}] {key}: not a number: {kv[key]!r}")
+        return None
+    if not math.isfinite(v):
+        problems.append(f"[{section}] {key}: not a finite number: {kv[key]!r}")
         return None
     if integer:
         if v != int(v):

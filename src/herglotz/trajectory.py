@@ -14,7 +14,7 @@ import numpy as np
 
 from . import expr as ex
 from . import problem as pb
-from .errors import GridTooSmall, OutOfRange, ValidationError
+from .errors import GridTooSmall, ValidationError
 
 _ALIGN_TOL = 1e-8
 
@@ -99,11 +99,6 @@ def _d1(f, h):
     out[..., -1] = (3 * f[..., -5] - 16 * f[..., -4] + 36 * f[..., -3]
                     - 48 * f[..., -2] + 25 * f[..., -1]) / (12 * h)
     return out
-
-
-def differentiate_series(values, grid: Grid, l: int):
-    """Spec-facing wrapper over :func:`differentiate_values`."""
-    return differentiate_values(values, grid.h, l)
 
 
 def midpoint_values(series, h):
@@ -201,58 +196,6 @@ def from_expressions(p: pb.ProblemSpec, grid: Grid, sources) -> StateTrajectory:
                                                      dtype=float), t.shape)
             e = ex.differentiate(e, "t") if k < p.n else e
     return StateTrajectory(problem=p, grid=grid, x=x)
-
-
-def eval_slot(traj: StateTrajectory, i: int, j: int, k: int, delayed: bool = False):
-    """Sample x_j^(k) at node i, optionally at the delayed time t_i - tau.
-    Delayed times below a are answered by the history expressions."""
-    g = traj.grid
-    if not delayed:
-        return float(traj.x[j - 1, k, i])
-    q = i - g.p
-    if q >= 0:
-        return float(traj.x[j - 1, k, q])
-    t = g.a + q * g.h
-    return pb.history_derivative(traj.problem, j, k, t)
-
-
-def interpolate(traj: StateTrajectory, t: float, j: int, k: int) -> float:
-    """Evaluate x_j^(k) anywhere on [a - tau, b]: exact history expression
-    below a, cubic Hermite (orders below n) or a local 4-node cubic (order n)
-    between nodes."""
-    g = traj.grid
-    h = g.h
-    slack = 1e-9 * max(1.0, g.b - g.a)
-    if t < g.a - traj.problem.tau - slack or t > g.b + slack:
-        raise OutOfRange(f"t={t!r} outside [{g.a - traj.problem.tau!r}, {g.b!r}]")
-    if t < g.a - slack:
-        return pb.history_derivative(traj.problem, j, k, t)
-    i = int(np.clip(np.floor((t - g.a) / h), 0, g.M - 1))
-    s = (t - (g.a + i * h)) / h
-    if abs(s) < 1e-12:
-        return float(traj.x[j - 1, k, i])
-    if abs(s - 1.0) < 1e-12:
-        return float(traj.x[j - 1, k, i + 1])
-    if k < traj.n:
-        f0, f1 = traj.x[j - 1, k, i], traj.x[j - 1, k, i + 1]
-        d0, d1 = traj.x[j - 1, k + 1, i], traj.x[j - 1, k + 1, i + 1]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return float(h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1)
-    w = int(np.clip(i - 1, 0, g.M - 3))
-    q = (t - (g.a + w * h)) / h  # position in node units within the window
-    ts = np.arange(4.0)
-    y = traj.x[j - 1, k, w:w + 4]
-    val = 0.0
-    for r in range(4):
-        lr = 1.0
-        for c in range(4):
-            if c != r:
-                lr *= (q - ts[c]) / (ts[r] - ts[c])
-        val += lr * y[r]
-    return float(val)
 
 
 # ---------------------------------------------------------------------------

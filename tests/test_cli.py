@@ -404,3 +404,22 @@ def test_verify_rejects_non_finite_cell_exit_2(tmp_path, capsys, column, value):
     text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
     assert main(["verify", spec, write(tmp_path, "bad.csv", text)]) == 2
     assert f"non-finite {column} value" in capsys.readouterr().err
+
+
+NON_FINITE = [(cmd, key, value)
+              for cmd in ("check-derivs", "simulate", "solve", "reduce")
+              for key, value in (("n", "inf"), ("n", "nan"), ("a", "-inf"),
+                                 ("b", "inf"))]
+NON_FINITE += [("check-derivs", "gamma", "nan"), ("reduce", "gamma", "nan"),
+               ("charge", "xi", "nan")]
+
+
+@pytest.mark.parametrize("command, key, value", NON_FINITE,
+                         ids=[f"{c}-{k}-{v}" for c, k, v in NON_FINITE])
+def test_non_finite_spec_number_exit_2(tmp_path, capsys, command, key, value):
+    text = DELAYED + '[candidate]\nx1 = "1"\n'
+    text += '[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\nxi = 0.0\n'
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    grid = [] if command in ("check-derivs", "reduce") else ["--h", "1e-2"]
+    assert main([command, write(tmp_path, "bad.spec", text), *grid]) == 2
+    assert f"{key}: not a finite number" in capsys.readouterr().err

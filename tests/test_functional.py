@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from herglotz import functional as fn
+from herglotz import problem as pb
 from herglotz import trajectory as tr
 from herglotz.errors import NonFiniteLagrangian
 
@@ -139,3 +140,49 @@ def test_batch_rk4_matches_scalar():
         traj = tr.from_positions(p, g, batch[i])
         zs = fn.rk4_z(p, g, traj.x, p.gamma)
         assert np.array_equal(zb[i], zs)
+
+
+def _slot(p, args, name):
+    return args[pb.arg_names(p.n, p.m).index(name)]
+
+
+def test_slot_args_delayed_slot_is_shifted_sample():
+    # t_i - tau lands on node i - p; below a the history mu = t^2 answers
+    p = make_problem("0.5*xd1^2 - z", mu=("t^2",), tau=0.5)
+    g = tr.align_grid(0.0, 1.0, 0.5, n=1, M=100)
+    traj = tr.from_expressions(p, g, ["cos(t)"])
+    args = fn.slot_args(p, g, traj.x)
+    assert np.array_equal(args[0], g.nodes())
+    for k, name in enumerate(("x1", "xd1")):
+        cur, dly = _slot(p, args, name), _slot(p, args, "tau_" + name)
+        assert np.array_equal(cur, traj.x[0, k])
+        assert np.array_equal(dly[g.p:], cur[:-g.p])
+    t = g.nodes()[:g.p] - 0.5
+    assert np.max(np.abs(_slot(p, args, "tau_x1")[:g.p] - t ** 2)) <= 1e-14
+    assert np.max(np.abs(_slot(p, args, "tau_xd1")[:g.p] - 2 * t)) <= 1e-14
+
+
+def test_slot_args_zero_delay_reads_current_slots():
+    p = make_problem("0.5*xd1^2 - z")
+    g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=50)
+    args = fn.slot_args(p, g, tr.from_expressions(p, g, ["sin(t)"]).x)
+    assert np.array_equal(_slot(p, args, "tau_x1"), _slot(p, args, "x1"))
+    assert np.array_equal(_slot(p, args, "tau_xd1"), _slot(p, args, "xd1"))
+
+
+def test_slot_args_midpoints():
+    # cubic Hermite values below the top order, a local cubic at the top;
+    # the delayed midpoints below a are the history at t_i + h/2 - tau
+    p = make_problem("0.5*xd1^2 - z", mu=("t^2",), tau=0.5)
+    g = tr.align_grid(0.0, 1.0, 0.5, n=1, M=100)
+    args = fn.slot_args(p, g, tr.from_expressions(p, g, ["sin(t)"]).x, mid=True)
+    tm = g.nodes()[:-1] + 0.5 * g.h
+    assert np.array_equal(args[0], tm)
+    assert np.max(np.abs(_slot(p, args, "x1") - np.sin(tm))) <= 1e-9
+    assert np.max(np.abs(_slot(p, args, "xd1") - np.cos(tm))) <= 1e-7
+    dly = _slot(p, args, "tau_x1")
+    assert np.array_equal(dly[g.p:], _slot(p, args, "x1")[:-g.p])
+    assert np.max(np.abs(dly[:g.p] - (tm[:g.p] - 0.5) ** 2)) <= 1e-14
+    lin = fn.slot_args(p, g, tr.from_expressions(p, g, ["2*t - 1"]).x, mid=True)
+    assert np.max(np.abs(_slot(p, lin, "x1") - (2 * tm - 1))) <= 1e-13
+    assert np.max(np.abs(_slot(p, lin, "xd1") - 2.0)) <= 1e-12

@@ -41,9 +41,9 @@ def test_phi_top_order_identity():
     # the k=n sum has a single l=0 term: an exact algebraic identity
     p = make_problem("0.5*xdd1^2 + 0.2*tau_xdd1^2 - z", mu=("1",), n=2, tau=0.25)
     traj, psi, mult = pipeline(p, "1 + 0*t", M=200)
-    direct = -(ml.current_term(p, traj.grid, traj.x, traj.z, psi.values, 2)
-               + ml.delayed_term(p, traj.grid, traj.x, traj.z, psi.values, 2))
-    assert np.array_equal(mult.phi[1], direct[0] if direct.ndim == 3 else direct)
+    [(C, D)] = ml.summand_terms(p, traj.grid, traj.x, traj.z, psi.values, [2])
+    direct = -(C + fn.ahead(D, traj.grid.p))
+    assert np.array_equal(mult.phi[1], direct)
 
 
 def test_phi_tau0_matches_delay_free_evaluation():
@@ -77,7 +77,7 @@ def test_phi_recursion_cross_check():
     p = make_problem("0.5*xdd1^2 - 0.5*x1^2 - z", mu=("1",), n=2)
     traj, psi, mult = pipeline(p, "cos(t)", M=400)
     g = traj.grid
-    W1 = ml.weighted_term(p, g, traj.x, traj.z, psi.values, 1)
+    [(_, W1)] = ml.weighted_terms(p, g, traj.x, traj.z, psi.values, [1])
     lhs = mult.phi[0]
     rhs = -tr.differentiate_values(mult.phi[1], g.h, 1) - W1
     err = np.max(np.abs((lhs - rhs)[0, 8:-8]))
@@ -111,3 +111,15 @@ def test_multiplier_csv_columns():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,psi,phi1_1,phi2_1"
     assert len(lines) == traj.grid.M + 2
+
+
+def test_alternating_sum_signs_and_zeros():
+    a = [np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.array([4.0, 0.0])]
+    assert np.array_equal(ml.alternating_sum(a, 0, lambda s, l: s), [3.0, 0.0])
+    assert np.array_equal(ml.alternating_sum(a, 1, lambda s, l: s, sign=-1),
+                          [2.0, 0.0])
+    # each term carries its own sign, so an exact zero stays +0.0
+    assert not np.signbit(ml.alternating_sum(a, 0, lambda s, l: s, sign=-1)[1])
+    # diff receives the summand index l
+    assert np.array_equal(ml.alternating_sum(a, 1, lambda s, l: s * 10 ** l),
+                          [-38.0, 0.0])

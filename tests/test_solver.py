@@ -104,8 +104,6 @@ def test_options_validated():
     p = oscillator_problem()
     with pytest.raises(ValidationError):
         solve_extremal(p, SolveOptions(M=100, h=None, tol_r=-1.0))
-    with pytest.raises(ValidationError):
-        solve_extremal(p, SolveOptions(M=100, h=None, damping=0.0))
 
 
 def test_iteration_log_shape(oscillator_solved):
@@ -270,6 +268,37 @@ def test_z_coupled_solve_avoids_dense_reference(monkeypatch, L, tau):
     assert set(marches) == {3}  # the solve's residuals and the final z only
     un = res.report.norms_unflagged
     assert un["el1"] <= 1e-6 and un["el2"] <= 1e-6 and un["tc"] <= 1e-6
+
+
+@pytest.mark.parametrize("L, tau, z_free", [
+    ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", 0.0, False),
+    ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2", 0.25, False),
+    ("0.5*xd1^2 + 0.25*tau_x1^2 - z", 0.5, True),
+], ids=["zcoupled-tau0", "zcoupled-tau0.25", "z-free"])
+def test_solve_marches_z_once_per_residual(monkeypatch, L, tau, z_free):
+    # the returned z is the one the last residual marched at the returned
+    # positions; a z-free residual marches none, so the solve marches once
+    p = make_problem(L, tau=tau)
+    residuals, marches = [], []
+    residual, rk4_z = sv._System.residual, fn.rk4_z
+
+    def counted_residual(self, U, z=None, psi=None):
+        if np.ndim(U) == 1:
+            residuals.append(z is None)
+        return residual(self, U, z, psi)
+
+    def counted_rk4_z(*args):
+        marches.append(args[2].ndim)
+        return rk4_z(*args)
+
+    monkeypatch.setattr(sv._System, "residual", counted_residual)
+    monkeypatch.setattr(fn, "rk4_z", counted_rk4_z)
+    res = solve_extremal(p, SolveOptions(M=120, h=None, tol_r=1e-6))
+    assert res.converged and len(res.iterations) > 1 and all(residuals)
+    assert set(marches) == {3}
+    assert len(marches) == (1 if z_free else len(residuals))
+    traj = res.trajectory
+    assert np.array_equal(traj.z, rk4_z(p, traj.grid, traj.x, p.gamma))
 
 
 @pytest.mark.parametrize("name", ["delayed", "cross-delay", "m2-cross"])

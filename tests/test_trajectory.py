@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from herglotz import trajectory as tr
-from herglotz.errors import GridTooSmall, OutOfRange, ValidationError
+from herglotz.errors import GridTooSmall, ValidationError
 
 from conftest import make_problem
 
@@ -32,14 +32,14 @@ def test_align_grid_given_M_validates():
 
 def test_differentiate_series_constant():
     g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=100)
-    out = tr.differentiate_series(np.ones(101), g, 1)
+    out = tr.differentiate_values(np.ones(101), g.h, 1)
     assert np.max(np.abs(out)) <= 1e-12
 
 
 def test_differentiate_series_quadratic_twice():
     g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=100)
     t = g.nodes()
-    out = tr.differentiate_series(t ** 2, g, 2)
+    out = tr.differentiate_values(t ** 2, g.h, 2)
     assert np.max(np.abs(out - 2.0)) <= 1e-8
 
 
@@ -48,14 +48,14 @@ def test_differentiate_series_quartic_exact():
     t = g.nodes()
     poly = 3 * t ** 4 - t ** 3 + 2 * t - 5
     want = 12 * t ** 3 - 3 * t ** 2 + 2
-    out = tr.differentiate_series(poly, g, 1)
+    out = tr.differentiate_values(poly, g.h, 1)
     assert np.max(np.abs(out - want)) <= 1e-10
 
 
 def test_differentiate_series_sin_third_order():
     g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=100)
     t = g.nodes()
-    out = tr.differentiate_series(np.sin(t), g, 3)
+    out = tr.differentiate_values(np.sin(t), g.h, 3)
     err = np.abs(out + np.cos(t))
     # 5*h^4*max|sin^(7)| holds on the central-stencil region; the one-sided
     # end zones (2 nodes per pass) amplify and are the flagged-node case
@@ -66,7 +66,7 @@ def test_differentiate_series_sin_third_order():
 def test_differentiate_series_too_small():
     g = tr.Grid(a=0.0, b=1.0, M=5, p=0)
     with pytest.raises(GridTooSmall):
-        tr.differentiate_series(np.ones(6), g, 1)
+        tr.differentiate_values(np.ones(6), g.h, 1)
 
 
 def test_differentiate_trapezoid_roundtrip():
@@ -74,72 +74,9 @@ def test_differentiate_trapezoid_roundtrip():
     t = g.nodes()
     f = np.sin(3 * t) * np.exp(-t)
     F = cumulative_trapezoid(f, t, initial=0.0)
-    back = tr.differentiate_series(F, g, 1)
+    back = tr.differentiate_values(F, g.h, 1)
     # trapezoid is O(h^2); interior errors dominate
     assert np.max(np.abs(back - f)) <= 50 * g.h ** 2
-
-
-def test_eval_slot_identity_and_zero_delay():
-    p = make_problem("0.5*xd1^2 - z")
-    g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=50)
-    traj = tr.from_expressions(p, g, ["sin(t)"])
-    for i in (0, 10, 50):
-        assert tr.eval_slot(traj, i, 1, 0) == traj.x[0, 0, i]
-        assert tr.eval_slot(traj, i, 1, 0, delayed=True) == tr.eval_slot(traj, i, 1, 0)
-
-
-def test_eval_slot_history():
-    p = make_problem("0.5*xd1^2 - z", mu=("t^2",), tau=0.5)
-    g = tr.align_grid(0.0, 1.0, 0.5, n=1, M=100)
-    traj = tr.from_expressions(p, g, ["t^2"])
-    i = 20  # t = 0.2, delayed time -0.3
-    assert tr.eval_slot(traj, i, 1, 0, delayed=True) == pytest.approx(0.09, abs=1e-12)
-
-
-def test_eval_slot_delayed_equals_shifted_sample():
-    p = make_problem("0.5*xd1^2 - z", mu=("1",), tau=0.25)
-    g = tr.align_grid(0.0, 1.0, 0.25, n=1, M=100)
-    traj = tr.from_expressions(p, g, ["cos(t)"])
-    for i in range(g.p, g.M + 1):
-        assert (tr.eval_slot(traj, i, 1, 0, delayed=True)
-                == tr.eval_slot(traj, i - g.p, 1, 0))
-
-
-def test_interpolate_nodes_exact():
-    p = make_problem("0.5*xd1^2 - z")
-    g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=50)
-    traj = tr.from_expressions(p, g, ["sin(t)"])
-    t5 = g.nodes()[5]
-    assert tr.interpolate(traj, t5, 1, 0) == traj.x[0, 0, 5]
-
-
-def test_interpolate_linear_exact():
-    p = make_problem("0.5*xd1^2 - z")
-    g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=50)
-    traj = tr.from_expressions(p, g, ["2*t - 1"])
-    for t in (0.013, 0.501, 0.987):
-        assert abs(tr.interpolate(traj, t, 1, 0) - (2 * t - 1)) <= 1e-13
-        assert abs(tr.interpolate(traj, t, 1, 1) - 2.0) <= 1e-12
-
-
-def test_interpolate_sin_midpoint_accuracy():
-    p = make_problem("0.5*xd1^2 - z")
-    g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=100)
-    traj = tr.from_expressions(p, g, ["sin(t)"])
-    t = g.nodes()[:-1] + g.h / 2
-    errs = [abs(tr.interpolate(traj, ti, 1, 0) - np.sin(ti)) for ti in t]
-    assert max(errs) <= 1e-9
-
-
-def test_interpolate_history_and_range():
-    p = make_problem("0.5*xd1^2 - z", mu=("t^2",), tau=0.5)
-    g = tr.align_grid(0.0, 1.0, 0.5, n=1, M=100)
-    traj = tr.from_expressions(p, g, ["t^2"])
-    assert tr.interpolate(traj, -0.3, 1, 0) == pytest.approx(0.09, abs=1e-14)
-    with pytest.raises(OutOfRange):
-        tr.interpolate(traj, 1.2, 1, 0)
-    with pytest.raises(OutOfRange):
-        tr.interpolate(traj, -0.6, 1, 0)
 
 
 def test_derivative_consistency_of_position_build():
@@ -148,7 +85,7 @@ def test_derivative_consistency_of_position_build():
     t = g.nodes()
     traj = tr.from_positions(p, g, np.sin(t)[np.newaxis, :])
     for k in range(2):
-        fd = tr.differentiate_series(traj.x[0, k], g, 1)
+        fd = tr.differentiate_values(traj.x[0, k], g.h, 1)
         assert np.max(np.abs(fd - traj.x[0, k + 1])) <= 1e-10
 
 
