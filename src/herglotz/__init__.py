@@ -7,7 +7,7 @@ from .errors import (DegenerateFamily, DomainError, ExprSyntaxError, GridTooSmal
                      SingularJacobian, UnboundVariable, UnknownFunction,
                      ValidationError, ZeroDelay)
 from .expr import differentiate, evaluate, free_variables, parse_expression, simplify, substitute, unparse
-from .functional import PsiSeries, admissibility_defect, compute_psi, simulate_z
+from .functional import admissibility_defect, compute_psi, simulate_z
 from .multipliers import MultiplierSet, compute_phi, compute_phi_history
 from .noether import InvarianceFamily, drift, invariance_defect, lift_generators, make_family, noether_charge
 from .problem import LagrangianSpec, ProblemSpec, build_problem, history_derivative, make_lagrangian

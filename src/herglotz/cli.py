@@ -32,7 +32,7 @@ EXIT_NUMERIC = 3
 EXIT_NO_CONVERGENCE = 4
 
 _VALIDATION_ERRORS = (ValidationError, ExprSyntaxError, UnknownFunction,
-                      FileNotFoundError, IsADirectoryError)
+                      FileNotFoundError, IsADirectoryError, UnicodeDecodeError)
 _NUMERIC_ERRORS = (DomainError, NonFiniteLagrangian, UnboundVariable,
                    GridTooSmall, OutOfHistoryRange,
                    DegenerateFamily, SingularJacobian, ZeroDelay,
@@ -129,23 +129,22 @@ def cmd_verify(args):
 
 
 def _write_residual_csv(report, path):
+    """Rows t,block,r1..rm: el1 from a, el2 from b - tau, then dbr in the
+    first residual column; a '# sup' footer holds the four norms."""
     grid = report.grid
     t = grid.nodes()
-    lines = ["t,block," + ",".join(f"r{j + 1}" for j in range(report.el1.shape[0]))]
-    for i in range(report.el1.shape[-1]):
-        vals = ",".join(_fmt(v) for v in report.el1[:, i])
-        lines.append(f"{_fmt(t[i])},el1,{vals}")
-    for i in range(report.el2.shape[-1]):
-        vals = ",".join(_fmt(v) for v in report.el2[:, i])
-        lines.append(f"{_fmt(t[grid.junction + i])},el2,{vals}")
-    for i in range(grid.M + 1):
-        pad = "," * max(report.el1.shape[0] - 1, 0)
-        lines.append(f"{_fmt(t[i])},dbr,{_fmt(report.dbr[i])}{pad}")
-    norms = report.norms
-    lines.append("# sup " + " ".join(f"{k}={_fmt(v)}" for k, v in norms.items()))
-    text = "\n".join(lines) + "\n"
+    m = report.el1.shape[0]
+    cells = ",%.17g" * m
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write("t,block," + ",".join(f"r{j + 1}" for j in range(m)) + "\n")
+        for name, start, vals in (("el1", 0, report.el1),
+                                  ("el2", grid.junction, report.el2)):
+            np.savetxt(fh, np.column_stack([t[start:start + vals.shape[-1]], vals.T]),
+                       fmt=f"%.17g,{name}" + cells)
+        np.savetxt(fh, np.column_stack([t, report.dbr]),
+                   fmt="%.17g,dbr,%.17g" + "," * (m - 1), comments="",
+                   footer="# sup " + " ".join(f"{k}={_fmt(v)}"
+                                              for k, v in report.norms.items()))
 
 
 def cmd_reduce(args):
@@ -162,6 +161,9 @@ def cmd_reduce(args):
 
 
 def cmd_charge(args):
+    if not (np.isfinite(args.defect_tol) and args.defect_tol >= 0):
+        raise ValidationError(f"--defect-tol must be a non-negative finite "
+                              f"number, got {args.defect_tol!r}")
     raw, p = _load(args.file)
     fam_content = raw.family
     if args.family_file:
@@ -188,7 +190,8 @@ def cmd_charge(args):
     total = nt.drift(charge)
     interior = nt.drift(charge, mask=result.report.dbr_flags)
     if args.out:
-        _write_charge_csv(traj.grid, charge, total, args.out)
+        tr._write_csv(args.out, ["t", "charge"], [traj.grid.nodes(), charge],
+                      footer=f"# drift {_fmt(total)}")
         print(f"wrote {args.out}")
     print(f"invariance defect: condition1 {_fmt(d1)}, condition2 {_fmt(d2)}")
     print(f"charge drift: {_fmt(total)} (unflagged {_fmt(interior)})")
@@ -198,16 +201,6 @@ def cmd_charge(args):
     else:
         print(f"family invariant at tolerance {args.defect_tol:g}")
     return EXIT_OK
-
-
-def _write_charge_csv(grid, charge, total, path):
-    t = grid.nodes()
-    lines = ["t,charge"]
-    for i in range(grid.M + 1):
-        lines.append(f"{_fmt(t[i])},{_fmt(charge[i])}")
-    lines.append(f"# drift {_fmt(total)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_check_derivs(args):

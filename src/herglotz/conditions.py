@@ -115,7 +115,7 @@ def el_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 mult: ml.MultiplierSet):
     """(el1, el2) residual arrays for a single trajectory."""
     _require_z(traj)
-    return el_blocks(p, traj.grid, traj.x, traj.z, mult.psi.values)
+    return el_blocks(p, traj.grid, traj.x, traj.z, mult.psi)
 
 
 def transversality_values(p, grid, x, z, psi):
@@ -132,7 +132,7 @@ def transversality_values(p, grid, x, z, psi):
 def transversality_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                             mult: ml.MultiplierSet) -> np.ndarray:
     _require_z(traj)
-    return transversality_values(p, traj.grid, traj.x, traj.z, mult.psi.values)
+    return transversality_values(p, traj.grid, traj.x, traj.z, mult.psi)
 
 
 def dbr_inner(p, grid, x, z, phi, psi):
@@ -150,10 +150,10 @@ def dbr_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     junction split because phi switches its delayed term off at b - tau."""
     _require_z(traj)
     grid = traj.grid
-    inner = dbr_inner(p, grid, traj.x, traj.z, mult.phi, mult.psi.values)
+    inner = dbr_inner(p, grid, traj.x, traj.z, mult.phi, mult.psi)
     dinner = ml.blockwise_derivative(inner, grid.h, 1, grid.junction)
     lt = fn.eval_on_nodes(p, grid, traj.x, traj.z, "t")
-    return dinner - mult.psi.values * lt
+    return dinner - mult.psi * lt
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def comb_series(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     its left limit at a + tau."""
     _require_z(traj)
     grid = traj.grid
-    return comb_terms(p, grid, traj.x, traj.z, mult.psi.values,
+    return comb_terms(p, grid, traj.x, traj.z, mult.psi,
                       *delayed_rates(p, grid, traj.x))
 
 
@@ -260,10 +260,10 @@ def dbr_inner_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     extremals of an autonomous L, delayed or not."""
     _require_z(traj)
     grid = traj.grid
-    inner = dbr_inner(p, grid, traj.x, traj.z, mult.phi, mult.psi.values)
+    inner = dbr_inner(p, grid, traj.x, traj.z, mult.phi, mult.psi)
     if not has_comb(p):
         return inner
-    point = breakpoint_jump(p, grid, traj.x, traj.z, mult.psi.values)
+    point = breakpoint_jump(p, grid, traj.x, traj.z, mult.psi)
     return inner + comb_integral(*comb_series(p, traj, mult), grid, point)
 
 

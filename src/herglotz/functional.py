@@ -10,8 +10,6 @@ solver uses them to evaluate whole Jacobian chunks in one sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import problem as pb
@@ -48,9 +46,9 @@ def slot_args(p: pb.ProblemSpec, grid: tr.Grid, x, mid=False):
     return args
 
 
-def ahead(values, q, fill=0.0):
-    """A node series q steps ahead, values(t_i + tau), and ``fill`` past b."""
-    out = np.full_like(values, fill)
+def ahead(values, q):
+    """A node series q steps ahead, values(t_i + tau), and 0 past b."""
+    out = np.zeros_like(values)
     out[..., :values.shape[-1] - q] = values[..., q:]
     return out
 
@@ -143,20 +141,6 @@ def admissibility_defect(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> float:
 # ---------------------------------------------------------------------------
 # psi
 
-@dataclass(frozen=True)
-class PsiSeries:
-    """psi on the grid nodes of [a, b]; on (b, b + tau] the convention value
-    is the constant 1 (the stacked problem's closing interval has a null
-    Lagrangian)."""
-
-    values: np.ndarray  # (..., M+1)
-    p: int
-
-    def shifted(self):
-        """psi(t_i + tau) per node, 1 beyond b."""
-        return ahead(self.values, self.p, fill=1.0)
-
-
 def integral_to_b(g, h):
     """J_i = integral from t_i to b of a node series, composite Simpson from
     the right; nodes an odd number of steps from b close the first interval
@@ -184,8 +168,9 @@ def psi_values(p: pb.ProblemSpec, grid: tr.Grid, x, z):
         return np.exp(J)
 
 
-def compute_psi(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> PsiSeries:
-    """psi(t) = exp(integral_t^b dL/dz); psi(b) = 1 exactly."""
+def compute_psi(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> np.ndarray:
+    """psi(t) = exp(integral_t^b dL/dz) on the nodes, shape (M+1,);
+    psi(b) = 1 exactly."""
     if traj.z is None:
         raise ValidationError("trajectory has no z series; simulate it first")
-    return PsiSeries(values=psi_values(p, traj.grid, traj.x, traj.z), p=traj.grid.p)
+    return psi_values(p, traj.grid, traj.x, traj.z)

@@ -22,7 +22,7 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    psi: fn.PsiSeries
+    psi: np.ndarray  # (M+1,)
     phi: np.ndarray  # (n, m, M+1)
 
 
@@ -78,13 +78,13 @@ def blockwise_derivative(vals, h, l, junction):
 
 
 def compute_phi(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                psi: fn.PsiSeries) -> MultiplierSet:
+                psi: np.ndarray) -> MultiplierSet:
     """Evaluate the closed form for every k; no backward integration."""
     if traj.z is None:
         raise ValidationError("trajectory has no z series; simulate it first")
     grid = traj.grid
     W = [None] + [W for _, W in weighted_terms(p, grid, traj.x, traj.z,
-                                               psi.values, range(1, p.n + 1))]
+                                               psi, range(1, p.n + 1))]
     phi = np.zeros((p.n, p.m, grid.M + 1))
     for k in range(1, p.n + 1):
         phi[k - 1] = alternating_sum(
@@ -98,20 +98,20 @@ def write_multiplier_csv(grid, mult: MultiplierSet, path):
     n, m = mult.phi.shape[0], mult.phi.shape[1]
     header = ["t", "psi"] + [f"phi{k}_{j}" for k in range(1, n + 1)
                              for j in range(1, m + 1)]
-    cols = [grid.nodes(), mult.psi.values] + [mult.phi[k, j]
-                                              for k in range(n) for j in range(m)]
+    cols = [grid.nodes(), mult.psi] + [mult.phi[k, j]
+                                       for k in range(n) for j in range(m)]
     tr._write_csv(path, header, cols)
 
 
 def compute_phi_history(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                        psi: fn.PsiSeries) -> np.ndarray:
+                        psi: np.ndarray) -> np.ndarray:
     """phi_k on [a - tau, a] (delayed-term-only branch of the closed form):
     shape (n, m, p+1).  Only the reduction cross-checks need this."""
     grid = traj.grid
     q = grid.p
     # the t-argument shift makes this the delayed term's generator series
     # evaluated on [a, a + tau]
-    S = [None] + [D for D, in summand_terms(p, grid, traj.x, traj.z, psi.values,
+    S = [None] + [D for D, in summand_terms(p, grid, traj.x, traj.z, psi,
                                             range(1, p.n + 1),
                                             kinds=(pb.delayed_slot_name,))]
     phi = np.zeros((p.n, p.m, q + 1))

@@ -215,8 +215,8 @@ def noether_charge(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     """The pointwise charge C per node; constant along extremals when
     tau = 0 or L reads no ``tau_`` slot (see ``noether_charge_delayed``)."""
     gen = lift_generators(fam, traj)
-    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi.values)
-    C = mult.psi.values * gen.Z - inner * gen.T
+    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi)
+    C = mult.psi * gen.Z - inner * gen.T
     for k in range(1, p.n + 1):
         C = C + np.sum(mult.phi[k - 1] * gen.X[k - 1], axis=0)
     return C
@@ -262,7 +262,7 @@ def noether_charge_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     rates_hist, rates = cd.delayed_rates(p, g, traj.x)
     hist = _history_generators(fam, p, g) - T * rates_hist
     cur = np.concatenate([X, top], axis=1) - T * rates
-    psi = mult.psi.values
+    psi = mult.psi
     G, G_left = cd.comb_terms(p, g, traj.x, traj.z, psi, hist, cur)
     point = -T * cd.breakpoint_jump(p, g, traj.x, traj.z, psi)
     return C + cd.comb_integral(G, G_left, g, point)

@@ -164,7 +164,7 @@ def unmap_trajectory(rp: ReducedProblem, stacked: StackedTrajectory,
             lo = (j - 1) * P
             hi = min(lo + P, g.M)
             z[lo:hi + 1] = stacked.z[j - 1, :hi - lo + 1]
-    return tr.StateTrajectory(problem=traj.problem, grid=g, x=x, z=z)
+    return tr.StateTrajectory(grid=g, x=x, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def map_multipliers(rp: ReducedProblem, traj: tr.StateTrajectory,
         lo = (i - 1) * P
         hi = min(lo + P, g.M)
         phi[:, i, :, :hi - lo + 1] = mult.phi[:, :, lo:hi + 1]
-        psi[i - 1, :hi - lo + 1] = mult.psi.values[lo:hi + 1]
+        psi[i - 1, :hi - lo + 1] = mult.psi[lo:hi + 1]
     return ReducedMultipliers(psi=psi, phi=phi)
 
 

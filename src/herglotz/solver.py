@@ -25,13 +25,18 @@ are then condensed away exactly, as the state and the multiplier of the
 optimal-control view: z follows the RK4 steps z_{i+1} = Phi_i(z_i; positions
 near i), so Dz = dz/dU obeys Dz[i+1] = a_i Dz[i] + C_i with a_i = dPhi_i/dz_i
 and the colored local derivatives C_i = dPhi_i/dU; psi = exp(integral_t^b g)
-with g = dL/dz, so Dpsi = psi integral_to_b(G_U + G_z Dz).  When no symbolic
-partial of L reads z, F_z and G vanish, the residual is assembled without
-marching z at all, and J is F_U alone.
+with g = dL/dz, so Dpsi = psi integral_to_b(G_U + G_z Dz).  One flag sorts
+the Lagrangians: L is z-free when no slot partial reads z and dL/dz reads
+neither z nor a slot.  Then F_z is zero and psi depends on t alone, so the
+residual is assembled without marching z at all and J is F_U alone.  Any
+other L runs the whole sweep; a term that vanishes for it (F_z when no slot
+partial reads z, G_z when dL/dz does not read z, G_U when it reads no slot)
+is then an exact zero and leaves J unchanged.
 
 The line search halves the full Newton step until the residual falls; its
 damping, the step tolerance and the difference step are module constants.
-The returned trajectory keeps z from the last residual at its positions.
+The returned trajectory keeps z, and the multipliers psi, from the last
+residual at its positions.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ class SolveOptions:
 
     def validate(self):
         problems = []
-        if not self.tol_r > 0:
-            problems.append(f"tol_r must be positive, got {self.tol_r!r}")
+        if not (np.isfinite(self.tol_r) and self.tol_r > 0):
+            problems.append(f"tol_r must be positive and finite, got {self.tol_r!r}")
         if self.M is None and self.h is None:
             problems.append("one of M or h must be given")
         if self.h is not None and not (np.isfinite(self.h) and self.h > 0):
@@ -119,26 +124,20 @@ class _System:
         slots = set.union(*_slot_sets(p))
         partials = p.lagrangian.partials
         g_reads = ex.free_variables(partials["z"])
-        self.f_z = any("z" in ex.free_variables(partials[s]) for s in slots)
-        self.g_x = bool(g_reads & slots)  # psi depends on the positions
-        self.g_z = "z" in g_reads         # psi depends on z
-        self.z_free = not (self.f_z or self.g_z)
-        self.psi_free = not (self.g_x or self.g_z)
+        self.z_free = not (g_reads & (slots | {"z"}) or any(
+            "z" in ex.free_variables(partials[s]) for s in slots))
         self._last = None
-        # position patterns: the condition rows, the RK4 steps of z when the
-        # conditions or psi read z, the dL/dz nodes when psi reads positions;
-        # one coloring serves all three
+        # position patterns: the condition rows and, for a z-coupled L, the
+        # RK4 steps of z and the dL/dz nodes; one coloring serves all three
         lo, hi = _row_intervals(p, grid, self.sel1, self.sel2)
         self.pattern = _expand_pattern(lo, hi, m, M)
         parts = [(lo, hi)]
         if not self.z_free:
-            parts.append(_step_intervals(p, grid))
-            self.step_pattern = _expand_pattern(*parts[-1], m, M)
-        if self.g_x:
-            parts.append(_node_intervals(p, grid, g_reads))
-            self.g_pattern = _expand_pattern(*parts[-1], m, M)
+            parts += [_step_intervals(p, grid), _node_intervals(p, grid, g_reads)]
+            self.step_pattern = _expand_pattern(*parts[1], m, M)
+            self.g_pattern = _expand_pattern(*parts[2], m, M)
         self.color, self.n_colors = _modular_coloring(parts, m, M)
-        if not (self.z_free and self.psi_free):
+        if not self.z_free:
             lo, hi = _row_intervals(p, grid, self.sel1, self.sel2, nodes=True)
             self.node_pattern = _expand_pattern(lo, hi, 1, M, first=0)
             self.node_color, self.n_node_colors = _modular_coloring(
@@ -224,39 +223,28 @@ class _System:
         Ub = np.repeat(U[np.newaxis, :], self.n_colors, axis=0)
         Ub[self.color, np.arange(nu)] += deltas
         Rb = self.residual(Ub, z, psi)
-        coupled = not (self.z_free and self.psi_free)
-        if coupled:  # every batched evaluation runs before J is allocated
+        if not self.z_free:  # every batched evaluation runs before J is allocated
             F_z, F_psi = self._node_derivatives(U, z, psi, R0, fd_step)
         J = np.zeros((self.n_res, nu))
-        _fill(J, self.pattern, self.color, Rb, R0, deltas)
-        if not coupled:
+        J[self.pattern] = _diff(self.pattern, self.color, Rb, R0, deltas)
+        if self.z_free:
             return J
+        # Dz: scatter C_i into row i + 1, then run the recurrence
         xb = tr.build_series(self.unpack(Ub), grid.h, p.n)
         D = np.zeros((grid.M + 1, nu))
         dz = fd_step * (1.0 + np.abs(z))
-        if not self.z_free:
-            # Dz: scatter C_i into row i + 1, then run the recurrence
-            phi0 = fn.rk4_steps(p, grid, x, z)
-            a = (fn.rk4_steps(p, grid, x, z + dz) - phi0) / dz[:-1]
-            _fill(D[1:], self.step_pattern, self.color,
-                  fn.rk4_steps(p, grid, xb, z), phi0, deltas)
-            for i in range(1, grid.M):
-                D[i + 1] += a[i] * D[i]
-            if self.f_z:
-                _apply(J, self.node_blocks, F_z, D)
-        if self.psi_free:
-            return J
+        phi0 = fn.rk4_steps(p, grid, x, z)
+        a = (fn.rk4_steps(p, grid, x, z + dz) - phi0) / dz[:-1]
+        D[1:][self.step_pattern] = _diff(self.step_pattern, self.color,
+                                         fn.rk4_steps(p, grid, xb, z), phi0, deltas)
+        for i in range(1, grid.M):
+            D[i + 1] += a[i] * D[i]
+        _apply(J, self.node_blocks, F_z, D)
         # Dz becomes Dg = G_z Dz + G_U, then Dpsi = psi * integral_to_b(Dg)
         g0 = fn.eval_on_nodes(p, grid, x, z, "z")
-        if self.g_z:
-            D *= ((fn.eval_on_nodes(p, grid, x, z + dz, "z") - g0)
-                  / dz)[:, np.newaxis]
-        else:
-            D[:] = 0.0
-        if self.g_x:
-            rows, cols = self.g_pattern
-            gb = fn.eval_on_nodes(p, grid, xb, z, "z")
-            D[rows, cols] += (gb[self.color[cols], rows] - g0[rows]) / deltas[cols]
+        D *= ((fn.eval_on_nodes(p, grid, x, z + dz, "z") - g0) / dz)[:, np.newaxis]
+        D[self.g_pattern] += _diff(self.g_pattern, self.color,
+                                   fn.eval_on_nodes(p, grid, xb, z, "z"), g0, deltas)
         _integrate_to_b(D, grid.h)
         D *= psi[:, np.newaxis]
         _apply(J, self.node_blocks, F_psi, D)
@@ -267,7 +255,6 @@ class _System:
         that perturbs the z or the psi values of one node color at a time,
         the positions held."""
         K, color = self.n_node_colors, self.node_color
-        rows, cols = self.node_pattern
         nodes = np.arange(self.grid.M + 1)
         dz = fd_step * (1.0 + np.abs(z))
         dpsi = fd_step * (1.0 + np.abs(psi))
@@ -276,15 +263,17 @@ class _System:
         Zb[color, nodes] += dz
         Pb[K + color, nodes] += dpsi
         Fb = self.residual(np.broadcast_to(U, (2 * K,) + U.shape), Zb, Pb)
-        return ((Fb[color[cols], rows] - R0[rows]) / dz[cols],
-                (Fb[K + color[cols], rows] - R0[rows]) / dpsi[cols])
+        pattern = self.node_pattern
+        return (_diff(pattern, color, Fb, R0, dz),
+                _diff(pattern, K + color, Fb, R0, dpsi))
 
 
-def _fill(J, pattern, color, Rb, R0, deltas):
-    """Scatter the colored forward differences (Rb[color] - R0) / delta onto
-    the structural pattern of J; no two columns of one color share a row."""
+def _diff(pattern, color, Fb, F0, deltas):
+    """The colored forward differences (Fb[color] - F0) / delta on the
+    structural pattern (rows, columns); no two columns of one color share a
+    row."""
     rows, cols = pattern
-    J[rows, cols] = (Rb[color[cols], rows] - R0[rows]) / deltas[cols]
+    return (Fb[color[cols], rows] - F0[rows]) / deltas[cols]
 
 
 def _apply(J, blocks, vals, D):
@@ -454,9 +443,9 @@ def _expand_pattern(lo, hi, m, M, first=1):
     rows = np.repeat(np.repeat(np.arange(lo.shape[0]), lo.shape[1]), count)
     start = np.repeat(lo.ravel() - np.cumsum(count) + count, count)
     nodes = start + np.arange(count.sum()) - first
-    flat = np.sort((rows * m * N + (np.arange(m)[:, np.newaxis] * N + nodes)),
+    flat = np.sort(rows * m * N + (np.arange(m)[:, np.newaxis] * N + nodes),
                    axis=None)
-    return np.divmod(flat[np.r_[True, flat[1:] != flat[:-1]]], m * N)
+    return np.divmod(flat[np.diff(flat, prepend=-1) != 0], m * N)
 
 
 def _modular_coloring(parts, m, M, first=1):
@@ -517,8 +506,7 @@ def _row_blocks(rows, cols, size=16):
     return blocks
 
 
-def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None,
-                   guess: tr.StateTrajectory | None = None) -> SolveResult:
+def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> SolveResult:
     """Damped Newton iteration on the discretized necessary conditions.
 
     Returns the best iterate with converged=False when the iteration budget
@@ -529,14 +517,7 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None,
     t0 = time.perf_counter()
     grid = tr.align_grid(p.a, p.b, p.tau, n=p.n, M=opts.M, h=opts.h)
     sys = _System(p, grid)
-
-    if guess is not None:
-        if guess.grid.M != grid.M:
-            raise ValidationError("guess grid does not match the solve grid")
-        U = sys.pack(guess.x[:, 0, :]).astype(float)
-    else:
-        U = sys.pack(sys.initial_positions()).astype(float)
-
+    U = sys.pack(sys.initial_positions()).astype(float)
     R = sys.residual(U)
     norm = _sup(R)
     log = [(0, norm, _DAMPING)]
@@ -568,11 +549,15 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None,
 
     if best_norm < norm:
         U = best_U
-    # z from the last residual, when that one was evaluated at U
-    last = sys._last
-    z = last[2] if not sys.z_free and np.array_equal(last[0], U) else None
-    traj = fn.simulate_z(p, tr.from_positions(p, grid, sys.unpack(U)), z)
-    psi = fn.compute_psi(p, traj)
+    # z and psi from the last residual, when that one was evaluated at U; a
+    # z-free residual holds z = 0, but its psi reads t alone
+    last_U, _, z, psi = sys._last
+    if not np.array_equal(last_U, U):
+        z = psi = None
+    traj = fn.simulate_z(p, tr.from_positions(p, grid, sys.unpack(U)),
+                         None if sys.z_free else z)
+    if psi is None:
+        psi = fn.compute_psi(p, traj)
     mult = ml.compute_phi(p, traj, psi)
     report = cd.full_report(p, traj, mult)
     sup_ok = report.norms_unflagged

@@ -7,7 +7,6 @@ lookups are index shifts and never interpolate across the delay coupling.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,7 +135,6 @@ def midpoint_values(series, h):
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    problem: pb.ProblemSpec
     grid: Grid
     x: np.ndarray  # (m, n+1, M+1)
     z: np.ndarray | None = None  # (M+1,)
@@ -161,7 +159,7 @@ def from_positions(p: pb.ProblemSpec, grid: Grid, positions) -> StateTrajectory:
         raise ValidationError(
             f"positions must have shape ({p.m}, {grid.M + 1}), got {pos.shape}")
     x = build_series(pos, grid.h, p.n)
-    return StateTrajectory(problem=p, grid=grid, x=x)
+    return StateTrajectory(grid=grid, x=x)
 
 
 def build_series(pos, h, n):
@@ -195,7 +193,7 @@ def from_expressions(p: pb.ProblemSpec, grid: Grid, sources) -> StateTrajectory:
                 x[j, k] = np.broadcast_to(np.asarray(ex.compile_expr(e, ["t"])(t),
                                                      dtype=float), t.shape)
             e = ex.differentiate(e, "t") if k < p.n else e
-    return StateTrajectory(problem=p, grid=grid, x=x)
+    return StateTrajectory(grid=grid, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +215,11 @@ def write_trajectory_csv(traj: StateTrajectory, path):
     _write_csv(path, cols, rows)
 
 
-def _write_csv(path, header, columns):
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    data = np.column_stack(columns)
-    for row in data:
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    if hasattr(path, "write"):
-        path.write(buf.getvalue())
-    else:
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+def _write_csv(path, header, columns, footer=""):
+    """A header line, one row of ``columns`` per node (17 significant
+    digits) and an optional footer line, to a path or an open text file."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), footer=footer, comments="")
 
 
 def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
@@ -246,7 +238,7 @@ def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
     if len(lines) < 2:
         raise ValidationError("trajectory CSV has a header but no data rows")
     try:  # a non-numeric cell, or rows of unequal length
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError as err:
         raise ValidationError(f"trajectory CSV has a malformed data row: {err}") from None
     if data.shape[1] != len(expected):
@@ -273,4 +265,4 @@ def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
         for k in range(p.n + 1):
             x[j, k] = data[:, col]
             col += 1
-    return StateTrajectory(problem=p, grid=grid, x=x, z=data[:, col].copy())
+    return StateTrajectory(grid=grid, x=x, z=data[:, col].copy())

@@ -67,11 +67,11 @@ def test_criterion_2_psi_contract():
         g = tr.align_grid(0.0, 1.0, 0.0, n=1, h=h)
         traj = fn.simulate_z(p, tr.from_expressions(p, g, ["1"]))
         psi = fn.compute_psi(p, traj)
-        sups.append(float(np.max(np.abs(psi.values - np.exp(g.nodes() - 1.0)))))
+        sups.append(float(np.max(np.abs(psi - np.exp(g.nodes() - 1.0)))))
         gz = fn.eval_on_nodes(p, g, traj.x, traj.z, "z")
-        r = tr.differentiate_values(psi.values, g.h, 1) + psi.values * gz
+        r = tr.differentiate_values(psi, g.h, 1) + psi * gz
         resids.append(float(np.max(np.abs(r))))
-        assert psi.values[-1] == 1.0  # exactly
+        assert psi[-1] == 1.0  # exactly
     order = float(np.log2(resids[0] / resids[2]) / 2.0)
     ok = sups[-1] <= 1e-10 and order >= 2.0
     report(2, ok, f"sup|psi - exp(t-b)| {sups[-1]:.3e} (tol 1e-10), psi(b)=1 exact, "
@@ -112,7 +112,7 @@ def test_criterion_4_dbr_delay_free(oscillator_solved, quadratic_n2_solved_fine)
         worst_dbr = max(worst_dbr, res.report.norms_unflagged["dbr"])
         inner = cd.dbr_inner(p, res.trajectory.grid, res.trajectory.x,
                              res.trajectory.z, res.multipliers.phi,
-                             res.multipliers.psi.values)
+                             res.multipliers.psi)
         worst_drift = max(worst_drift, nt.drift(inner, res.report.dbr_flags))
     ok = worst_dbr <= 1e-3 and worst_drift <= 1e-4
     report("4 (delay-free)", ok,
@@ -135,7 +135,7 @@ def test_criterion_4_dbr_delayed_strict(delayed_solved):
     dbr = res.report.norms_unflagged["dbr"]
     D, _ = cd.comb_series(p, traj, mult)
     comb_gap = float(np.max(np.abs(
-        D - first_order_delayed_comb(p, traj, mult.psi.values))))
+        D - first_order_delayed_comb(p, traj, mult.psi))))
     inner = cd.dbr_inner_delayed(p, traj, mult)
     drift = nt.drift(inner, res.report.dbr_flags)
     ok = dbr_delayed <= 1e-3 and drift <= 1e-4 and comb_gap <= 1e-10 and dbr >= 1e-2
@@ -267,9 +267,9 @@ def test_criterion_7_special_case_equivalences():
     psi = fn.compute_psi(p, traj)
     mult = ml.compute_phi(p, traj, psi)
     el1, _ = cd.el_residual(p, traj, mult)
-    worst = max(worst, float(np.max(np.abs(el1 - delay_free_el(p, traj, psi.values)))))
+    worst = max(worst, float(np.max(np.abs(el1 - delay_free_el(p, traj, psi)))))
     tc = cd.transversality_residual(p, traj, mult)
-    worst = max(worst, float(np.max(np.abs(tc - delay_free_tc(p, traj, psi.values)))))
+    worst = max(worst, float(np.max(np.abs(tc - delay_free_tc(p, traj, psi)))))
 
     # first-order delayed special cases: direct two-term formulas
     pd = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z", tau=0.25)
@@ -278,15 +278,15 @@ def test_criterion_7_special_case_equivalences():
     psid = fn.compute_psi(pd, trajd)
     multd = ml.compute_phi(pd, trajd, psid)
     el1d, el2d = cd.el_residual(pd, trajd, multd)
-    ref1, ref2 = first_order_delayed_el(pd, trajd, psid.values)
+    ref1, ref2 = first_order_delayed_el(pd, trajd, psid)
     worst = max(worst, float(np.max(np.abs(el1d[0] - ref1))),
                 float(np.max(np.abs(el2d[0] - ref2))))
     worst = max(worst, float(np.max(np.abs(
-        cd.dbr_residual(pd, trajd, multd) - first_order_delayed_dbr(pd, trajd, psid.values)))))
+        cd.dbr_residual(pd, trajd, multd) - first_order_delayed_dbr(pd, trajd, psid)))))
     fam = nt.make_family(pd, "t + s", ["x1 + 0.5*s*x1"], "z + s*t")
     gen = nt.lift_generators(fam, trajd)
     C = nt.noether_charge(pd, trajd, multd, fam)
-    ref5 = first_order_delayed_charge(pd, trajd, psid.values, gen.T, gen.X[0, 0], gen.Z)
+    ref5 = first_order_delayed_charge(pd, trajd, psid, gen.T, gen.X[0, 0], gen.Z)
     worst = max(worst, float(np.max(np.abs(C - ref5))))
 
     ok = worst <= 1e-10

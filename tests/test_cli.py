@@ -373,7 +373,8 @@ def test_solve_rejects_bad_step_exit_2(tmp_path, capsys, h):
     assert "h must be a positive finite step" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["header-only", "non-numeric", "non-uniform"])
+@pytest.mark.parametrize("kind", ["header-only", "non-numeric", "non-uniform",
+                                  "underscored-digits"])
 def test_verify_rejects_malformed_csv_exit_2(tmp_path, capsys, kind):
     spec = write(tmp_path, "osc.spec", OSCILLATOR)
     out = str(tmp_path / "sol.csv")
@@ -385,6 +386,8 @@ def test_verify_rejects_malformed_csv_exit_2(tmp_path, capsys, kind):
         cells = []
     elif kind == "non-numeric":
         cells[3][1] = "abc"
+    elif kind == "underscored-digits":  # Python's float() reads "1_0" as 10
+        cells[3][1] = "1_0"
     else:  # node 5 moved by 0.3 of the step h = 1e-2
         cells[5][0] = repr(float(cells[5][0]) + 3e-3)
     text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
@@ -423,3 +426,85 @@ def test_non_finite_spec_number_exit_2(tmp_path, capsys, command, key, value):
     grid = [] if command in ("check-derivs", "reduce") else ["--h", "1e-2"]
     assert main([command, write(tmp_path, "bad.spec", text), *grid]) == 2
     assert f"{key}: not a finite number" in capsys.readouterr().err
+
+
+M2_DELAYED = """
+[problem]
+a = 0.0
+b = 1.0
+tau = 0.25
+n = 1
+m = 2
+gamma = 0.0
+
+[lagrangian]
+L = "0.5*xd1^2 + 0.5*xd2^2 + 0.25*tau_x1^2 + 0.1*x1*x2 - z"
+
+[history]
+mu1 = "1"
+mu2 = "2 - t"
+
+[candidate]
+x1 = "1 + 0.3*t^2"
+x2 = "2 - t + 0.1*sin(t)"
+"""
+
+
+def test_verify_residual_csv_layout_m2_delayed(tmp_path, capsys):
+    spec = write(tmp_path, "m2.spec", M2_DELAYED)
+    traj = str(tmp_path / "traj.csv")
+    assert main(["simulate", spec, "--M", "40", "--out", traj]) == 0
+    rout = str(tmp_path / "resid.csv")
+    assert main(["verify", spec, traj, "--out", rout]) == 0
+    printed = dict(re.findall(r"sup (\w+): (\S+)", capsys.readouterr().out))
+    header, *rows, footer = open(rout).read().splitlines()
+    assert header == "t,block,r1,r2"
+    cells = [row.split(",") for row in rows]
+    blocks = [c[1] for c in cells]
+    # M = 40 and tau = 0.25: el1 on nodes 0..30, el2 on 30..40, dbr on 0..40
+    assert blocks == ["el1"] * 31 + ["el2"] * 11 + ["dbr"] * 41
+    assert all(len(c) == 4 for c in cells)
+    t = np.array([float(c[0]) for c in cells])
+    nodes = np.linspace(0.0, 1.0, 41)
+    assert np.max(np.abs(t[:31] - nodes[:31])) <= 1e-15
+    assert t[31] == nodes[30] and abs(t[31] - 0.75) <= 1e-15  # el2 from b - tau
+    assert np.max(np.abs(t[31:42] - nodes[30:])) <= 1e-15
+    assert np.max(np.abs(t[42:] - nodes)) <= 1e-15
+    assert all(c[3] == "" and c[2] != "" for c in cells[42:])  # one padding comma
+    assert all(row.count(",") == 3 for row in rows)
+    assert footer == ("# sup " + " ".join(f"{k}={printed[k]}"
+                                          for k in ("el1", "el2", "tc", "dbr")))
+
+
+@pytest.mark.parametrize("role", ["simulate-spec", "check-derivs-spec",
+                                  "verify-trajectory", "charge-family"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, role):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe[problem]\na = 0.0\n")
+    bad = str(bad)
+    no_family = write(tmp_path, "osc.spec", OSCILLATOR.split("[family]")[0])
+    argv = {"simulate-spec": ["simulate", bad, "--h", "1e-2"],
+            "check-derivs-spec": ["check-derivs", bad],
+            "verify-trajectory": ["verify", no_family, bad],
+            "charge-family": ["charge", no_family, bad, "--h", "1e-2"]}[role]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "can't decode" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_charge_rejects_bad_defect_tol_exit_2(tmp_path, capsys, value):
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    assert main(["charge", spec, "--h", "1e-2", "--defect-tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before the solve
+    assert "--defect-tol must be a non-negative finite number" in captured.err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_solve_rejects_non_finite_tol_exit_2(tmp_path, capsys, value):
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    assert main(["solve", spec, "--h", "1e-2", "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert "converged" not in captured.out
+    assert "tol_r must be positive and finite" in captured.err

@@ -119,10 +119,10 @@ def test_delay_free_equivalence_tau0():
     p = make_problem("0.5*xdd1^2 - 0.4*x1^2 - z", mu=("1",), n=2)
     traj, mult = pipeline(p, "cos(t)", M=200)
     el1, _ = cd.el_residual(p, traj, mult)
-    ref = delay_free_el(p, traj, mult.psi.values)
+    ref = delay_free_el(p, traj, mult.psi)
     assert np.max(np.abs(el1 - ref)) <= 1e-10
     tc = cd.transversality_residual(p, traj, mult)
-    ref_tc = delay_free_tc(p, traj, mult.psi.values)
+    ref_tc = delay_free_tc(p, traj, mult.psi)
     assert np.max(np.abs(tc - ref_tc)) <= 1e-10
 
 
@@ -130,7 +130,7 @@ def test_first_order_delayed_el_equivalence():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z", tau=0.25)
     traj, mult = pipeline(p, "1 - 0.3*t^2", M=200)
     el1, el2 = cd.el_residual(p, traj, mult)
-    ref1, ref2 = first_order_delayed_el(p, traj, mult.psi.values)
+    ref1, ref2 = first_order_delayed_el(p, traj, mult.psi)
     assert np.max(np.abs(el1[0] - ref1)) <= 1e-10
     assert np.max(np.abs(el2[0] - ref2)) <= 1e-10
 
@@ -139,7 +139,7 @@ def test_first_order_delayed_dbr_equivalence():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
     traj, mult = pipeline(p, "1 - 0.3*t^2", M=200)
     dbr = cd.dbr_residual(p, traj, mult)
-    ref = first_order_delayed_dbr(p, traj, mult.psi.values)
+    ref = first_order_delayed_dbr(p, traj, mult.psi)
     assert np.max(np.abs(dbr - ref)) <= 1e-10
 
 
@@ -197,7 +197,7 @@ def test_delayed_dbr_is_pointwise_without_comb(L, tau):
     traj, mult = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
     rep = cd.full_report(p, traj, mult)
     assert np.array_equal(rep.dbr_delayed, rep.dbr)
-    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi.values)
+    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi)
     assert np.array_equal(cd.dbr_inner_delayed(p, traj, mult), inner)
 
 
@@ -206,12 +206,12 @@ def test_first_order_delayed_comb_equivalence():
     p = make_problem(CROSS_DELAY, mu=("1 + 0.5*t",), tau=0.25)
     traj, mult = pipeline(p, "1 - 0.4*t + 0.3*t^2 - 0.2*t^3", M=200)
     D, left = cd.comb_series(p, traj, mult)
-    assert np.max(np.abs(D - first_order_delayed_comb(p, traj, mult.psi.values))) <= 1e-10
+    assert np.max(np.abs(D - first_order_delayed_comb(p, traj, mult.psi))) <= 1e-10
     # left limit at a + tau reads the history at a: tau_x1 = mu(a) = 1 and
     # the past rates x' = mu'(a) = 0.5, x'' = mu''(a) = 0, so D = psi/4
     q = traj.grid.p
-    assert abs(left - 0.25 * mult.psi.values[q]) <= 1e-14
-    assert abs(D[q] - 0.25 * mult.psi.values[q]) >= 1e-3  # the right limit differs
+    assert abs(left - 0.25 * mult.psi[q]) <= 1e-14
+    assert abs(D[q] - 0.25 * mult.psi[q]) >= 1e-3  # the right limit differs
 
 
 def test_delayed_inner_carries_the_breakpoint_jump():
@@ -224,7 +224,7 @@ def test_delayed_inner_carries_the_breakpoint_jump():
     assert res.converged
     traj, mult = res.trajectory, res.multipliers
     q, w = traj.grid.p, cd.flag_width(p.n)
-    jump = cd.breakpoint_jump(p, traj.grid, traj.x, traj.z, mult.psi.values)
+    jump = cd.breakpoint_jump(p, traj.grid, traj.x, traj.z, mult.psi)
     inner = cd.dbr_inner_delayed(p, traj, mult)
     step = np.mean(inner[q + w:q + 3 * w]) - np.mean(inner[q - 3 * w:q - w])
     assert abs(jump) >= 0.1

@@ -59,7 +59,7 @@ def test_psi_identity_when_z_free():
     p = make_problem("0.5*xd1^2")
     traj = fn.simulate_z(p, build(p, "sin(t)", M=100))
     psi = fn.compute_psi(p, traj)
-    assert np.all(psi.values == 1.0)
+    assert np.all(psi == 1.0)
 
 
 def test_psi_constant_coefficient():
@@ -67,9 +67,9 @@ def test_psi_constant_coefficient():
     traj = fn.simulate_z(p, build(p, "1", h=1e-3))
     psi = fn.compute_psi(p, traj)
     t = traj.grid.nodes()
-    assert psi.values[-1] == 1.0
-    assert np.max(np.abs(psi.values - np.exp(t - 1.0))) <= 1e-10
-    assert abs(psi.values[0] - 0.36787944117) <= 1e-10
+    assert psi[-1] == 1.0
+    assert np.max(np.abs(psi - np.exp(t - 1.0))) <= 1e-10
+    assert abs(psi[0] - 0.36787944117) <= 1e-10
 
 
 def test_psi_polynomial_coefficient():
@@ -78,16 +78,16 @@ def test_psi_polynomial_coefficient():
     traj = fn.simulate_z(p, build(p, "1", h=1e-3))
     psi = fn.compute_psi(p, traj)
     t = traj.grid.nodes()
-    assert np.max(np.abs(psi.values - np.exp((t ** 2 - 1.0) / 2.0))) <= 1e-9
-    assert abs(psi.values[0] - 0.60653065971) <= 1e-9
+    assert np.max(np.abs(psi - np.exp((t ** 2 - 1.0) / 2.0))) <= 1e-9
+    assert abs(psi[0] - 0.60653065971) <= 1e-9
 
 
 def test_psi_positive_and_bounded_when_gz_nonpositive():
     p = make_problem("-z - 0.5*z*x1^2")
     traj = fn.simulate_z(p, build(p, "cos(t)", M=200))
     psi = fn.compute_psi(p, traj)
-    assert np.all(psi.values > 0)
-    assert np.all(psi.values <= 1.0 + 1e-15)
+    assert np.all(psi > 0)
+    assert np.all(psi <= 1.0 + 1e-15)
 
 
 def test_adjoint_residual_refinement():
@@ -99,20 +99,10 @@ def test_adjoint_residual_refinement():
         traj = fn.simulate_z(p, build(p, "1", h=h))
         psi = fn.compute_psi(p, traj)
         gz = fn.eval_on_nodes(p, traj.grid, traj.x, traj.z, "z")
-        r = tr.differentiate_values(psi.values, traj.grid.h, 1) + psi.values * gz
+        r = tr.differentiate_values(psi, traj.grid.h, 1) + psi * gz
         resids.append(np.max(np.abs(r)))
     assert resids[0] / resids[1] >= 3.0
     assert resids[1] / resids[2] >= 3.0
-
-
-def test_psi_shift_convention():
-    p = make_problem("0.5*xd1^2 - z", tau=0.25)
-    traj = fn.simulate_z(p, build(p, "1", M=100))
-    psi = fn.compute_psi(p, traj)
-    sh = psi.shifted()
-    q = traj.grid.p
-    assert np.array_equal(sh[:-q], psi.values[q:])
-    assert np.all(sh[-q:] == 1.0)  # the convention value past b
 
 
 def test_delayed_slots_feed_simulation():

@@ -41,7 +41,7 @@ def test_phi_top_order_identity():
     # the k=n sum has a single l=0 term: an exact algebraic identity
     p = make_problem("0.5*xdd1^2 + 0.2*tau_xdd1^2 - z", mu=("1",), n=2, tau=0.25)
     traj, psi, mult = pipeline(p, "1 + 0*t", M=200)
-    [(C, D)] = ml.summand_terms(p, traj.grid, traj.x, traj.z, psi.values, [2])
+    [(C, D)] = ml.summand_terms(p, traj.grid, traj.x, traj.z, psi, [2])
     direct = -(C + fn.ahead(D, traj.grid.p))
     assert np.array_equal(mult.phi[1], direct)
 
@@ -55,7 +55,7 @@ def test_phi_tau0_matches_delay_free_evaluation():
     for k in (1, 2):
         acc = np.zeros(g.M + 1)
         for l in range(p.n - k + 1):
-            series = psi.values * partial_on_nodes(p, traj, pb.slot_name(1, l + k))
+            series = psi * partial_on_nodes(p, traj, pb.slot_name(1, l + k))
             d = series if l == 0 else tr.differentiate_values(series, g.h, l)
             acc += d if (l + 1) % 2 == 0 else -d
         assert np.max(np.abs(mult.phi[k - 1, 0] - acc)) <= 1e-10
@@ -77,7 +77,7 @@ def test_phi_recursion_cross_check():
     p = make_problem("0.5*xdd1^2 - 0.5*x1^2 - z", mu=("1",), n=2)
     traj, psi, mult = pipeline(p, "cos(t)", M=400)
     g = traj.grid
-    [(_, W1)] = ml.weighted_terms(p, g, traj.x, traj.z, psi.values, [1])
+    [(_, W1)] = ml.weighted_terms(p, g, traj.x, traj.z, psi, [1])
     lhs = mult.phi[0]
     rhs = -tr.differentiate_values(mult.phi[1], g.h, 1) - W1
     err = np.max(np.abs((lhs - rhs)[0, 8:-8]))

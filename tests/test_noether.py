@@ -123,7 +123,7 @@ def test_charge_time_translation_equals_minus_inner():
     traj, mult = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t + s", ["x1"], "z")
     C = nt.noether_charge(p, traj, mult, fam)
-    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi.values)
+    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi)
     assert np.array_equal(C, -inner)
     assert abs(nt.drift(C) - nt.drift(inner)) <= 1e-8
 
@@ -134,7 +134,7 @@ def test_first_order_delayed_charge_equivalence():
     fam = nt.make_family(p, "t + s", ["0.5*s*x1 + x1"], "z + s*t")
     gen = nt.lift_generators(fam, traj)
     C = nt.noether_charge(p, traj, mult, fam)
-    ref = first_order_delayed_charge(p, traj, mult.psi.values, gen.T, gen.X[0, 0], gen.Z)
+    ref = first_order_delayed_charge(p, traj, mult.psi, gen.T, gen.X[0, 0], gen.Z)
     assert np.max(np.abs(C - ref)) <= 1e-10
 
 

@@ -99,7 +99,7 @@ def test_reduced_psi_matches_delayed_psi():
     psij = rd.reduced_psi(rp, stacked)
     P = stacked.P
     for j in range(1, rp.N + 1):
-        want = psi.values[(j - 1) * P:(j - 1) * P + P + 1]
+        want = psi[(j - 1) * P:(j - 1) * P + P + 1]
         assert np.max(np.abs(psij[j - 1] - want)) <= 1e-8
     assert np.all(psij[rp.N] == 1.0)
 
@@ -149,7 +149,7 @@ def test_hamiltonian_matches_delayed_reassembly():
     mults = rd.map_multipliers(rp, traj, mult)
     H = rd.reduced_hamiltonian(rp, stacked, mults)
 
-    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi.values)
+    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi)
     hist = ml.compute_phi_history(p, traj, psi)
     P = stacked.P
     tloc = stacked.h * np.arange(P + 1)

@@ -67,14 +67,6 @@ def test_mesh_independence():
     assert np.max(np.abs(r1.trajectory.x[0, 0] - shared)) <= 1e-8
 
 
-def test_guess_is_used():
-    p = oscillator_problem()
-    first = solve_extremal(p, SolveOptions(M=200, h=None))
-    again = solve_extremal(p, SolveOptions(M=200, h=None), guess=first.trajectory)
-    assert again.converged
-    assert len(again.iterations) <= 2  # already at the solution
-
-
 def test_max_iters_returns_best_iterate():
     p = make_problem("0.5*xd1^2 + 0.25*x1^4 - z")
     res = solve_extremal(p, SolveOptions(M=100, h=None, max_iters=1, tol_r=1e-10))
@@ -301,6 +293,36 @@ def test_solve_marches_z_once_per_residual(monkeypatch, L, tau, z_free):
     assert np.array_equal(traj.z, rk4_z(p, traj.grid, traj.x, p.gamma))
 
 
+@pytest.mark.parametrize("L, tau", [
+    ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", 0.0),
+    ("0.5*xd1^2 + 0.25*tau_x1^2 - z", 0.5),
+], ids=["zcoupled", "z-free"])
+def test_solve_takes_psi_from_last_residual(monkeypatch, L, tau):
+    # each unbatched residual integrates psi once, and the solve reuses the
+    # last one's psi; a z-free L's psi reads t alone, so it holds there too
+    p = make_problem(L, tau=tau)
+    before, integrals = [], []
+    residual, psi_values = sv._System.residual, fn.psi_values
+
+    def counted_residual(self, U, z=None, psi=None):
+        if np.ndim(U) == 1:
+            before.append(len(integrals))
+        return residual(self, U, z, psi)
+
+    def counted_psi_values(*args):
+        integrals.append(args)
+        return psi_values(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sv._System, "residual", counted_residual)
+        patch.setattr(fn, "psi_values", counted_psi_values)
+        res = solve_extremal(p, SolveOptions(M=120, h=None, tol_r=1e-6))
+    assert res.converged and len(res.iterations) > 1
+    assert before == list(range(len(before)))
+    assert len(integrals) == len(before)
+    assert np.array_equal(res.multipliers.psi, fn.compute_psi(p, res.trajectory))
+
+
 @pytest.mark.parametrize("name", ["delayed", "cross-delay", "m2-cross"])
 def test_colored_solve_matches_dense_solve(monkeypatch, name):
     L, kw = Z_FREE[name]
@@ -312,10 +334,12 @@ def test_colored_solve_matches_dense_solve(monkeypatch, name):
     assert np.max(np.abs(colored.trajectory.x - dense.trajectory.x)) <= 1e-10
 
 
-# z-coupled Lagrangians: z enters a slot partial, so the Jacobian is dense and
-# assembled as F_U + F_z Dz + F_psi Dpsi.  They cover tau = 0, a delayed slot,
-# z inside a delayed-slot partial with a z^2 term, n = 2, m = 2 with z in both
-# components, and the short first block at tau = 0.9 with z times tau_xd1.
+# z-coupled Lagrangians: z enters a slot partial or dL/dz, so the Jacobian is
+# dense and assembled as F_U + F_z Dz + F_psi Dpsi.  They cover tau = 0, a
+# delayed slot, z inside a delayed-slot partial with a z^2 term, n = 2, m = 2
+# with z in both components, the short first block at tau = 0.9 with z times
+# tau_xd1, and a z^2 term alone: dL/dz reads only z, so no slot partial reads
+# z and the G_U pattern is empty.
 Z_COUPLED = {
     "oscillator": ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", {}),
     "delayed": ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2",
@@ -328,6 +352,7 @@ Z_COUPLED = {
            {"tau": 0.25, "m": 2, "mu": ("1", "2 - t")}),
     "short-first-block": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*tau_xd1 - z",
                           {"tau": 0.9}),
+    "z-squared": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2", {"tau": 0.25}),
 }
 
 
@@ -359,7 +384,7 @@ def _outside(pattern, shape, probe):
 @pytest.mark.parametrize("name", sorted(Z_COUPLED))
 def test_condensed_jacobian_equals_dense(name):
     system, points = _z_coupled_system(name)
-    assert not system.z_free and not system.psi_free
+    assert not system.z_free
     # condition rows with a z or psi node can read every unknown; the others
     # (continuity) only their position pattern
     inside = np.zeros((system.n_res, system.n_unknowns), dtype=bool)

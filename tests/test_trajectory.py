@@ -120,6 +120,17 @@ def test_csv_header_names():
     assert header == "t,x1_d0,x1_d1,x1_d2,z"
 
 
+def test_csv_cells_are_shortest_17_digit_repr():
+    # each cell is Python's format(v, ".17g"), which round-trips every float64,
+    # and the footer line closes the file
+    vals = np.array([0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308,
+                     123456789012345678.0, -2.5, np.nan, np.inf, -np.inf])
+    buf = io.StringIO()
+    tr._write_csv(buf, ["a", "b"], [vals, vals[::-1]], footer="# end")
+    want = ["a,b"] + [f"{u:.17g},{v:.17g}" for u, v in zip(vals, vals[::-1])]
+    assert buf.getvalue() == "\n".join(want + ["# end"]) + "\n"
+
+
 def test_expression_build_derivative_consistency_tolerance():
     # centered differences of x^(k) match x^(k+1) at the stated O(h^2) bound
     p = make_problem("0.5*xdd1^2 - z", mu=("sin(t)",), n=2)
