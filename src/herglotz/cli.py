@@ -32,7 +32,8 @@ EXIT_NUMERIC = 3
 EXIT_NO_CONVERGENCE = 4
 
 _VALIDATION_ERRORS = (ValidationError, ExprSyntaxError, UnknownFunction,
-                      FileNotFoundError, IsADirectoryError, UnicodeDecodeError)
+                      FileNotFoundError, IsADirectoryError, NotADirectoryError,
+                      UnicodeDecodeError)
 _NUMERIC_ERRORS = (DomainError, NonFiniteLagrangian, UnboundVariable,
                    GridTooSmall, OutOfHistoryRange,
                    DegenerateFamily, SingularJacobian, ZeroDelay,

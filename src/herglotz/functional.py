@@ -1,7 +1,10 @@
 """Forward simulation of the Herglotz functional z and the multiplier psi.
 
 z is driven by dz/dt = L(t, x(t), ..., x(t - tau), ..., z(t)) with classical
-fixed-step RK4; psi(t) = exp(integral_t^b dL/dz) via composite Simpson taken
+fixed-step RK4.  When L is affine in z, every step is an affine map of z
+whose coefficients are computed for all steps at once, and only the scalar
+recurrence runs step by step; any other L is stepped one RK4 step at a
+time.  psi(t) = exp(integral_t^b dL/dz) via composite Simpson taken
 cumulatively from b (odd leftover interval closed with one trapezoid).
 
 The low-level helpers accept leading batch axes on the sample arrays; the
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import expr as ex
 from . import problem as pb
 from . import trajectory as tr
 from .errors import NonFiniteLagrangian, ValidationError
@@ -78,36 +82,71 @@ def _rk4_step(L, t0, tm, t1, h, a0, am, a1, z0):
     return z0 + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
-    """March z across the grid; batch axes of x are carried through."""
-    L = p.lagrangian.compiled("body")
+def _stage_args(p: pb.ProblemSpec, grid: tr.Grid, x):
+    """The arguments of ``_rk4_step`` before z0 for every step at once: the
+    times and slot values at t_i, t_i + h/2 and t_{i+1}, step axis last."""
     cur = slot_args(p, grid, x)
     mid = slot_args(p, grid, x, mid=True)
-    t = cur[0]
-    h = grid.h
-    batch = x.shape[:-3]
-    z = np.empty(batch + (grid.M + 1,))
+    return (cur[0][:-1], mid[0], cur[0][1:], grid.h,
+            [A[..., :-1] for A in cur[1:]], mid[1:], [A[..., 1:] for A in cur[1:]])
+
+
+def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
+    """March z across the grid; batch axes of x are carried through.
+
+    When L is affine in z (dL/dz does not read z), one RK4 step is exactly
+    z_{i+1} = (1 + delta_i) z_i + beta_i: beta is the step map at z = 0 and
+    delta the same stage expansion applied to g = dL/dz, both taken for
+    every step at once, so only that scalar recurrence runs step by step.
+    delta is kept apart from the 1 so that none of its digits are rounded
+    away.  Any other L runs the step loop ``_rk4_loop``."""
+    if "z" in ex.free_variables(p.lagrangian.partials["z"]):
+        return _rk4_loop(p, grid, x, gamma)
+    t0, tm, t1, h, a0, am, a1 = _stage_args(p, grid, x)
+    g = p.lagrangian.compiled("z")
+    with np.errstate(all="ignore"):
+        beta = _rk4_step(p.lagrangian.compiled("body"), t0, tm, t1, h, a0, am, a1, 0.0)
+        d1 = g(t0, *a0, 0.0)
+        gm = g(tm, *am, 0.0)
+        d2 = gm * (1.0 + 0.5 * h * d1)
+        d3 = gm * (1.0 + 0.5 * h * d2)
+        d4 = g(t1, *a1, 0.0) * (1.0 + h * d3)
+        delta = (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
+    M = grid.M
+    steps = x.shape[:-3] + (M,)
+    delta = np.broadcast_to(delta, steps).reshape(-1, M).tolist()
+    beta = np.broadcast_to(beta, steps).reshape(-1, M).tolist()
+    z = np.empty(x.shape[:-3] + (M + 1,))
+    for row, de, be in zip(z.reshape(-1, M + 1), delta, beta):
+        zi = float(gamma)
+        out = [zi]
+        for d, b in zip(de, be):
+            zi += d * zi + b
+            out.append(zi)
+        row[:] = out
+    return z
+
+
+def _rk4_loop(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
+    """``rk4_z`` one step at a time, for an L that is not affine in z."""
+    L = p.lagrangian.compiled("body")
+    t0, tm, t1, h, a0, am, a1 = _stage_args(p, grid, x)
+    z = np.empty(x.shape[:-3] + (grid.M + 1,))
     z[..., 0] = gamma
     with np.errstate(all="ignore"):
         for i in range(grid.M):
             z[..., i + 1] = _rk4_step(
-                L, t[i], t[i] + 0.5 * h, t[i + 1], h,
-                [A[..., i] for A in cur[1:]], [A[..., i] for A in mid[1:]],
-                [A[..., i + 1] for A in cur[1:]], z[..., i])
+                L, t0[i], tm[i], t1[i], h, [A[..., i] for A in a0],
+                [A[..., i] for A in am], [A[..., i] for A in a1], z[..., i])
     return z
 
 
 def rk4_steps(p: pb.ProblemSpec, grid: tr.Grid, x, z):
     """The RK4 step maps of ``rk4_z`` at every step at once, with no march:
     entry i is the value one step takes z[..., i] to, shape (..., M)."""
-    L = p.lagrangian.compiled("body")
-    cur = slot_args(p, grid, x)
-    mid = slot_args(p, grid, x, mid=True)
-    t = cur[0]
     with np.errstate(all="ignore"):
-        out = _rk4_step(L, t[:-1], mid[0], t[1:], grid.h,
-                        [A[..., :-1] for A in cur[1:]], mid[1:],
-                        [A[..., 1:] for A in cur[1:]], z[..., :-1])
+        out = _rk4_step(p.lagrangian.compiled("body"), *_stage_args(p, grid, x),
+                        z[..., :-1])
     shape = np.broadcast_shapes(x.shape[:-3] + (grid.M,), np.shape(out))
     return np.broadcast_to(out, shape)
 

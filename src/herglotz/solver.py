@@ -71,6 +71,8 @@ class SolveOptions:
         problems = []
         if not (np.isfinite(self.tol_r) and self.tol_r > 0):
             problems.append(f"tol_r must be positive and finite, got {self.tol_r!r}")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            problems.append(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.M is None and self.h is None:
             problems.append("one of M or h must be given")
         if self.h is not None and not (np.isfinite(self.h) and self.h > 0):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from herglotz.cli import main
 
@@ -508,3 +510,45 @@ def test_solve_rejects_non_finite_tol_exit_2(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert "converged" not in captured.out
     assert "tol_r must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("role", ["simulate-out", "solve-mult-out",
+                                  "verify-trajectory", "simulate-spec"])
+def test_path_under_a_file_exit_2(tmp_path, capsys, role):
+    spec = write(tmp_path, "free.spec", FREE_PARTICLE)
+    under = str(tmp_path / "free.spec" / "x.csv")  # the parent is a regular file
+    argv = {"simulate-out": ["simulate", spec, "--h", "1e-2", "--out", under],
+            "solve-mult-out": ["solve", spec, "--h", "1e-2", "--mult-out", under],
+            "verify-trajectory": ["verify", spec, under],
+            "simulate-spec": ["simulate", under, "--h", "1e-2"]}[role]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_solve_rejects_max_iters_below_1_exit_2(tmp_path, capsys, value):
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    assert main(["solve", spec, "--h", "1e-2", "--max-iters", value]) == 2
+    captured = capsys.readouterr()
+    assert "converged" not in captured.out
+    assert "max_iters must be an integer >= 1" in captured.err
+
+
+MUTABLE = DELAYED.replace('"0.5*xd1^2 + 0.25*tau_x1^2 - z"',
+                          '"0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*x1 - z"')
+MUTABLE += '\n[candidate]\nx1 = "1 + 0.5*sin(t)"\n'
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_spec_keeps_the_exit_code_contract(tmp_path, data):
+    start = data.draw(st.integers(0, len(MUTABLE)), label="start")
+    end = data.draw(st.integers(start, min(len(MUTABLE), start + 12)), label="end")
+    text = data.draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
+                     label="text")
+    spec = write(tmp_path, "mutated.spec", MUTABLE[:start] + text + MUTABLE[end:])
+    for argv in (["simulate", spec], ["solve", spec, "--max-iters", "2"],
+                 ["check-derivs", spec]):
+        grid = [] if argv[0] == "check-derivs" else ["--M", "40"]
+        assert main(argv + grid) in (0, 2, 3, 4)

@@ -132,6 +132,68 @@ def test_batch_rk4_matches_scalar():
         assert np.array_equal(zb[i], zs)
 
 
+# Lagrangians affine in z, which rk4_z marches by its step map, and a
+# z-free one; x1 = 1 + 0.3*sin(3t) keeps 1/x1 finite
+AFFINE = {
+    "z-x1": ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", {}),
+    "z-tau_x1": ("0.5*xd1^2 + 0.2*z*tau_x1 - z",
+                 {"tau": 0.25, "gamma": 0.5, "mu": ("1 + 0.5*t",)}),
+    "n2": ("0.5*xdd1^2 + 0.1*tau_xd1^2 - 0.1*z*x1",
+           {"tau": 0.25, "n": 2, "mu": ("1 + 0.5*t",)}),
+    "m2": ("0.5*xd1^2 + 0.5*xd2^2 + 0.2*tau_x1*x2 - 0.1*z*x1 - 0.05*z*x2",
+           {"tau": 0.25, "m": 2, "mu": ("1", "2 - t")}),
+    "short-first-block": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*tau_xd1 - z",
+                          {"tau": 0.9}),
+    "reciprocal": ("1/x1 - z", {}),
+    "z-free": ("0.5*xd1^2 + 0.25*tau_x1^2", {"tau": 0.5}),
+}
+
+
+def _march_input(L, kw, M):
+    p = make_problem(L, **kw)
+    g = tr.align_grid(p.a, p.b, p.tau, n=p.n, M=M)
+    return p, g, tr.from_expressions(p, g, ["1 + 0.3*sin(3*t)"] * p.m).x
+
+
+@pytest.mark.parametrize("M", [200, 4000])
+@pytest.mark.parametrize("name", sorted(AFFINE))
+def test_affine_march_matches_step_loop(name, M, monkeypatch):
+    p, g, x = _march_input(*AFFINE[name], M)
+    want = fn._rk4_loop(p, g, x, p.gamma)
+    monkeypatch.setattr(fn, "_rk4_loop", None)  # the step map must not loop
+    z = fn.rk4_z(p, g, x, p.gamma)
+    assert z[0] == p.gamma
+    assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_non_affine_march_is_the_step_loop():
+    # dL/dz reads z: rk4_z runs the loop, equal bit for bit to one RK4 step
+    # after another from the node and midpoint slot arrays
+    p, g, x = _march_input("0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2",
+                           {"tau": 0.25}, 200)
+    cur, mid = fn.slot_args(p, g, x), fn.slot_args(p, g, x, mid=True)
+    t, h, L = cur[0], g.h, p.lagrangian.compiled("body")
+    want = np.empty(g.M + 1)
+    want[0] = p.gamma
+    for i in range(g.M):
+        want[i + 1] = fn._rk4_step(
+            L, t[i], t[i] + 0.5 * h, t[i + 1], h, [A[i] for A in cur[1:]],
+            [A[i] for A in mid[1:]], [A[i + 1] for A in cur[1:]], want[i])
+    assert np.array_equal(fn.rk4_z(p, g, x, p.gamma), want)
+
+
+def test_affine_march_reports_the_loop_node_when_not_finite():
+    p = make_problem("1/x1 - z")
+    g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=200)
+    traj = tr.from_expressions(p, g, ["t - 0.5"])  # x1 = 0 at node 100
+    first = [int(np.argmax(~np.isfinite(march(p, g, traj.x, p.gamma))))
+             for march in (fn.rk4_z, fn._rk4_loop)]
+    assert first == [100, 100]
+    with pytest.raises(NonFiniteLagrangian) as err:
+        fn.simulate_z(p, traj)
+    assert err.value.t == g.a + g.h * 99
+
+
 def _slot(p, args, name):
     return args[pb.arg_names(p.n, p.m).index(name)]
 
