@@ -11,27 +11,28 @@ values, and the continuity constraints x^(k)(a) = mu^(k)(a) for k = 1..n-1,
 which makes the system square.  Junction and end zones stay in the root
 system but are excluded from the acceptance sup-norms of the final report.
 
-The Jacobian is a forward finite difference assembled from local pieces,
-one path for every Lagrangian.  With F(U, z, psi) the condition map (the
-residual with z and psi held), J = F_U + F_z Dz + F_psi Dpsi.  Each row of F
+The Newton matrix is a forward finite difference assembled from local
+pieces as sparse COO triplets, one path for every Lagrangian.  With F(U, z,
+psi) the condition map (the residual with z and psi held), each row of F
 reads the positions of a few stencil-neighbouring nodes, plus the nodes one
 delay away when a current-slot partial reads a delayed slot or the reverse,
 and the z and psi values at its summands' nodes, plus one delay ahead in the
 delayed-sum block.  So F_U, F_z and F_psi are assembled by Curtis-Powell-Reid
 column coloring: the structural patterns are derived from the stencil reach
 and the partials' free variables, columns that share no row get one color,
-and one batched condition map per color replaces one per unknown.  z and psi
-are then condensed away exactly, as the state and the multiplier of the
-optimal-control view: z follows the RK4 steps z_{i+1} = Phi_i(z_i; positions
-near i), so Dz = dz/dU obeys Dz[i+1] = a_i Dz[i] + C_i with a_i = dPhi_i/dz_i
-and the colored local derivatives C_i = dPhi_i/dU; psi = exp(integral_t^b g)
-with g = dL/dz, so Dpsi = psi integral_to_b(G_U + G_z Dz).  One flag sorts
-the Lagrangians: L is z-free when no slot partial reads z and dL/dz reads
-neither z nor a slot.  Then F_z is zero and psi depends on t alone, so the
-residual is assembled without marching z at all and J is F_U alone.  Any
-other L runs the whole sweep; a term that vanishes for it (F_z when no slot
-partial reads z, G_z when dL/dz does not read z, G_U when it reads no slot)
-is then an exact zero and leaves J unchanged.
+and one batched condition map per color replaces one per unknown.  One flag
+sorts the Lagrangians: L is z-free when no slot partial reads z and dL/dz
+reads neither z nor a slot.  Then F_z is zero and psi depends on t alone, so
+the residual is assembled without marching z at all and the matrix is F_U.
+Any other L takes z, g = dL/dz and w = log psi on the nodes as augmented
+unknowns, as the state and the multiplier of the optimal-control view: their
+rows are the linearized RK4 steps z_{i+1} = Phi_i(z_i; positions near i),
+the g nodes and the panel recurrences of the integral psi = exp(integral_t^b
+g), each local, so the matrix stays sparse.  Every iterate re-simulates z
+and psi, so those rows have a zero right-hand side and the U part of the
+step is the step of the condensed Jacobian, the matrix's Schur complement.
+The matrix is factored by scipy's splu after its exact zeros are dropped;
+without scipy the dense LU solves the same matrix.
 
 The line search halves the full Newton step until the residual falls; its
 damping, the step tolerance and the difference step are module constants.
@@ -144,7 +145,9 @@ class _System:
             self.node_pattern = _expand_pattern(lo, hi, 1, M, first=0)
             self.node_color, self.n_node_colors = _modular_coloring(
                 [(lo, hi)], 1, M, first=0)
-            self.node_blocks = _row_blocks(*self.node_pattern)
+            self.panels = _panel_rows(M, grid.h)
+        # the Newton matrix appends z, g = dL/dz and w = log psi on the nodes
+        self.n_augmented = self.n_unknowns + (0 if self.z_free else 3 * (M + 1))
 
     def initial_positions(self):
         """Taylor extension of the history from a."""
@@ -207,13 +210,17 @@ class _System:
         return z, fn.psi_values(p, grid, x, z)
 
     def jacobian(self, U, R0, fd_step):
-        """Forward-difference Jacobian at U, where R0 = R(U).
+        """Forward-difference Newton matrix at U, where R0 = R(U), as COO
+        triplets (rows, cols, vals) of a square matrix of side n_augmented.
 
-        With F(U, z, psi) the condition map, J = F_U + F_z Dz + F_psi Dpsi.
-        F_U, F_z and F_psi are colored differences of F with the other two
-        inputs held; Dz = dz/dU follows the RK4 steps, Dz[i+1] = a_i Dz[i]
-        + C_i; Dpsi = psi * integral_to_b(G_U + G_z Dz) with g = dL/dz.  For
-        a z-free L only F_U is non-zero."""
+        For a z-free L it is F_U.  Any other L appends the unknowns z, g =
+        dL/dz and w = log psi on the nodes 0..M, in that order, with the rows
+        dz_0 = 0, dz_{i+1} - a_i dz_i - C_i dU = 0 (the RK4 steps),
+        dg_i - G_z,i dz_i - G_U,i dU = 0 (the g nodes) and the panel
+        recurrences of ``fn.integral_to_b``; the condition rows become
+        F_U dU + F_z dz + (F_psi psi) dw.  Every block is a colored
+        difference of F, of the step maps or of dL/dz, the other inputs
+        held."""
         p, grid = self.p, self.grid
         if self._last is not None and np.array_equal(self._last[0], U):
             x, z, psi = self._last[1:]
@@ -225,32 +232,31 @@ class _System:
         Ub = np.repeat(U[np.newaxis, :], self.n_colors, axis=0)
         Ub[self.color, np.arange(nu)] += deltas
         Rb = self.residual(Ub, z, psi)
-        if not self.z_free:  # every batched evaluation runs before J is allocated
-            F_z, F_psi = self._node_derivatives(U, z, psi, R0, fd_step)
-        J = np.zeros((self.n_res, nu))
-        J[self.pattern] = _diff(self.pattern, self.color, Rb, R0, deltas)
+        blocks = [(*self.pattern, _diff(self.pattern, self.color, Rb, R0, deltas))]
         if self.z_free:
-            return J
-        # Dz: scatter C_i into row i + 1, then run the recurrence
+            return _stack(blocks)
+        F_z, F_psi = self._node_derivatives(U, z, psi, R0, fd_step)
         xb = tr.build_series(self.unpack(Ub), grid.h, p.n)
-        D = np.zeros((grid.M + 1, nu))
         dz = fd_step * (1.0 + np.abs(z))
         phi0 = fn.rk4_steps(p, grid, x, z)
         a = (fn.rk4_steps(p, grid, x, z + dz) - phi0) / dz[:-1]
-        D[1:][self.step_pattern] = _diff(self.step_pattern, self.color,
-                                         fn.rk4_steps(p, grid, xb, z), phi0, deltas)
-        for i in range(1, grid.M):
-            D[i + 1] += a[i] * D[i]
-        _apply(J, self.node_blocks, F_z, D)
-        # Dz becomes Dg = G_z Dz + G_U, then Dpsi = psi * integral_to_b(Dg)
+        C = _diff(self.step_pattern, self.color, fn.rk4_steps(p, grid, xb, z),
+                  phi0, deltas)
         g0 = fn.eval_on_nodes(p, grid, x, z, "z")
-        D *= ((fn.eval_on_nodes(p, grid, x, z + dz, "z") - g0) / dz)[:, np.newaxis]
-        D[self.g_pattern] += _diff(self.g_pattern, self.color,
-                                   fn.eval_on_nodes(p, grid, xb, z, "z"), g0, deltas)
-        _integrate_to_b(D, grid.h)
-        D *= psi[:, np.newaxis]
-        _apply(J, self.node_blocks, F_psi, D)
-        return J
+        G_z = (fn.eval_on_nodes(p, grid, x, z + dz, "z") - g0) / dz
+        G_U = _diff(self.g_pattern, self.color, fn.eval_on_nodes(p, grid, xb, z, "z"),
+                    g0, deltas)
+        Z, G, W = nu + np.arange(3 * (grid.M + 1)).reshape(3, -1)
+        one = np.ones(grid.M + 1)
+        nr, nc = self.node_pattern
+        sr, sc = self.step_pattern
+        gr, gc = self.g_pattern
+        pr, pc, pv = self.panels
+        blocks += [(nr, Z[nc], F_z), (nr, W[nc], F_psi * psi[nc]),
+                   (Z, Z, one), (Z[1:], Z[:-1], -a), (Z[1:][sr], sc, -C),
+                   (G, G, one), (G, Z, -G_z), (G[gr], gc, -G_U),
+                   (W[pr], G[0] + pc, pv)]
+        return _stack(blocks)
 
     def _node_derivatives(self, U, z, psi, R0, fd_step):
         """F_z and F_psi on the node pattern, from one batched condition map
@@ -278,33 +284,27 @@ def _diff(pattern, color, Fb, F0, deltas):
     return (Fb[color[cols], rows] - F0[rows]) / deltas[cols]
 
 
-def _apply(J, blocks, vals, D):
-    """J += F D for the sparse F with entry values ``vals``, one dense row
-    block of F at a time (see ``_row_blocks``)."""
-    for r0, r1, c0, c1, ent, dst in blocks:
-        B = np.zeros((r1 - r0) * (c1 - c0))
-        B[dst] = vals[ent]
-        J[r0:r1] += B.reshape(r1 - r0, c1 - c0) @ D[c0:c1]
+def _stack(blocks):
+    """One (rows, cols, vals) triplet from blocks of them."""
+    return tuple(np.concatenate(a) for a in zip(*blocks))
 
 
-def _integrate_to_b(D, h):
-    """Replace each column of D by its ``fn.integral_to_b``, in place and
-    row by row from b, keeping only the two original rows a panel needs."""
-    M = D.shape[0] - 1
-    g1, g2 = D[M].copy(), None  # the original rows i + 1 and i + 2
-    D[M] = 0.0
-    for i in range(M - 1, -1, -1):
-        gi = D[i].copy()
-        if (M - i) % 2:  # a trapezoid, then the Simpson value at i + 1
-            D[i] += g1
-            D[i] *= 0.5 * h
-            D[i] += D[i + 1]
-        else:            # one more Simpson panel
-            D[i] += 4.0 * g1
-            D[i] += g2
-            D[i] *= h / 3.0
-            D[i] += D[i + 2]
-        g1, g2 = gi, g1
+def _panel_rows(M, h):
+    """The rows whose solution w is ``fn.integral_to_b(g, h)``: w_M = 0, and
+    from each node i < M one panel to the right, the trapezoid
+    w_i - w_{i+1} - h/2 (g_i + g_{i+1}) when M - i is odd, else the Simpson
+    panel w_i - w_{i+2} - h/3 (g_i + 4 g_{i+1} + g_{i+2}).  Triplets with g
+    in columns 0..M and w in columns M+1..2M+1."""
+    i = np.arange(M)
+    t, s = i[(M - i) % 2 == 1], i[(M - i) % 2 == 0]
+    w = M + 1
+    parts = [(np.arange(M + 1), w + np.arange(M + 1), 1.0),
+             (t, w + t + 1, -1.0), (t, t, -h / 2), (t, t + 1, -h / 2),
+             (s, w + s + 2, -1.0), (s, s, -h / 3), (s, s + 1, -4 * h / 3),
+             (s, s + 2, -h / 3)]
+    rows, cols, vals = zip(*parts)
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.repeat(vals, [r.size for r in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -477,37 +477,6 @@ def _modular_coloring(parts, m, M, first=1):
     return color, m * P
 
 
-def _row_blocks(rows, cols, size=16):
-    """Plan for ``_apply``: the entries of a sparse operator (sorted by row,
-    then column) split into runs of consecutive columns per row, and the runs
-    of consecutive rows with the same run index grouped into dense blocks of
-    at most ``size`` rows whose column span stays narrow.  Each block is
-    (r0, r1, c0, c1, entry indices, flat offsets into the block)."""
-    new_row = np.r_[True, rows[1:] != rows[:-1]]
-    new_run = new_row | np.r_[True, cols[1:] > cols[:-1] + 1]
-    run = np.cumsum(new_run)
-    run -= np.maximum.accumulate(np.where(new_row, run, 0))
-    blocks = []
-    for k in range(run.max() + 1 if run.size else 0):
-        ent = np.flatnonzero(run == k)
-        starts = np.r_[0, np.flatnonzero(np.diff(rows[ent])) + 1, ent.size]
-        r = rows[ent[starts[:-1]]]
-        c0s, c1s = cols[ent[starts[:-1]]], cols[ent[starts[1:] - 1]] + 1
-        wide = size + int(np.max(c1s - c0s))
-        i = 0
-        while i < r.size:
-            j, c0, c1 = i + 1, c0s[i], c1s[i]
-            while (j < r.size and j - i < size and r[j] == r[j - 1] + 1
-                   and max(c1, c1s[j]) - min(c0, c0s[j]) <= wide):
-                c0, c1 = min(c0, c0s[j]), max(c1, c1s[j])
-                j += 1
-            e = ent[starts[i]:starts[j]]
-            dst = (rows[e] - r[i]) * (c1 - c0) + cols[e] - c0
-            blocks.append((r[i], r[j - 1] + 1, c0, c1, e, dst))
-            i = j
-    return blocks
-
-
 def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> SolveResult:
     """Damped Newton iteration on the discretized necessary conditions.
 
@@ -528,8 +497,7 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
     for it in range(1, opts.max_iters + 1):
         if norm <= opts.tol_r:
             break
-        J = sys.jacobian(U, R, _FD_STEP)
-        step = _newton_step(J, R)
+        step = _newton_step(sys.jacobian(U, R, _FD_STEP), R, sys.n_augmented)
         lam = _DAMPING
         accepted = False
         while lam >= 1e-8:
@@ -575,15 +543,27 @@ def _sup(v):
     return float(m) if np.isfinite(m) else float("inf")
 
 
-def _newton_step(J, R):
-    if not np.all(np.isfinite(J)):
+def _newton_step(J, R, size):
+    """The first R.size entries of the solution d of J d = [-R, 0, ...], J
+    given as COO triplets of a size x size matrix.  Its exact zeros are
+    dropped and it is factored by scipy's splu (COLAMD ordering); without
+    scipy the dense LU solves the same matrix."""
+    rows, cols, vals = J
+    if not np.all(np.isfinite(vals)):
         raise SingularJacobian(float("inf"))
+    nz = vals != 0.0
+    rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    rhs = np.zeros(size)
+    rhs[:R.size] = -R
     try:
-        return np.linalg.solve(J, -R)
-    except np.linalg.LinAlgError:
-        raise SingularJacobian(_cond_estimate(J)) from None
-
-
-def _cond_estimate(J):
-    sv = np.linalg.svd(J, compute_uv=False)
-    return float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+        try:  # imported here: a module-level import would cost every command
+            from scipy.sparse.linalg import splu
+            from scipy.sparse import csc_array
+        except ImportError:  # numpy only: the dense LU of the same matrix
+            A = np.bincount(rows * size + cols, vals, size * size)
+            d = np.linalg.solve(A.reshape(size, size), rhs)
+        else:
+            d = splu(csc_array((vals, (rows, cols)), shape=(size, size))).solve(rhs)
+    except (RuntimeError, np.linalg.LinAlgError):  # an exactly singular factor
+        raise SingularJacobian(float("inf")) from None
+    return d[:R.size]

@@ -157,6 +157,13 @@ def parse_problem_file(text) -> ProblemFileContent:
     if lagrangian is None:
         problems.append("missing key 'L' in [lagrangian]")
 
+    # m sizes the key tuples below, so it is checked first against the
+    # entries it must name
+    if isinstance(m, int) and m > len(sections["history"]):
+        problems.append(f"[problem] m = {m} exceeds the {len(sections['history'])} "
+                        f"entries of [history]")
+        m = None
+
     history = ()
     if isinstance(m, int):
         wanted = tuple(f"mu{j}" for j in range(1, m + 1))

@@ -1,10 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import herglotz
 from herglotz.cli import main
 
 FREE_PARTICLE = """
@@ -532,6 +536,41 @@ def test_solve_rejects_max_iters_below_1_exit_2(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert "converged" not in captured.out
     assert "max_iters must be an integer >= 1" in captured.err
+
+
+def _run_python(code, tmp_path):
+    """Run ``code`` in a fresh interpreter that imports this herglotz."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(herglotz.__file__)))
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_verify_leaves_scipy_unimported(tmp_path):
+    # only a solve's Newton step imports scipy, so verify keeps its memory
+    spec = write(tmp_path, "m2.spec", M2_DELAYED)
+    out = str(tmp_path / "traj.csv")
+    assert main(["simulate", spec, "--h", "1e-2", "--out", out]) == 0
+    proc = _run_python("import sys\nfrom herglotz.cli import main\n"
+                       f"assert main(['verify', {spec!r}, {out!r}]) == 0\n"
+                       "print('scipy' in sys.modules)\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_huge_m_exit_2_before_anything_is_sized(tmp_path):
+    # m sizes the key tuples of [history], [family] and [candidate]; the run
+    # is capped at 1.5 GB of address space, so that a parser that sizes them
+    # first fails fast with a MemoryError instead of exhausting the machine
+    spec = write(tmp_path, "huge.spec",
+                 re.sub(r"^m = 1$", f"m = {10**12}", DELAYED, flags=re.M))
+    proc = _run_python("import resource, sys\n"
+                       "cap = 1536 * 2**20\n"
+                       "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                       "from herglotz.cli import main\n"
+                       f"sys.exit(main(['check-derivs', {spec!r}]))\n", tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "m = 1000000000000 exceeds the 1 entries of [history]" in proc.stderr
 
 
 MUTABLE = DELAYED.replace('"0.5*xd1^2 + 0.25*tau_x1^2 - z"',

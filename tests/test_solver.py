@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -214,14 +216,32 @@ def test_colored_jacobian_equals_dense(name):
         R = system.residual(U)
         assert np.array_equal(R, marching.residual(U))
         dense = oracles.dense_jacobian(system, U, R, 1e-7)
-        colored = system.jacobian(U, R, 1e-7)
+        colored = _matrix(system, system.jacobian(U, R, 1e-7))
+        assert colored.shape == dense.shape
         assert np.max(np.abs(colored - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert not np.any(dense[~inside])
 
 
+def _matrix(system, J):
+    """The Newton matrix from its COO triplets, as a dense array."""
+    rows, cols, vals = J
+    A = np.zeros((system.n_augmented, system.n_augmented))
+    np.add.at(A, (rows, cols), vals)
+    return A
+
+
+def _dense_triplets(system, U, R0, fd_step):
+    """The dense oracle as a Newton matrix: the identity on the augmented
+    unknowns, so that the step's U part solves the oracle alone."""
+    J = oracles.dense_jacobian(system, U, R0, fd_step)
+    rows, cols = np.nonzero(J)
+    aug = np.arange(system.n_unknowns, system.n_augmented)
+    return (np.r_[rows, aug], np.r_[cols, aug], np.r_[J[rows, cols], np.ones(aug.size)])
+
+
 def _dense_solve(monkeypatch, p, opts):
     with monkeypatch.context() as patch:
-        patch.setattr(sv._System, "jacobian", oracles.dense_jacobian)
+        patch.setattr(sv._System, "jacobian", _dense_triplets)
         return solve_extremal(p, opts)
 
 
@@ -383,8 +403,11 @@ def _outside(pattern, shape, probe):
 
 @pytest.mark.parametrize("name", sorted(Z_COUPLED))
 def test_condensed_jacobian_equals_dense(name):
+    # the condensed Jacobian is the Schur complement of the augmented Newton
+    # matrix on its U block
     system, points = _z_coupled_system(name)
     assert not system.z_free
+    nu = system.n_unknowns
     # condition rows with a z or psi node can read every unknown; the others
     # (continuity) only their position pattern
     inside = np.zeros((system.n_res, system.n_unknowns), dtype=bool)
@@ -395,7 +418,8 @@ def test_condensed_jacobian_equals_dense(name):
     for U in points:
         R = system.residual(U)
         dense = oracles.dense_jacobian(system, U, R, 1e-7)
-        J = system.jacobian(U, R, 1e-7)
+        A = _matrix(system, system.jacobian(U, R, 1e-7))
+        J = A[:nu, :nu] - A[:nu, nu:] @ np.linalg.solve(A[nu:, nu:], A[nu:, :nu])
         err = np.abs(J - dense)
         assert np.max(err) <= 1e-6 * np.max(np.abs(dense))
         # the condensed terms alone, off the position pattern
@@ -448,8 +472,30 @@ def test_condensed_solve_matches_dense_solve(monkeypatch, name):
 
 
 @pytest.mark.parametrize("M", [9, 10])
-def test_integrate_to_b_in_place_matches_integral_to_b(M):
-    D = np.random.default_rng(M).standard_normal((M + 1, 4))
-    want = fn.integral_to_b(D.T, 0.1).T
-    sv._integrate_to_b(D, 0.1)
-    assert np.max(np.abs(D - want)) <= 1e-14
+def test_panel_rows_match_integral_to_b(M):
+    # the w rows of the Newton matrix, solved for w at a random g
+    g = np.random.default_rng(M).standard_normal((M + 1, 4))
+    rows, cols, vals = sv._panel_rows(M, 0.1)
+    A = np.zeros((M + 1, 2 * (M + 1)))
+    A[rows, cols] = vals
+    w = np.linalg.solve(A[:, M + 1:], -A[:, :M + 1] @ g)
+    assert np.max(np.abs(w - fn.integral_to_b(g.T, 0.1).T)) <= 1e-14
+
+
+@pytest.mark.parametrize("L", [
+    "0.5*xd1^2 + 0.25*tau_x1^2 - 0.3*x1*tau_xd1 - 0.2*z",
+    "0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2",
+], ids=["z-free", "zcoupled"])
+def test_dense_fallback_step_equals_splu_step(monkeypatch, L):
+    # without scipy the same Newton matrix is solved by the dense LU
+    p = make_problem(L, tau=0.25, mu=("1 + 0.5*t",))
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
+    U = system.pack(system.initial_positions())
+    R = system.residual(U)
+    J = system.jacobian(U, R, 1e-7)
+    splu_step = sv._newton_step(J, R, system.n_augmented)
+    monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
+    dense_step = sv._newton_step(J, R, system.n_augmented)
+    assert np.max(np.abs(dense_step - splu_step)) <= 1e-10 * np.max(np.abs(dense_step))
+    with pytest.raises(SingularJacobian):
+        solve_extremal(make_problem("x1 - z"), SolveOptions(M=100, h=None))
