@@ -37,7 +37,7 @@ _VALIDATION_ERRORS = (ValidationError, ExprSyntaxError, UnknownFunction,
 _NUMERIC_ERRORS = (DomainError, NonFiniteLagrangian, UnboundVariable,
                    GridTooSmall, OutOfHistoryRange,
                    DegenerateFamily, SingularJacobian, ZeroDelay,
-                   FloatingPointError)
+                   FloatingPointError, MemoryError)
 
 
 def _load(path):

@@ -3,10 +3,12 @@ transversality values at b, and the DuBois-Reymond identity.
 
 The first Euler-Lagrange block lives on [a, b - tau] and carries both the
 current and the (index-shifted) delayed summand; the second block lives on
-[b - tau, b] where the delayed summand is null by convention, which makes it
-the same code path with the shift masked.  Node ranges near a differentiated
-block's edges use one-sided stencils and are flagged; flagged entries stay in
-the report but are excluded from acceptance sup-norms.
+[b - tau, b] where the delayed summand is null by convention.  Both, and the
+transversality values tc_k = -phi_k(b), come from the block rule of
+``multipliers.block_sums`` applied to one build of the summands.  Node
+ranges near a differentiated block's edges use one-sided stencils and are
+flagged; flagged entries stay in the report but are excluded from acceptance
+sup-norms.
 
 With E = sum_k phi_k . x^(k) + psi L (``dbr_inner``) and the comb series
 
@@ -94,45 +96,36 @@ class ResidualReport:
                 _masked_sup(self.dbr_delayed, self.dbr_delayed_flags))
 
 
-def el_blocks(p, grid, x, z, psi):
-    """Euler-Lagrange residual arrays (el1, el2) with batch support: the
-    alternating sum of the weighted summands on [0, junction] and of the
-    current ones on [junction, M]."""
-    jn = grid.junction
-    terms = ml.weighted_terms(p, grid, x, z, psi, range(p.n + 1))
+def el_blocks(grid, terms):
+    """Euler-Lagrange residual arrays (el1, el2), batched like ``terms``, a
+    ``ml.weighted_terms`` build of the orders 0..n: the k = 0 block sums."""
+    return ml.block_sums(terms, 0, grid)
 
-    def block(series):
-        return ml.alternating_sum(
-            series, 0, lambda s, l: tr.differentiate_values(s, grid.h, l))
 
-    el1 = block([W[..., :jn + 1] for _, W in terms])
-    if grid.p == 0:
-        return el1, el1[..., -1:]
-    return el1, block([C[..., jn:] for C, _ in terms])
+def _terms(p, traj, mult):
+    _require_z(traj)
+    return ml.weighted_terms(p, traj.grid, traj.x, traj.z, mult.psi,
+                             range(p.n + 1))
 
 
 def el_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 mult: ml.MultiplierSet):
     """(el1, el2) residual arrays for a single trajectory."""
-    _require_z(traj)
-    return el_blocks(p, traj.grid, traj.x, traj.z, mult.psi)
+    return el_blocks(traj.grid, _terms(p, traj, mult))
 
 
-def transversality_values(p, grid, x, z, psi):
-    """For k = 1..n the value at b of sum_l (-1)^l d^l/dt^l (psi dL/dx^(l+k));
-    the delayed summand is already null there."""
-    C = [None] + [C for C, in ml.summand_terms(p, grid, x, z, psi,
-                                               range(1, p.n + 1),
-                                               kinds=(pb.slot_name,))]
-    return np.stack([ml.alternating_sum(
-        C, k, lambda s, l: tr.differentiate_values(s, grid.h, l)[..., -1])
-        for k in range(1, p.n + 1)], axis=-2)
+def transversality_values(grid, terms):
+    """tc_k = -phi_k(b) for k = 1..n, shape (..., n, m): the value at b of
+    the order-k block sum of a ``ml.weighted_terms`` build of the orders
+    0..n, which holds the delayed summand at tau = 0 and only the current
+    one for tau > 0."""
+    return np.stack([ml.block_sums(terms, k, grid)[1][..., -1]
+                     for k in range(1, len(terms))], axis=-2)
 
 
 def transversality_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                             mult: ml.MultiplierSet) -> np.ndarray:
-    _require_z(traj)
-    return transversality_values(p, traj.grid, traj.x, traj.z, mult.psi)
+    return transversality_values(traj.grid, _terms(p, traj, mult))
 
 
 def dbr_inner(p, grid, x, z, phi, psi):
@@ -270,8 +263,9 @@ def dbr_inner_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
 def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 mult: ml.MultiplierSet) -> ResidualReport:
     grid = traj.grid
-    el1, el2 = el_residual(p, traj, mult)
-    tc = transversality_residual(p, traj, mult)
+    terms = _terms(p, traj, mult)
+    el1, el2 = el_blocks(grid, terms)
+    tc = transversality_values(grid, terms)
     dbr = dbr_residual(p, traj, mult)
     w = flag_width(p.n)
     el1_flags = edge_flags(el1.shape[-1], w)

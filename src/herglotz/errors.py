@@ -63,7 +63,6 @@ class ZeroDelay(HerglotzError):
 
 
 class SingularJacobian(HerglotzError):
-    def __init__(self, cond):
-        super().__init__(f"Newton Jacobian is singular (condition estimate {cond:.3e})")
-        self.cond = cond
+    def __init__(self):
+        super().__init__("Newton Jacobian is singular")
 

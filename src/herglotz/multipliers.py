@@ -4,8 +4,11 @@
                + psi(t+tau) dL/dx_tau^(l+k)(t+tau) ]
 
 with the delayed term null once t + tau passes b.  The delayed factor is an
-index shift by the delay offset; time derivatives are taken separately on
-[a, b-tau] and [b-tau, b] because the delayed term switches off at b-tau.
+index shift by the delay offset.  One block rule (``block_sums``) serves
+the costates, the Euler-Lagrange rows (k = 0) and the transversality values
+(-phi_k(b)): left of b - tau the weighted summands are differentiated on
+[a, b - tau], from there on the current ones on [b - tau, b], each block by
+itself, because the delayed term switches off at b - tau.
 """
 
 from __future__ import annotations
@@ -26,18 +29,17 @@ class MultiplierSet:
     phi: np.ndarray  # (n, m, M+1)
 
 
-def summand_terms(p, grid, x, z, psi, orders,
-                  kinds=(pb.slot_name, pb.delayed_slot_name)):
-    """psi(t) dL/ds_j^(r)(t), shape (..., m, M+1), per order r in ``orders``
-    (a list) and slot kind s (a tuple: current, then delayed slots), from
-    one build of L's arguments."""
+def summand_terms(p, grid, x, z, psi, orders):
+    """(C_r, D_r) per order r in ``orders`` (a list): psi(t) dL/dx_j^(r)(t)
+    and psi(t) dL/dx_tau_j^(r)(t), shape (..., m, M+1), from one build of
+    L's arguments."""
     args = fn.slot_args(p, grid, x) + [z]
     batch = np.broadcast_shapes(x.shape[:-3], psi.shape[:-1])
     nodes = x.shape[:-3] + (grid.M + 1,)
     terms = []
     for r in orders:
         row = []
-        for kind in kinds:
+        for kind in (pb.slot_name, pb.delayed_slot_name):
             S = np.empty(batch + (p.m, grid.M + 1))
             for j in range(1, p.m + 1):
                 S[..., j - 1, :] = psi * fn.eval_args(p, args, kind(j, r), nodes)
@@ -77,19 +79,41 @@ def blockwise_derivative(vals, h, l, junction):
     return out
 
 
+def block_sums(terms, k, grid, sign=1):
+    """The alternating sum sign * sum_l (-1)^l d^l/dt^l of the summands of
+    order l + k from one ``weighted_terms`` build, as the pair (left, right)
+    of its blocks: left of b - tau, on the nodes 0..junction, it
+    differentiates the weighted summands W; from b - tau on, the nodes
+    junction..M, the current summands C, each block by itself.  At tau = 0
+    W spans the grid and ``right`` is the last node of ``left``."""
+    def block(side, nodes):
+        return alternating_sum(
+            [t[side][..., nodes] for t in terms[k:]], 0,
+            lambda s, l: s if l == 0 else tr.differentiate_values(s, grid.h, l),
+            sign)
+
+    jn = grid.junction
+    left = block(1, slice(jn + 1))
+    if grid.p == 0:
+        return left, left[..., -1:]
+    return left, block(0, slice(jn, None))
+
+
 def compute_phi(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 psi: np.ndarray) -> MultiplierSet:
-    """Evaluate the closed form for every k; no backward integration."""
+    """Evaluate the closed form for every k; no backward integration.  The
+    node at b - tau keeps the left block's value."""
     if traj.z is None:
         raise ValidationError("trajectory has no z series; simulate it first")
     grid = traj.grid
-    W = [None] + [W for _, W in weighted_terms(p, grid, traj.x, traj.z,
-                                               psi, range(1, p.n + 1))]
+    jn = grid.junction
+    terms = [None] + weighted_terms(p, grid, traj.x, traj.z, psi,
+                                    range(1, p.n + 1))
     phi = np.zeros((p.n, p.m, grid.M + 1))
     for k in range(1, p.n + 1):
-        phi[k - 1] = alternating_sum(
-            W, k, lambda s, l: blockwise_derivative(s, grid.h, l, grid.junction),
-            sign=-1)
+        left, right = block_sums(terms, k, grid, sign=-1)
+        phi[k - 1, :, :jn + 1] = left
+        phi[k - 1, :, jn + 1:] = right[..., 1:]
     return MultiplierSet(psi=psi, phi=phi)
 
 
@@ -111,9 +135,8 @@ def compute_phi_history(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     q = grid.p
     # the t-argument shift makes this the delayed term's generator series
     # evaluated on [a, a + tau]
-    S = [None] + [D for D, in summand_terms(p, grid, traj.x, traj.z, psi,
-                                            range(1, p.n + 1),
-                                            kinds=(pb.delayed_slot_name,))]
+    S = [None] + [D for _, D in summand_terms(p, grid, traj.x, traj.z, psi,
+                                              range(1, p.n + 1))]
     phi = np.zeros((p.n, p.m, q + 1))
     for k in range(1, p.n + 1):
         phi[k - 1] = alternating_sum(

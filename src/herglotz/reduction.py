@@ -38,7 +38,7 @@ def z_name(j: int) -> str:
 
 @dataclass(frozen=True)
 class ReducedProblem:
-    problem: pb.ProblemSpec | None
+    problem: pb.ProblemSpec
     N: int
     tau: float
     n: int
@@ -348,8 +348,8 @@ def reduced_hamiltonian(rp: ReducedProblem, stacked: StackedTrajectory,
 
 def write_reduced_file(rp: ReducedProblem, path):
     """Emit the stacked problem in the bracket-section key=value format so
-    third-party tools can consume it; round-trips through
-    read_reduced_file."""
+    third-party tools can consume it (``specfile.parse_sections`` reads
+    it back)."""
     lines = ["[reduced]",
              f"tau = {rp.tau!r}",
              f"N = {rp.N}",
@@ -374,51 +374,3 @@ def write_reduced_file(rp: ReducedProblem, path):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def read_reduced_file(path) -> ReducedProblem:
-    """Parse a file produced by write_reduced_file (problem link is None)."""
-    from . import specfile
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    sections = specfile.parse_sections(text)
-    problems = []
-    for name in sections:
-        if name not in ("reduced", "intervals", "stacked_history"):
-            problems.append(f"unknown section [{name}]")
-    head = dict(sections.get("reduced", []))
-    for key in ("tau", "N", "n", "m", "gamma"):
-        if key not in head:
-            problems.append(f"missing key '{key}' in [reduced]")
-    if problems:
-        raise ValidationError(problems)
-    N = int(float(head["N"]))
-    n = int(float(head["n"]))
-    m = int(float(head["m"]))
-    ivs = dict(sections.get("intervals", []))
-    lags = []
-    for j in range(1, N + 1):
-        if f"L{j}" not in ivs:
-            problems.append(f"missing key 'L{j}' in [intervals]")
-        else:
-            lags.append(ex.parse_expression(ivs[f"L{j}"]))
-    hist_kv = dict(sections.get("stacked_history", []))
-    hist = []
-    for jc in range(1, m + 1):
-        row = []
-        for k in range(n + 1):
-            name = state_name(k, 0, jc, m)
-            if name not in hist_kv:
-                problems.append(f"missing key '{name}' in [stacked_history]")
-            else:
-                row.append(ex.parse_expression(hist_kv[name]))
-        hist.append(tuple(row))
-    if problems:
-        raise ValidationError(problems)
-    return ReducedProblem(problem=None, N=N, tau=float(head["tau"]), n=n, m=m,
-                          gamma=float(head["gamma"]),
-                          cut=float(head["cut"]) if "cut" in head else None,
-                          lagrangians=tuple(lags), stacked_history=tuple(hist))

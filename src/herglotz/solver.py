@@ -187,8 +187,9 @@ class _System:
             z, psi = self._simulate(x)
             if U.ndim == 1:  # the Jacobian at U reuses x, z and psi
                 self._last = (U.copy(), x, z, psi)
-        el1, el2 = cd.el_blocks(p, grid, x, z, psi)
-        tc = cd.transversality_values(p, grid, x, z, psi)
+        terms = ml.weighted_terms(p, grid, x, z, psi, range(p.n + 1))
+        el1, el2 = cd.el_blocks(grid, terms)
+        tc = cd.transversality_values(grid, terms)
         batch = U.shape[:-1]
         parts = [el1[..., self.sel1].reshape(batch + (-1,))]
         if self.sel2.size:
@@ -386,7 +387,8 @@ def _row_intervals(p, grid, sel1, sel2, nodes=False):
         l2, h2 = _stencil_reach(jn, M, n)
         parts.append(block(l2[sel2], h2[sel2], False))
     parts = [(np.tile(lo, (m, 1)), np.tile(hi, (m, 1))) for lo, hi in parts]
-    # n*m transversality rows at b, differentiated over the whole grid, and
+    # n*m transversality rows at b, differentiated on [b - tau, b] (on the
+    # whole grid at tau = 0), within the whole-grid reach taken here, and
     # (n-1)*m continuity rows x^(k)(a)
     sl, sh = _stencil_reach(0, M, n)
     tc = block(sl[-1:], sh[-1:], False)
@@ -480,7 +482,8 @@ def _modular_coloring(parts, m, M, first=1):
 def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> SolveResult:
     """Damped Newton iteration on the discretized necessary conditions.
 
-    Returns the best iterate with converged=False when the iteration budget
+    Returns the last iterate, the best one since the line search accepts
+    only a lower residual, with converged=False when the iteration budget
     runs out; raises SingularJacobian when the linearized system degenerates.
     """
     opts = opts or SolveOptions()
@@ -492,7 +495,6 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
     R = sys.residual(U)
     norm = _sup(R)
     log = [(0, norm, _DAMPING)]
-    best_U, best_norm = U.copy(), norm
 
     for it in range(1, opts.max_iters + 1):
         if norm <= opts.tol_r:
@@ -510,15 +512,11 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
                 break
             lam *= 0.5
         log.append((it, norm, lam))
-        if norm < best_norm:
-            best_U, best_norm = U.copy(), norm
         if not accepted:
             break
         if lam * _sup(step) <= _TOL_X * (1.0 + _sup(U)):
             break
 
-    if best_norm < norm:
-        U = best_U
     # z and psi from the last residual, when that one was evaluated at U; a
     # z-free residual holds z = 0, but its psi reads t alone
     last_U, _, z, psi = sys._last
@@ -550,7 +548,7 @@ def _newton_step(J, R, size):
     scipy the dense LU solves the same matrix."""
     rows, cols, vals = J
     if not np.all(np.isfinite(vals)):
-        raise SingularJacobian(float("inf"))
+        raise SingularJacobian()
     nz = vals != 0.0
     rows, cols, vals = rows[nz], cols[nz], vals[nz]
     rhs = np.zeros(size)
@@ -565,5 +563,5 @@ def _newton_step(J, R, size):
         else:
             d = splu(csc_array((vals, (rows, cols)), shape=(size, size))).solve(rhs)
     except (RuntimeError, np.linalg.LinAlgError):  # an exactly singular factor
-        raise SingularJacobian(float("inf")) from None
+        raise SingularJacobian() from None
     return d[:R.size]

@@ -216,14 +216,19 @@ def test_verify_gamma_mismatch_exit_2(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def _reduced_head(path):
+    """The [reduced] section of a written reduced spec file."""
+    from herglotz.specfile import parse_sections
+    with open(path) as fh:
+        return dict(parse_sections(fh.read())["reduced"])
+
+
 def test_reduce_roundtrip(tmp_path, capsys):
     for name, text, n_expected in (("delayed.spec", DELAYED, 2),):
         spec = write(tmp_path, name, text)
         out = str(tmp_path / "reduced.spec")
         assert main(["reduce", spec, "--out", out]) == 0
-        from herglotz.reduction import read_reduced_file
-        rp = read_reduced_file(out)
-        assert rp.N == n_expected
+        assert int(_reduced_head(out)["N"]) == n_expected
 
 
 def test_reduce_padding(tmp_path, capsys):
@@ -231,9 +236,8 @@ def test_reduce_padding(tmp_path, capsys):
     spec = write(tmp_path, "pad.spec", text)
     out = str(tmp_path / "reduced.spec")
     assert main(["reduce", spec, "--out", out]) == 0
-    from herglotz.reduction import read_reduced_file
-    rp = read_reduced_file(out)
-    assert rp.N == 2 and abs(rp.cut - 0.3) <= 1e-12
+    head = _reduced_head(out)
+    assert int(head["N"]) == 2 and abs(float(head["cut"]) - 0.3) <= 1e-12
 
 
 def test_reduce_zero_delay_exit_3(tmp_path, capsys):
@@ -571,6 +575,23 @@ def test_huge_m_exit_2_before_anything_is_sized(tmp_path):
                        f"sys.exit(main(['check-derivs', {spec!r}]))\n", tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "m = 1000000000000 exceeds the 1 entries of [history]" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--M", "400000000"],
+                                  ["solve", "--h", "1e-10"]])
+def test_grid_beyond_memory_exit_3(tmp_path, argv):
+    # a grid whose node arrays cannot be allocated under a 1.5 GB cap is a
+    # numeric failure, not a traceback
+    spec = write(tmp_path, "delayed.spec", DELAYED + '\n[candidate]\nx1 = "1"\n')
+    argv = [argv[0], spec] + argv[1:]
+    proc = _run_python("import resource, sys\n"
+                       "cap = 1536 * 2**20\n"
+                       "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                       "from herglotz.cli import main\n"
+                       f"sys.exit(main({argv!r}))\n", tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numeric failure: Unable to allocate")
+    assert "Traceback" not in proc.stderr
 
 
 MUTABLE = DELAYED.replace('"0.5*xd1^2 + 0.25*tau_x1^2 - z"',

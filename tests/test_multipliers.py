@@ -46,6 +46,21 @@ def test_phi_top_order_identity():
     assert np.array_equal(mult.phi[1], direct)
 
 
+@pytest.mark.parametrize("M", [200, 400, 800])
+def test_phi_right_of_junction_differentiates_current_summands(M):
+    # from b - tau on the delayed summand is null, so phi_1 there is the
+    # alternating sum of the current summands over [b - tau, b] alone; the
+    # weighted summand at the junction node carries D(b) and must not enter
+    p = make_problem("0.5*xdd1^2 + 0.3*tau_xd1^2 + 0.2*tau_xdd1^2 - z",
+                     mu=("1 + 0.5*t",), n=2, tau=0.25)
+    traj, psi, mult = pipeline(p, "1 + 0.5*t + 0.3*t^2 + 0.1*sin(3*t)", M=M)
+    g = traj.grid
+    jn = g.junction
+    (C1, _), (C2, _) = ml.summand_terms(p, g, traj.x, traj.z, psi, [1, 2])
+    want = tr.differentiate_values(C2[..., jn:], g.h, 1) - C1[..., jn:]
+    assert np.max(np.abs(mult.phi[0, :, jn + 1:] - want[..., 1:])) <= 1e-12
+
+
 def test_phi_tau0_matches_delay_free_evaluation():
     from oracles import partial_on_nodes
     from herglotz import problem as pb

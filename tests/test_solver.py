@@ -5,6 +5,7 @@ import pytest
 
 from herglotz import conditions as cd
 from herglotz import functional as fn
+from herglotz import multipliers as ml
 from herglotz import trajectory as tr
 from herglotz.errors import SingularJacobian, ValidationError
 from herglotz.reduction import verify_reduction_equivalence
@@ -195,6 +196,7 @@ Z_FREE = {
     "short-first-block": ("0.5*xd1^2 + 0.25*tau_x1^2 - z", {"tau": 0.9}),
     "short-first-block-cross": (
         "0.5*xd1^2 + 0.25*tau_x1^2 - 0.3*x1*tau_xd1 - z", {"tau": 0.9}),
+    "tau0-delayed-slot": ("0.5*xd1^2 + 0.3*x1*tau_xd1 - 0.5*x1^2 - z", {}),
 }
 
 
@@ -469,6 +471,57 @@ def test_condensed_solve_matches_dense_solve(monkeypatch, name):
     assert condensed.converged and dense.converged
     assert len(condensed.iterations) == len(dense.iterations)
     assert np.max(np.abs(condensed.trajectory.x - dense.trajectory.x)) <= tol_x
+
+
+@pytest.mark.parametrize("table, name", sorted(
+    [("free", k) for k in Z_FREE] + [("coupled", k) for k in Z_COUPLED]))
+def test_transversality_values_are_minus_phi_at_b(table, name):
+    # tc_k = -phi_k(b): both come from the same block sums
+    L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
+    p = make_problem(L, **kw)
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
+    U0 = system.pack(system.initial_positions())
+    U = U0 + 1e-2 * np.random.default_rng(7).standard_normal(U0.shape)
+    traj = fn.simulate_z(p, tr.from_positions(p, system.grid, system.unpack(U)))
+    mult = ml.compute_phi(p, traj, fn.compute_psi(p, traj))
+    assert np.array_equal(cd.transversality_residual(p, traj, mult),
+                          -mult.phi[..., -1])
+
+
+@pytest.mark.parametrize("delayed, plain", [
+    ("0.5*xd1^2 + 0.3*x1*tau_xd1 - 0.5*x1^2 - z",
+     "0.5*xd1^2 + 0.3*x1*xd1 - 0.5*x1^2 - z"),
+    ("0.5*tau_xd1^2 - 0.5*x1^2 - z", "0.5*xd1^2 - 0.5*x1^2 - z"),
+])
+def test_tau0_delayed_slot_solves_like_its_current_slot(delayed, plain):
+    # at tau = 0 a tau_ slot reads the current slot, so both Lagrangians have
+    # one extremal; its transversality value keeps the delayed summand at b
+    opts = SolveOptions(M=200, h=None)
+    twin, ref = (solve_extremal(make_problem(L), opts) for L in (delayed, plain))
+    assert twin.converged and ref.converged
+    assert np.max(np.abs(twin.trajectory.x - ref.trajectory.x)) <= 1e-10
+
+
+def test_one_summand_build_per_residual(monkeypatch):
+    builds, per_call = [], []
+    summand_terms, residual = ml.summand_terms, sv._System.residual
+
+    def counted_terms(*args, **kwargs):
+        builds.append(args)
+        return summand_terms(*args, **kwargs)
+
+    def counted_residual(self, U, z=None, psi=None):
+        before = len(builds)
+        R = residual(self, U, z, psi)
+        per_call.append((np.ndim(U), len(builds) - before))
+        return R
+
+    monkeypatch.setattr(ml, "summand_terms", counted_terms)
+    monkeypatch.setattr(sv._System, "residual", counted_residual)
+    for L, kw in (Z_FREE["n2-cross"], Z_COUPLED["delayed"]):
+        solve_extremal(make_problem(L, **kw), SolveOptions(M=120, h=None))
+    assert {ndim for ndim, _ in per_call} == {1, 2}  # plain and batched calls
+    assert {count for _, count in per_call} == {1}
 
 
 @pytest.mark.parametrize("M", [9, 10])

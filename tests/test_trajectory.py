@@ -2,7 +2,6 @@ import io
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 from herglotz import trajectory as tr
 from herglotz.errors import GridTooSmall, ValidationError
@@ -73,7 +72,7 @@ def test_differentiate_trapezoid_roundtrip():
     g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=200)
     t = g.nodes()
     f = np.sin(3 * t) * np.exp(-t)
-    F = cumulative_trapezoid(f, t, initial=0.0)
+    F = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (f[:-1] + f[1:]))])
     back = tr.differentiate_values(F, g.h, 1)
     # trapezoid is O(h^2); interior errors dominate
     assert np.max(np.abs(back - f)) <= 50 * g.h ** 2
