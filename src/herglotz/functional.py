@@ -91,54 +91,71 @@ def _stage_args(p: pb.ProblemSpec, grid: tr.Grid, x):
             [A[..., :-1] for A in cur[1:]], mid[1:], [A[..., 1:] for A in cur[1:]])
 
 
-def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
-    """March z across the grid; batch axes of x are carried through.
+def march_z(L, g, stage, gamma, steps):
+    """March z' = L by RK4 from z = gamma over ``steps`` steps and return
+    z on the steps + 1 nodes; leading batch axes are carried through.
 
-    When L is affine in z (dL/dz does not read z), one RK4 step is exactly
-    z_{i+1} = (1 + delta_i) z_i + beta_i: beta is the step map at z = 0 and
-    delta the same stage expansion applied to g = dL/dz, both taken for
-    every step at once, so only that scalar recurrence runs step by step.
-    delta is kept apart from the 1 so that none of its digits are rounded
-    away.  Any other L runs the step loop ``_rk4_loop``."""
-    if "z" in ex.free_variables(p.lagrangian.partials["z"]):
-        return _rk4_loop(p, grid, x, gamma)
-    t0, tm, t1, h, a0, am, a1 = _stage_args(p, grid, x)
-    g = p.lagrangian.compiled("z")
-    with np.errstate(all="ignore"):
-        beta = _rk4_step(p.lagrangian.compiled("body"), t0, tm, t1, h, a0, am, a1, 0.0)
-        d1 = g(t0, *a0, 0.0)
-        gm = g(tm, *am, 0.0)
-        d2 = gm * (1.0 + 0.5 * h * d1)
-        d3 = gm * (1.0 + 0.5 * h * d2)
-        d4 = g(t1, *a1, 0.0) * (1.0 + h * d3)
-        delta = (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
-    M = grid.M
-    steps = x.shape[:-3] + (M,)
-    delta = np.broadcast_to(delta, steps).reshape(-1, M).tolist()
-    beta = np.broadcast_to(beta, steps).reshape(-1, M).tolist()
-    z = np.empty(x.shape[:-3] + (M + 1,))
-    for row, de, be in zip(z.reshape(-1, M + 1), delta, beta):
-        zi = float(gamma)
-        out = [zi]
-        for d, b in zip(de, be):
-            zi += d * zi + b
-            out.append(zi)
-        row[:] = out
+    ``stage`` holds the arguments ``(t0, tm, t1, h, a0, am, a1)`` of
+    ``_rk4_step`` before z0 for the first steps, step axis last; z holds
+    its value on the steps past their end.  ``g`` is the compiled dL/dz of
+    an L affine in z (dL/dz does not read z), or None.  With g one RK4 step
+    is exactly z_{i+1} = (1 + delta_i) z_i + beta_i: beta is the step map
+    at z = 0 and delta the same stage expansion applied to g, both taken
+    for every step at once, so only that scalar recurrence runs step by
+    step.  delta is kept apart from the 1 so that none of its digits are
+    rounded away.  Without g, ``_step_loop`` takes one RK4 step at a time."""
+    t0, tm, t1, h, a0, am, a1 = stage
+    shape = np.broadcast_shapes(np.shape(t0), *map(np.shape, a0))
+    live = shape[-1]
+    z = np.empty(shape[:-1] + (steps + 1,))
+    if g is None:
+        z[..., 0] = gamma
+        _step_loop(L, stage, z)
+    else:
+        with np.errstate(all="ignore"):
+            beta = _rk4_step(L, *stage, 0.0)
+            d1 = g(t0, *a0, 0.0)
+            gm = g(tm, *am, 0.0)
+            d2 = gm * (1.0 + 0.5 * h * d1)
+            d3 = gm * (1.0 + 0.5 * h * d2)
+            d4 = g(t1, *a1, 0.0) * (1.0 + h * d3)
+            delta = (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
+        delta = np.broadcast_to(delta, shape).reshape(-1, live).tolist()
+        beta = np.broadcast_to(beta, shape).reshape(-1, live).tolist()
+        for row, de, be in zip(z.reshape(-1, steps + 1), delta, beta):
+            zi = float(gamma)
+            out = [zi]
+            for d, b in zip(de, be):
+                zi += d * zi + b
+                out.append(zi)
+            row[:live + 1] = out
+    z[..., live + 1:] = z[..., live, None]
     return z
 
 
-def _rk4_loop(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
-    """``rk4_z`` one step at a time, for an L that is not affine in z."""
-    L = p.lagrangian.compiled("body")
-    t0, tm, t1, h, a0, am, a1 = _stage_args(p, grid, x)
-    z = np.empty(x.shape[:-3] + (grid.M + 1,))
-    z[..., 0] = gamma
+def _step_loop(L, stage, z):
+    """Fill z after z[..., 0] one RK4 step at a time, for every step of
+    ``stage``."""
+    t0, tm, t1, h, a0, am, a1 = stage
     with np.errstate(all="ignore"):
-        for i in range(grid.M):
+        for i in range(len(t0)):
             z[..., i + 1] = _rk4_step(
                 L, t0[i], tm[i], t1[i], h, [A[..., i] for A in a0],
                 [A[..., i] for A in am], [A[..., i] for A in a1], z[..., i])
-    return z
+
+
+def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
+    """March z across the grid by ``march_z``, with its affine step map
+    when dL/dz does not read z; batch axes of x are carried through."""
+    lag = p.lagrangian
+    g = None if "z" in ex.free_variables(lag.partials["z"]) else lag.compiled("z")
+    return march_z(lag.compiled("body"), g, _stage_args(p, grid, x), gamma, grid.M)
+
+
+def _rk4_loop(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
+    """``rk4_z`` one step at a time, the reference for any L."""
+    return march_z(p.lagrangian.compiled("body"), None, _stage_args(p, grid, x),
+                   gamma, grid.M)
 
 
 def rk4_steps(p: pb.ProblemSpec, grid: tr.Grid, x, z):

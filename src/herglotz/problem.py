@@ -71,16 +71,18 @@ class LagrangianSpec:
 
 
 def make_lagrangian(n: int, m: int, body) -> LagrangianSpec:
-    """Differentiate the body w.r.t. every slot; rejects free variables
-    outside the slot set."""
+    """Differentiate the body w.r.t. every slot it reads; every other slot
+    gets the partial 0.  Rejects free variables outside the slot set."""
     if isinstance(body, str):
         body = ex.parse_expression(body)
     names = arg_names(n, m)
-    extra = ex.free_variables(body) - set(names)
+    free = ex.free_variables(body)
+    extra = free - set(names)
     if extra:
         raise ValidationError(
             [f"Lagrangian uses unknown variable '{v}'" for v in sorted(extra)])
-    partials = {name: ex.differentiate(body, name) for name in names}
+    partials = {name: ex.differentiate(body, name) if name in free else ex.Num(0.0)
+                for name in names}
     # 2 + 2*m*(n+1) entries: t, z, and current+delayed per (j, k)
     return LagrangianSpec(n=n, m=m, body=body, partials=partials)
 
@@ -211,17 +213,26 @@ def check_derivatives(p: ProblemSpec, points=_FD_POINTS, seed=4242):
 def _fd_samples(lag, a, b, rng, points, h=1e-6):
     """Up to ``points`` random evaluation points (slots in [0.6, 1.4], t in
     [a, b]), each a list of (slot, t, symbolic partial, central difference)
-    over every slot.  A point where a value is non-finite or raises is
-    redrawn, within 40 * points draws in all."""
+    over every slot.  A point where L or a value is non-finite or raises is
+    redrawn, within 40 * points draws in all.  A slot L does not read gets
+    the row (slot, t, 0, 0) without an evaluation, so the work scales with
+    the slots L reads, not with n and m."""
+    names, free = lag.args, ex.free_variables(lag.body)
     samples = []
     attempts = 0
     while len(samples) < points and attempts < 40 * points:
         attempts += 1
-        binding = {name: rng.uniform(0.6, 1.4) for name in lag.args}
+        # one array draw gives the same values as one scalar draw per slot
+        binding = dict(zip(names, rng.uniform(0.6, 1.4, len(names)).tolist()))
         binding["t"] = rng.uniform(a, b)
         try:
+            if not np.isfinite(ex.evaluate(lag.body, binding)):
+                raise ArithmeticError
             sample = []
-            for name in lag.args:
+            for name in names:
+                if name not in free:
+                    sample.append((name, binding["t"], 0.0, 0.0))
+                    continue
                 sym = ex.evaluate(lag.partials[name], binding)
                 lo, hi = dict(binding), dict(binding)
                 lo[name] -= h

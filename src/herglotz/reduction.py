@@ -107,6 +107,18 @@ class StackedTrajectory:
     x: np.ndarray  # (N+1, m, n+1, P+1); index 0 is the history interval
     z: np.ndarray | None  # (N, P+1)
 
+    def live_steps(self, j: int) -> int:
+        """Steps of interval j that carry dynamics: the cut on the last."""
+        return self.cut_steps if j == self.rp.N else self.P
+
+
+def _history_block(rp: ReducedProblem, t):
+    """The history-interval states x^{k;0} at local times t from the exact
+    history expressions, shape (m, n+1, len(t))."""
+    return np.array([[np.broadcast_to(np.asarray(ex.compile_expr(e, ["t"])(t),
+                                                 dtype=float), t.shape)
+                      for e in row] for row in rp.stacked_history])
+
 
 def map_trajectory(rp: ReducedProblem, traj: tr.StateTrajectory) -> StackedTrajectory:
     """Push a delayed-problem trajectory through the change of variables.
@@ -121,12 +133,7 @@ def map_trajectory(rp: ReducedProblem, traj: tr.StateTrajectory) -> StackedTraje
             f"grid M={g.M} inconsistent with N={rp.N} intervals of {P} steps")
     m, n = rp.m, rp.n
     x = np.zeros((rp.N + 1, m, n + 1, P + 1))
-    tloc = g.h * np.arange(P + 1)
-    for jc in range(1, m + 1):
-        for k in range(n + 1):
-            vals = ex.compile_expr(rp.stacked_history[jc - 1][k], ["t"])(tloc)
-            x[0, jc - 1, k] = np.broadcast_to(np.asarray(vals, dtype=float),
-                                              tloc.shape)
+    x[0] = _history_block(rp, g.h * np.arange(P + 1))
     # at local tau the history interval touches t = a, where the top
     # derivative (the control) may jump; use the trajectory's right limit
     # there to match the delayed-slot convention of the direct simulation
@@ -170,8 +177,12 @@ def unmap_trajectory(rp: ReducedProblem, stacked: StackedTrajectory,
 # ---------------------------------------------------------------------------
 # forward simulation of the stacked system
 
-def _interval_callable(rp, j):
-    return ex.compile_expr(rp.lagrangians[j - 1], rp.interval_args(j))
+def _interval_callable(rp, j, wrt=None):
+    """L_j, or with ``wrt`` its partial by that name, as a callable of
+    ``rp.interval_args(j)``."""
+    e = rp.lagrangians[j - 1]
+    return ex.compile_expr(e if wrt is None else ex.differentiate(e, wrt),
+                           rp.interval_args(j))
 
 
 def _stacked_args(rp, stacked, j):
@@ -186,21 +197,10 @@ def _stacked_args(rp, stacked, j):
     P = stacked.P
     tloc = h * np.arange(P + 1)
     tmid = tloc[:-1] + 0.5 * h
-    if j == rp.N and stacked.cut_steps < P:
-        c = stacked.cut_steps
-        mid_cur = np.zeros(cur.shape[:-1] + (P,))
-        mid_cur[..., :c] = tr.midpoint_values(cur[..., :c + 1], h)
-    else:
-        mid_cur = tr.midpoint_values(cur, h)
-    if j == 1:
-        mid_prev = np.empty(prev.shape[:-1] + (P,))
-        for jc in range(rp.m):
-            for k in range(rp.n + 1):
-                vals = ex.compile_expr(rp.stacked_history[jc][k], ["t"])(tmid)
-                mid_prev[jc, k] = np.broadcast_to(np.asarray(vals, dtype=float),
-                                                  tmid.shape)
-    else:
-        mid_prev = tr.midpoint_values(prev, h)
+    c = stacked.live_steps(j)
+    mid_cur = np.zeros(cur.shape[:-1] + (P,))
+    mid_cur[..., :c] = tr.midpoint_values(cur[..., :c + 1], h)
+    mid_prev = _history_block(rp, tmid) if j == 1 else tr.midpoint_values(prev, h)
     nodes = [tloc]
     mids = [tmid]
     for block, mblock in ((cur, mid_cur), (prev, mid_prev)):
@@ -213,34 +213,22 @@ def _stacked_args(rp, stacked, j):
 
 def simulate_reduced(rp: ReducedProblem, stacked: StackedTrajectory) -> np.ndarray:
     """March z_j across [0, tau] for j = 1..N with the coupling conditions
-    z_j(0) = z_{j-1}(tau); the padded interval integrates only to the cut.
-    Returns the (N, P+1) stacked z array."""
-    P = stacked.P
-    h = stacked.h
-    zr = np.empty((rp.N, P + 1))
+    z_j(0) = z_{j-1}(tau), by ``functional.march_z`` on the stacked slot
+    arrays: with the affine step map when dL_j/dz_j does not read z_j, else
+    step by step.  The padded interval integrates only to the cut and holds
+    z_N past it.  Returns the (N, P+1) stacked z array."""
+    zr = np.empty((rp.N, stacked.P + 1))
     z0 = rp.gamma
     for j in range(1, rp.N + 1):
-        L = _interval_callable(rp, j)
-        nodes, mids = _stacked_args(rp, stacked, j)
-        stop = stacked.cut_steps if j == rp.N else P
-        zr[j - 1, 0] = z0
-        t = nodes[0]
-        with np.errstate(all="ignore"):
-            for i in range(P):
-                zi = zr[j - 1, i]
-                if i >= stop:
-                    zr[j - 1, i + 1] = zi
-                    continue
-                ai = [A[i] for A in nodes[1:]]
-                am = [A[i] for A in mids[1:]]
-                an = [A[i + 1] for A in nodes[1:]]
-                tm = t[i] + 0.5 * h
-                k1 = L(t[i], *ai, zi)
-                k2 = L(tm, *am, zi + 0.5 * h * k1)
-                k3 = L(tm, *am, zi + 0.5 * h * k2)
-                k4 = L(t[i + 1], *an, zi + h * k3)
-                zr[j - 1, i + 1] = zi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        z0 = zr[j - 1, P]
+        g = ex.differentiate(rp.lagrangians[j - 1], z_name(j))
+        g = None if z_name(j) in ex.free_variables(g) else ex.compile_expr(
+            g, rp.interval_args(j))
+        (t, *nodes), (tm, *mids) = _stacked_args(rp, stacked, j)
+        c = stacked.live_steps(j)
+        stage = (t[:c], tm[:c], t[1:c + 1], stacked.h, [A[:c] for A in nodes],
+                 [A[:c] for A in mids], [A[1:c + 1] for A in nodes])
+        zr[j - 1] = fn.march_z(_interval_callable(rp, j), g, stage, z0, stacked.P)
+        z0 = zr[j - 1, -1]
     return zr
 
 
@@ -281,19 +269,15 @@ def reduced_psi(rp: ReducedProblem, stacked: StackedTrajectory) -> np.ndarray:
     psi = np.ones((rp.N + 1, P + 1))
     terminal = 1.0
     for j in range(rp.N, 0, -1):
-        fnz = ex.compile_expr(
-            ex.differentiate(rp.lagrangians[j - 1], z_name(j)), rp.interval_args(j))
+        fnz = _interval_callable(rp, j, z_name(j))
         nodes, _ = _stacked_args(rp, stacked, j)
         with np.errstate(all="ignore"):
             g = fnz(*nodes, stacked.z[j - 1])
         g = np.broadcast_to(np.asarray(g, dtype=float), (P + 1,)).copy()
-        if j == rp.N and stacked.cut_steps < P:
-            c = stacked.cut_steps
-            J = np.zeros(P + 1)
-            J[:c + 1] = fn.integral_to_b(g[:c + 1], h)
-            psi[j - 1] = terminal * np.exp(J)
-        else:
-            psi[j - 1] = terminal * np.exp(fn.integral_to_b(g, h))
+        c = stacked.live_steps(j)
+        J = np.zeros(P + 1)
+        J[:c + 1] = fn.integral_to_b(g[:c + 1], h)
+        psi[j - 1] = terminal * np.exp(J)
         terminal = psi[j - 1, 0]
     return psi
 
@@ -337,8 +321,7 @@ def reduced_hamiltonian(rp: ReducedProblem, stacked: StackedTrajectory,
         with np.errstate(all="ignore"):
             lv = L(*nodes, stacked.z[j - 1])
         lv = np.broadcast_to(np.asarray(lv, dtype=float), (P + 1,)).copy()
-        if j == rp.N and stacked.cut_steps < P:
-            lv[stacked.cut_steps + 1:] = 0.0
+        lv[stacked.live_steps(j) + 1:] = 0.0
         H += mults.psi[j - 1] * lv
     return H
 

@@ -307,6 +307,16 @@ def test_exit_code_for_numeric_failure(tmp_path, capsys):
     assert main(["simulate", spec, "--h", "1e-2"]) == 3
 
 
+def test_never_finite_lagrangian_exit_2(tmp_path, capsys):
+    # L reads no slot, so the audit's evaluation of L itself is what finds
+    # it non-finite: a validation error, not a numeric failure (exit 3)
+    text = FREE_PARTICLE.replace('L = "0.5*xd1^2 - z"   # kinetic term plus the Herglotz dissipation',
+                                 'L = "log(0-1)"')
+    spec = write(tmp_path, "nan.spec", text)
+    assert main(["simulate", spec, "--h", "1e-2"]) == 2
+    assert "finite evaluation points" in capsys.readouterr().err
+
+
 def test_solve_multiplier_csv(tmp_path, capsys):
     spec = write(tmp_path, "osc.spec", OSCILLATOR)
     mout = str(tmp_path / "mult.csv")

@@ -160,7 +160,7 @@ def _march_input(L, kw, M):
 def test_affine_march_matches_step_loop(name, M, monkeypatch):
     p, g, x = _march_input(*AFFINE[name], M)
     want = fn._rk4_loop(p, g, x, p.gamma)
-    monkeypatch.setattr(fn, "_rk4_loop", None)  # the step map must not loop
+    monkeypatch.setattr(fn, "_step_loop", None)  # the step map must not loop
     z = fn.rk4_z(p, g, x, p.gamma)
     assert z[0] == p.gamma
     assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))

@@ -122,3 +122,33 @@ def test_check_derivatives_rows():
     rows = pb.check_derivatives(p)
     assert len(rows) == 10 * len(p.lagrangian.args)
     assert max(r[-1] for r in rows) <= 1e-6
+
+
+def test_build_work_does_not_grow_with_unread_slots(monkeypatch):
+    # L reads xd1, tau_x1 and z: the partials and the finite-difference
+    # audit of every other slot cost no evaluation, so n = 20 costs what
+    # n = 1 does
+    evaluate, calls = ex.evaluate, []
+
+    def counted(e, binding):
+        calls.append(e)
+        return evaluate(e, binding)
+
+    monkeypatch.setattr(ex, "evaluate", counted)
+    counts = []
+    for n in (1, 20):
+        calls.clear()
+        p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25, n=n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    unread = set(p.lagrangian.args) - {"xd1", "tau_x1", "z"}
+    assert all(p.lagrangian.partials[s] == ex.Num(0.0) for s in unread)
+    monkeypatch.undo()
+    rows = pb.check_derivatives(p)
+    assert len(rows) == 10 * len(p.lagrangian.args)
+    assert all(r[2:] == (0.0, 0.0, 0.0) for r in rows if r[0] in unread)
+    # the points are those of one scalar draw per slot, then t, so the
+    # check-derivs rows stay what they were
+    rng = np.random.default_rng(4242)
+    [rng.uniform(0.6, 1.4) for _ in p.lagrangian.args]
+    assert rows[0][1] == rng.uniform(p.a, p.b)

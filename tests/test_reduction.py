@@ -182,3 +182,71 @@ def test_reduced_file_roundtrip():
         for e1, e2 in zip(rp.lagrangians, back):
             b = {nm: rng.uniform(-1, 1) for nm in names}
             assert ex.evaluate(e1, b) == ex.evaluate(e2, b)
+
+
+def _stacked_step_loop(rp, stacked):
+    """The stacked z chain one ``fn._rk4_step`` after another over the node
+    and midpoint arrays of ``_stacked_args``, holding z past the cut."""
+    zr = np.empty((rp.N, stacked.P + 1))
+    z0 = rp.gamma
+    for j in range(1, rp.N + 1):
+        L = ex.compile_expr(rp.lagrangians[j - 1], rp.interval_args(j))
+        (t, *nodes), (tm, *mids) = rd._stacked_args(rp, stacked, j)
+        stop = stacked.cut_steps if j == rp.N else stacked.P
+        zr[j - 1, 0] = z0
+        for i in range(stacked.P):
+            zr[j - 1, i + 1] = zr[j - 1, i] if i >= stop else fn._rk4_step(
+                L, t[i], tm[i], t[i + 1], stacked.h, [A[i] for A in nodes],
+                [A[i] for A in mids], [A[i + 1] for A in nodes], zr[j - 1, i])
+        z0 = zr[j - 1, -1]
+    return zr
+
+
+def _stacked(L, M, **kw):
+    p = make_problem(L, **kw)
+    traj = admissible(p, "1 + 0.3*sin(3*t)", M=M)
+    rp = rd.guinn_reduce(p)
+    return p, traj, rp, rd.map_trajectory(rp, traj)
+
+
+# Lagrangians affine in z on the exact split, the padded split, n = 2 and m = 2
+STACKED_AFFINE = {
+    "exact": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*tau_x1 - z", {"tau": 0.25}),
+    "padded": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*x1 - z",
+               {"b": 0.8, "tau": 0.5}),
+    "n2": ("0.5*xdd1^2 + 0.1*tau_xd1^2 - 0.1*z*x1",
+           {"tau": 0.25, "n": 2, "mu": ("1 + 0.5*t",)}),
+    "m2": ("0.5*xd1^2 + 0.5*xd2^2 + 0.2*tau_x1*x2 - 0.1*z*x1 - 0.05*z*x2",
+           {"tau": 0.25, "m": 2, "mu": ("1", "2 - t")}),
+}
+NON_AFFINE = "0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2"
+SPLITS = {"exact": {"tau": 0.25}, "padded": {"b": 0.8, "tau": 0.5}}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_AFFINE))
+def test_stacked_affine_march_matches_step_loop(name, monkeypatch):
+    L, kw = STACKED_AFFINE[name]
+    p, traj, rp, stacked = _stacked(L, 800, **kw)
+    assert (stacked.cut_steps < stacked.P) == (name == "padded")
+    want = _stacked_step_loop(rp, stacked)
+    monkeypatch.setattr(fn, "_step_loop", None)  # the step map must not loop
+    zr = rd.simulate_reduced(rp, stacked)
+    assert zr[0, 0] == p.gamma
+    assert np.max(np.abs(zr - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("split", sorted(SPLITS))
+def test_stacked_non_affine_march_is_the_step_loop(split):
+    p, traj, rp, stacked = _stacked(NON_AFFINE, 800, **SPLITS[split])
+    assert (stacked.cut_steps < stacked.P) == (split == "padded")
+    assert np.array_equal(rd.simulate_reduced(rp, stacked),
+                          _stacked_step_loop(rp, stacked))
+
+
+@pytest.mark.parametrize("split", sorted(SPLITS))
+def test_equivalence_non_affine_lagrangian(split):
+    # dL/dz reads z: both sides march step by step
+    p, traj, rp, stacked = _stacked(NON_AFFINE, 800, **SPLITS[split])
+    eq = rd.verify_reduction_equivalence(p, traj)
+    assert eq.objective <= 1e-8
+    assert eq.coupling == 0.0
