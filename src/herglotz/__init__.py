@@ -1,7 +1,7 @@
 """Delayed higher-order Herglotz variational problems: necessary-condition
 residuals, extremal solver, Noether charges, and the Guinn-style reduction."""
 
-from .conditions import ResidualReport, dbr_residual, el_residual, full_report, transversality_residual
+from .conditions import ResidualReport, dbr_residual, full_report
 from .errors import (DegenerateFamily, DomainError, ExprSyntaxError, GridTooSmall,
                      HerglotzError, NonFiniteLagrangian, OutOfHistoryRange,
                      SingularJacobian, UnboundVariable, UnknownFunction,

@@ -40,14 +40,17 @@ _NUMERIC_ERRORS = (DomainError, NonFiniteLagrangian, UnboundVariable,
                    FloatingPointError, MemoryError)
 
 
-def _load(path):
-    with open(path) as fh:
+def _load(args):
+    """The spec's content, problem and, for a command with grid options,
+    grid (else None), checked first from the spec's a, b, tau and n so that
+    a grid that cannot serve exits before L is differentiated and audited."""
+    with open(args.file) as fh:
         raw = specfile.parse_problem_file(fh.read())
-    return raw, pb.build_problem(raw)
-
-
-def _grid_options(args, p):
-    return tr.align_grid(p.a, p.b, p.tau, n=p.n, M=args.M, h=args.h if args.M is None else None)
+    grid = None
+    if "M" in vars(args):
+        grid = tr.align_grid(raw.a, raw.b, raw.tau, n=raw.n, M=args.M,
+                             h=args.h if args.M is None else None)
+    return raw, pb.build_problem(raw), grid
 
 
 def _fmt(v):
@@ -55,10 +58,9 @@ def _fmt(v):
 
 
 def cmd_simulate(args):
-    raw, p = _load(args.file)
+    raw, p, grid = _load(args)
     if raw.candidate is None:
         raise ValidationError("simulate needs a [candidate] section with x1..xm")
-    grid = _grid_options(args, p)
     traj = tr.from_expressions(p, grid, list(raw.candidate))
     traj = fn.simulate_z(p, traj)
     if args.out:
@@ -90,7 +92,7 @@ def _print_report(result):
 
 
 def cmd_solve(args):
-    _, p = _load(args.file)
+    _, p, _ = _load(args)
     result = _solve(args, p)
     if args.out:
         tr.write_trajectory_csv(result.trajectory, args.out)
@@ -104,7 +106,7 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    _, p = _load(args.file)
+    _, p, _ = _load(args)
     traj = tr.read_trajectory_csv(p, args.trajectory)
     problems = []
     if abs(traj.z[0] - p.gamma) > 1e-9 * (1 + abs(p.gamma)):
@@ -149,7 +151,7 @@ def _write_residual_csv(report, path):
 
 
 def cmd_reduce(args):
-    _, p = _load(args.file)
+    _, p, _ = _load(args)
     rp = rd.guinn_reduce(p)
     if args.out:
         rd.write_reduced_file(rp, args.out)
@@ -165,7 +167,7 @@ def cmd_charge(args):
     if not (np.isfinite(args.defect_tol) and args.defect_tol >= 0):
         raise ValidationError(f"--defect-tol must be a non-negative finite "
                               f"number, got {args.defect_tol!r}")
-    raw, p = _load(args.file)
+    raw, p, _ = _load(args)
     fam_content = raw.family
     if args.family_file:
         with open(args.family_file) as fh:
@@ -205,9 +207,7 @@ def cmd_charge(args):
 
 
 def cmd_check_derivs(args):
-    with open(args.file) as fh:
-        raw = specfile.parse_problem_file(fh.read())
-    p = pb.build_problem(raw)
+    _, p, _ = _load(args)
     rows = pb.check_derivatives(p)
     print(f"{'slot':<12} {'t':>12} {'symbolic':>16} {'fd':>16} {'rel_err':>12}")
     worst = 0.0

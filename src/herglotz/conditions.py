@@ -37,7 +37,6 @@ from . import functional as fn
 from . import multipliers as ml
 from . import problem as pb
 from . import trajectory as tr
-from .errors import ValidationError
 
 
 def flag_width(n):
@@ -102,18 +101,6 @@ def el_blocks(grid, terms):
     return ml.block_sums(terms, 0, grid)
 
 
-def _terms(p, traj, mult):
-    _require_z(traj)
-    return ml.weighted_terms(p, traj.grid, traj.x, traj.z, mult.psi,
-                             range(p.n + 1))
-
-
-def el_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                mult: ml.MultiplierSet):
-    """(el1, el2) residual arrays for a single trajectory."""
-    return el_blocks(traj.grid, _terms(p, traj, mult))
-
-
 def transversality_values(grid, terms):
     """tc_k = -phi_k(b) for k = 1..n, shape (..., n, m): the value at b of
     the order-k block sum of a ``ml.weighted_terms`` build of the orders
@@ -123,30 +110,25 @@ def transversality_values(grid, terms):
                      for k in range(1, len(terms))], axis=-2)
 
 
-def transversality_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                            mult: ml.MultiplierSet) -> np.ndarray:
-    return transversality_values(traj.grid, _terms(p, traj, mult))
-
-
-def dbr_inner(p, grid, x, z, phi, psi):
+def dbr_inner(p, traj, mult, args):
     """sum_k phi_k . x^(k) + psi * L, the quantity whose total derivative the
-    DuBois-Reymond identity pins down."""
-    inner = psi * fn.eval_on_nodes(p, grid, x, z, "body")
+    DuBois-Reymond identity pins down.  Here and below ``args`` are the node
+    arguments of ``fn.slot_args`` along traj, built once by the caller."""
+    inner = mult.psi * fn.eval_args(p, args, traj.z, "body")
     for k in range(1, p.n + 1):
-        inner = inner + np.sum(phi[..., k - 1, :, :] * x[..., :, k, :], axis=-2)
+        inner = inner + np.sum(mult.phi[..., k - 1, :, :] * traj.x[..., :, k, :],
+                               axis=-2)
     return inner
 
 
 def dbr_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                 mult: ml.MultiplierSet) -> np.ndarray:
+                 mult: ml.MultiplierSet, args) -> np.ndarray:
     """d/dt(inner) - psi dL/dt per node; the time derivative honors the
     junction split because phi switches its delayed term off at b - tau."""
-    _require_z(traj)
     grid = traj.grid
-    inner = dbr_inner(p, grid, traj.x, traj.z, mult.phi, mult.psi)
-    dinner = ml.blockwise_derivative(inner, grid.h, 1, grid.junction)
-    lt = fn.eval_on_nodes(p, grid, traj.x, traj.z, "t")
-    return dinner - mult.psi * lt
+    dinner = ml.blockwise_derivative(dbr_inner(p, traj, mult, args), grid.h, 1,
+                                     grid.junction)
+    return dinner - mult.psi * fn.eval_args(p, args, traj.z, "t")
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +156,15 @@ def delayed_rates(p, grid, x):
     return hist, np.concatenate([x[:, 1:, :], top], axis=1)
 
 
-def _args_at_breakpoint(p, grid, x, z):
-    """L's arguments on the nodes of [a, b] and the left limit of them at
-    a + tau, where the delayed slots read the history at a."""
-    q = grid.p
-    args = fn.slot_args(p, grid, x) + [z]
-    left = [np.asarray(A)[..., q] for A in args]
-    base = 1 + p.m * (p.n + 1)  # first delayed slot in the argument order
-    for j in range(1, p.m + 1):
-        for k in range(p.n + 1):
-            left[base + (j - 1) * (p.n + 1) + k] = p.history_fn(j, k)(grid.a)
-    return args, left
-
-
-def comb_terms(p, grid, x, z, psi, hist, cur):
+def comb_terms(p, traj, mult, args, hist, cur):
     """psi(s) sum_{j,r} dL/dx_tau_j^(r)(s) V_j^r(s - tau) on the nodes of
     [a, b], for a series V given like ``delayed_rates`` by its history and
     trajectory parts.  V and the delayed slots jump at a + tau: the node
     series takes the right limit there and the left limit is returned as
     the second value."""
+    grid, z, psi = traj.grid, traj.z, mult.psi
     q = grid.p
-    args, left = _args_at_breakpoint(p, grid, x, z)
+    left = fn.left_limit_args(p, grid, args) + [z[q]]
     V = np.concatenate([hist[..., :q], cur[..., :grid.M + 1 - q]], axis=-1)
     vals = np.zeros(grid.M + 1)
     vleft = 0.0
@@ -202,32 +172,30 @@ def comb_terms(p, grid, x, z, psi, hist, cur):
         for j in range(1, p.m + 1):
             for r in range(p.n + 1):
                 f = p.lagrangian.compiled(pb.delayed_slot_name(j, r))
-                vals = vals + f(*args) * V[j - 1, r]
+                vals = vals + f(*args, z) * V[j - 1, r]
                 vleft = vleft + f(*left) * hist[j - 1, r, q]
     return psi * vals, float(psi[q] * vleft)
 
 
-def breakpoint_jump(p, grid, x, z, psi):
+def breakpoint_jump(p, traj, mult, args):
     """psi [L(right) - L(left)] at a + tau.  Where x^(n) jumps at a, the
     rate x^(n+1)(s - tau) of D carries a point mass at a + tau; summed over
     the jumping slot it is this jump of psi L, and zero when L reads no
     top-order delayed slot."""
-    args, left = _args_at_breakpoint(p, grid, x, z)
-    body = p.lagrangian.compiled("body")
+    grid, z = traj.grid, traj.z
     q = grid.p
+    body = p.lagrangian.compiled("body")
     with np.errstate(all="ignore"):
-        right = np.broadcast_to(body(*args), (grid.M + 1,))[q]
-        return float(psi[q] * (right - body(*left)))
+        right = np.broadcast_to(body(*args, z), (grid.M + 1,))[q]
+        left = body(*fn.left_limit_args(p, grid, args), z[q])
+        return float(mult.psi[q] * (right - left))
 
 
 def comb_series(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                mult: ml.MultiplierSet):
+                mult: ml.MultiplierSet, args):
     """The comb series D on the nodes of [a, b] (right limit at a + tau) and
     its left limit at a + tau."""
-    _require_z(traj)
-    grid = traj.grid
-    return comb_terms(p, grid, traj.x, traj.z, mult.psi,
-                      *delayed_rates(p, grid, traj.x))
+    return comb_terms(p, traj, mult, args, *delayed_rates(p, traj.grid, traj.x))
 
 
 def comb_difference(D, q):
@@ -251,22 +219,22 @@ def dbr_inner_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                       mult: ml.MultiplierSet) -> np.ndarray:
     """E(t) + int_t^min(t + tau, b) D(s) ds per node: constant along the
     extremals of an autonomous L, delayed or not."""
-    _require_z(traj)
-    grid = traj.grid
-    inner = dbr_inner(p, grid, traj.x, traj.z, mult.phi, mult.psi)
+    args = fn.trajectory_args(p, traj)
+    inner = dbr_inner(p, traj, mult, args)
     if not has_comb(p):
         return inner
-    point = breakpoint_jump(p, grid, traj.x, traj.z, mult.psi)
-    return inner + comb_integral(*comb_series(p, traj, mult), grid, point)
+    point = breakpoint_jump(p, traj, mult, args)
+    return inner + comb_integral(*comb_series(p, traj, mult, args), traj.grid, point)
 
 
 def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 mult: ml.MultiplierSet) -> ResidualReport:
     grid = traj.grid
-    terms = _terms(p, traj, mult)
+    args = fn.trajectory_args(p, traj)
+    terms = ml.weighted_terms(p, grid, args, traj.z, mult.psi, range(p.n + 1))
     el1, el2 = el_blocks(grid, terms)
     tc = transversality_values(grid, terms)
-    dbr = dbr_residual(p, traj, mult)
+    dbr = dbr_residual(p, traj, mult, args)
     w = flag_width(p.n)
     el1_flags = edge_flags(el1.shape[-1], w)
     el2_flags = edge_flags(el2.shape[-1], w)
@@ -275,7 +243,7 @@ def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     dbr_flags[grid.junction:] |= edge_flags(grid.M - grid.junction + 1, w)
     dbr_delayed = dbr
     if has_comb(p):
-        D, _ = comb_series(p, traj, mult)
+        D, _ = comb_series(p, traj, mult, args)
         dbr_delayed = dbr - comb_difference(D, grid.p)
     delayed_flags = dbr_flags.copy()
     delayed_flags[max(grid.p - w, 0):grid.p + w + 1] = True
@@ -283,8 +251,3 @@ def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                           el1_flags=el1_flags, el2_flags=el2_flags,
                           dbr_flags=dbr_flags, dbr_delayed=dbr_delayed,
                           dbr_delayed_flags=delayed_flags)
-
-
-def _require_z(traj):
-    if traj.z is None:
-        raise ValidationError("trajectory has no z series; simulate it first")

@@ -7,6 +7,11 @@ recurrence runs step by step; any other L is stepped one RK4 step at a
 time.  psi(t) = exp(integral_t^b dL/dz) via composite Simpson taken
 cumulatively from b (odd leftover interval closed with one trapezoid).
 
+L's arguments along a derivative series are built once by ``slot_args``
+(``trajectory_args`` along a trajectory with z), in a layout known here
+only, and every evaluation along the series reads that build: the march,
+psi, and the summands and reports of ``multipliers`` and ``conditions``.
+
 The low-level helpers accept leading batch axes on the sample arrays; the
 solver uses them to evaluate whole Jacobian chunks in one sweep.
 """
@@ -39,15 +44,39 @@ def slot_args(p: pb.ProblemSpec, grid: tr.Grid, x, mid=False):
     if mid:
         x, t, off = tr.midpoint_values(x, h), t[:-1] + 0.5 * h, 0.5
     N = x.shape[-1]
-    slots = [(j, k) for j in range(1, p.m + 1) for k in range(p.n + 1)]
-    args = [t] + [x[..., j - 1, k, :] for j, k in slots]
-    for j, k in slots:
+    args = [t] + [x[..., j, k, :] for j, k in np.ndindex(p.m, p.n + 1)]
+    for j, k in np.ndindex(p.m, p.n + 1):
         out = np.empty(x.shape[:-3] + (N,))
         if q:
-            out[..., :q] = history_node_values(p, grid, j, k, np.arange(-q, 0) + off)
-        out[..., q:] = x[..., j - 1, k, :N - q]
+            out[..., :q] = history_node_values(p, grid, j + 1, k, np.arange(-q, 0) + off)
+        out[..., q:] = x[..., j, k, :N - q]
         args.append(out)
     return args
+
+
+def ordered_args(t, cur, delayed):
+    """t and the slot values of the current and of the delayed series, each
+    of shape (..., m, n+1, N), as L's arguments except z in the order of
+    problem.arg_names."""
+    return [t] + [S[..., j, k, :] for S in (cur, delayed)
+                  for j, k in np.ndindex(cur.shape[-3:-1])]
+
+
+def trajectory_args(p: pb.ProblemSpec, traj: tr.StateTrajectory):
+    """``slot_args`` on the nodes of a trajectory with z, built once by each
+    certifying call for all of its evaluations."""
+    if traj.z is None:
+        raise ValidationError("trajectory has no z series; simulate it first")
+    return slot_args(p, traj.grid, traj.x)
+
+
+def left_limit_args(p: pb.ProblemSpec, grid: tr.Grid, args):
+    """The node arguments ``args`` of ``slot_args`` at the left limit of
+    a + tau: t and the current slots at that node, the delayed slots at the
+    history's values at a."""
+    cur = [np.asarray(A)[..., grid.p] for A in args[:(len(args) + 1) // 2]]
+    return cur + [p.history_fn(j, k)(grid.a)
+                  for j in range(1, p.m + 1) for k in range(p.n + 1)]
 
 
 def ahead(values, q):
@@ -57,19 +86,20 @@ def ahead(values, q):
     return out
 
 
-def eval_args(p: pb.ProblemSpec, args, which, shape):
-    """The Lagrangian body or one partial at prebuilt arguments, broadcast
-    to at least ``shape`` (a read-only view)."""
+def eval_args(p: pb.ProblemSpec, args, z, which="body"):
+    """The Lagrangian body or one partial at the arguments ``args`` of
+    ``slot_args`` and z, broadcast to the shape of all of them (a read-only
+    view)."""
     with np.errstate(all="ignore"):
-        out = p.lagrangian.compiled(which)(*args)
-    shape = np.broadcast_shapes(shape, np.shape(out))
+        out = p.lagrangian.compiled(which)(*args, z)
+    shape = np.broadcast_shapes(np.shape(out), np.shape(z), *map(np.shape, args))
     return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
 def eval_on_nodes(p: pb.ProblemSpec, grid: tr.Grid, x, z, which="body"):
-    """Evaluate the Lagrangian body or one partial along the trajectory."""
-    return eval_args(p, slot_args(p, grid, x) + [z], which,
-                     x.shape[:-3] + (grid.M + 1,)).copy()
+    """Evaluate the Lagrangian body or one partial along the trajectory, for
+    a caller that evaluates nothing else along x."""
+    return eval_args(p, slot_args(p, grid, x), z, which).copy()
 
 
 def _rk4_step(L, t0, tm, t1, h, a0, am, a1, z0):
@@ -82,13 +112,14 @@ def _rk4_step(L, t0, tm, t1, h, a0, am, a1, z0):
     return z0 + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _stage_args(p: pb.ProblemSpec, grid: tr.Grid, x):
-    """The arguments of ``_rk4_step`` before z0 for every step at once: the
-    times and slot values at t_i, t_i + h/2 and t_{i+1}, step axis last."""
-    cur = slot_args(p, grid, x)
+def stage_args(p: pb.ProblemSpec, grid: tr.Grid, x, args):
+    """The arguments of ``_rk4_step`` before z0 for every step at once, from
+    the node arguments ``args`` of x and its midpoint arguments, built here:
+    the times and slot values at t_i, t_i + h/2 and t_{i+1}, step axis
+    last."""
     mid = slot_args(p, grid, x, mid=True)
-    return (cur[0][:-1], mid[0], cur[0][1:], grid.h,
-            [A[..., :-1] for A in cur[1:]], mid[1:], [A[..., 1:] for A in cur[1:]])
+    return (args[0][:-1], mid[0], args[0][1:], grid.h,
+            [A[..., :-1] for A in args[1:]], mid[1:], [A[..., 1:] for A in args[1:]])
 
 
 def march_z(L, g, stage, gamma, steps):
@@ -144,28 +175,30 @@ def _step_loop(L, stage, z):
                 [A[..., i] for A in am], [A[..., i] for A in a1], z[..., i])
 
 
-def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
-    """March z across the grid by ``march_z``, with its affine step map
-    when dL/dz does not read z; batch axes of x are carried through."""
+def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma, args):
+    """March z along x by ``march_z``, with its affine step map when dL/dz
+    does not read z; ``args`` are the node arguments of x.  Batch axes of x
+    are carried through."""
     lag = p.lagrangian
     g = None if "z" in ex.free_variables(lag.partials["z"]) else lag.compiled("z")
-    return march_z(lag.compiled("body"), g, _stage_args(p, grid, x), gamma, grid.M)
+    return march_z(lag.compiled("body"), g, stage_args(p, grid, x, args), gamma,
+                   grid.M)
 
 
-def _rk4_loop(p: pb.ProblemSpec, grid: tr.Grid, x, gamma):
+def _rk4_loop(p: pb.ProblemSpec, grid: tr.Grid, x, gamma, args):
     """``rk4_z`` one step at a time, the reference for any L."""
-    return march_z(p.lagrangian.compiled("body"), None, _stage_args(p, grid, x),
+    return march_z(p.lagrangian.compiled("body"), None, stage_args(p, grid, x, args),
                    gamma, grid.M)
 
 
-def rk4_steps(p: pb.ProblemSpec, grid: tr.Grid, x, z):
+def rk4_steps(p: pb.ProblemSpec, stage, z):
     """The RK4 step maps of ``rk4_z`` at every step at once, with no march:
-    entry i is the value one step takes z[..., i] to, shape (..., M)."""
+    entry i is the value one step takes z[..., i] to, shape (..., M), for
+    the ``stage_args`` of a series."""
     with np.errstate(all="ignore"):
-        out = _rk4_step(p.lagrangian.compiled("body"), *_stage_args(p, grid, x),
-                        z[..., :-1])
-    shape = np.broadcast_shapes(x.shape[:-3] + (grid.M,), np.shape(out))
-    return np.broadcast_to(out, shape)
+        out = _rk4_step(p.lagrangian.compiled("body"), *stage, z[..., :-1])
+    return np.broadcast_to(out, np.broadcast_shapes(np.shape(out),
+                                                    *map(np.shape, stage[4])))
 
 
 def simulate_z(p: pb.ProblemSpec, traj: tr.StateTrajectory,
@@ -177,7 +210,7 @@ def simulate_z(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     stopped being finite.
     """
     if z is None:
-        z = rk4_z(p, traj.grid, traj.x, p.gamma)
+        z = rk4_z(p, traj.grid, traj.x, p.gamma, slot_args(p, traj.grid, traj.x))
     bad = ~np.isfinite(z)
     if bad.any():
         i = int(np.argmax(bad))
@@ -217,9 +250,9 @@ def integral_to_b(g, h):
     return J
 
 
-def psi_values(p: pb.ProblemSpec, grid: tr.Grid, x, z):
-    gz = eval_on_nodes(p, grid, x, z, "z")
-    J = integral_to_b(gz, grid.h)
+def psi_values(p: pb.ProblemSpec, grid: tr.Grid, args, z):
+    """psi on the nodes from the node arguments ``args`` of a series and z."""
+    J = integral_to_b(eval_args(p, args, z, "z"), grid.h)
     with np.errstate(all="ignore"):
         return np.exp(J)
 
@@ -227,6 +260,4 @@ def psi_values(p: pb.ProblemSpec, grid: tr.Grid, x, z):
 def compute_psi(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> np.ndarray:
     """psi(t) = exp(integral_t^b dL/dz) on the nodes, shape (M+1,);
     psi(b) = 1 exactly."""
-    if traj.z is None:
-        raise ValidationError("trajectory has no z series; simulate it first")
-    return psi_values(p, traj.grid, traj.x, traj.z)
+    return psi_values(p, traj.grid, trajectory_args(p, traj), traj.z)

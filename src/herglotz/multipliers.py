@@ -20,7 +20,6 @@ import numpy as np
 from . import functional as fn
 from . import problem as pb
 from . import trajectory as tr
-from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -29,30 +28,24 @@ class MultiplierSet:
     phi: np.ndarray  # (n, m, M+1)
 
 
-def summand_terms(p, grid, x, z, psi, orders):
+def summand_terms(p, args, z, psi, orders):
     """(C_r, D_r) per order r in ``orders`` (a list): psi(t) dL/dx_j^(r)(t)
-    and psi(t) dL/dx_tau_j^(r)(t), shape (..., m, M+1), from one build of
-    L's arguments."""
-    args = fn.slot_args(p, grid, x) + [z]
-    batch = np.broadcast_shapes(x.shape[:-3], psi.shape[:-1])
-    nodes = x.shape[:-3] + (grid.M + 1,)
-    terms = []
-    for r in orders:
-        row = []
-        for kind in (pb.slot_name, pb.delayed_slot_name):
-            S = np.empty(batch + (p.m, grid.M + 1))
-            for j in range(1, p.m + 1):
-                S[..., j - 1, :] = psi * fn.eval_args(p, args, kind(j, r), nodes)
-            row.append(S)
-        terms.append(tuple(row))
+    and psi(t) dL/dx_tau_j^(r)(t), shape (..., m, M+1), at the node
+    arguments ``args`` of ``fn.slot_args``."""
+    *batch, N = np.broadcast_shapes(np.shape(psi), np.shape(z), *map(np.shape, args))
+    terms = [tuple(np.empty((*batch, p.m, N)) for _ in range(2)) for _ in orders]
+    for (C, D), r in zip(terms, orders):
+        for j in range(1, p.m + 1):
+            C[..., j - 1, :] = psi * fn.eval_args(p, args, z, pb.slot_name(j, r))
+            D[..., j - 1, :] = psi * fn.eval_args(p, args, z, pb.delayed_slot_name(j, r))
     return terms
 
 
-def weighted_terms(p, grid, x, z, psi, orders):
+def weighted_terms(p, grid, args, z, psi, orders):
     """(C_r, W_r) per order: W_r adds psi(t+tau) dL/dx_tau^(r)(t+tau) to C_r,
     the delayed summand being null once t + tau > b."""
     return [(C, C + fn.ahead(D, grid.p))
-            for C, D in summand_terms(p, grid, x, z, psi, orders)]
+            for C, D in summand_terms(p, args, z, psi, orders)]
 
 
 def alternating_sum(terms, k, diff, sign=1):
@@ -103,12 +96,10 @@ def compute_phi(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 psi: np.ndarray) -> MultiplierSet:
     """Evaluate the closed form for every k; no backward integration.  The
     node at b - tau keeps the left block's value."""
-    if traj.z is None:
-        raise ValidationError("trajectory has no z series; simulate it first")
     grid = traj.grid
     jn = grid.junction
-    terms = [None] + weighted_terms(p, grid, traj.x, traj.z, psi,
-                                    range(1, p.n + 1))
+    terms = [None] + weighted_terms(p, grid, fn.trajectory_args(p, traj), traj.z,
+                                    psi, range(1, p.n + 1))
     phi = np.zeros((p.n, p.m, grid.M + 1))
     for k in range(1, p.n + 1):
         left, right = block_sums(terms, k, grid, sign=-1)
@@ -135,8 +126,8 @@ def compute_phi_history(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     q = grid.p
     # the t-argument shift makes this the delayed term's generator series
     # evaluated on [a, a + tau]
-    S = [None] + [D for _, D in summand_terms(p, grid, traj.x, traj.z, psi,
-                                              range(1, p.n + 1))]
+    S = [None] + [D for _, D in summand_terms(p, fn.trajectory_args(p, traj),
+                                              traj.z, psi, range(1, p.n + 1))]
     phi = np.zeros((p.n, p.m, q + 1))
     for k in range(1, p.n + 1):
         phi[k - 1] = alternating_sum(

@@ -178,16 +178,11 @@ def _invariance_sides(fam, p, traj, s):
     zb_avg = traj.z[-1] / (g.b - g.a)
     cond1 = (zb_avg + fam.xi * s) * dTdt[zslice] - zb_avg
 
-    args = [Ts[zslice]]
-    for j in range(traj.m):
-        for k in range(n + 1):
-            args.append(chain[k, j, zslice])
-    for j in range(traj.m):
-        for k in range(n + 1):
-            # extended index i covers time a + (i - p)h, so the delayed slot
-            # on [a, b] is the leading M+1 entries
-            args.append(chain[k, j, :g.M + 1])
-    args.append(Zs[zslice])
+    # extended index i covers time a + (i - p)h, so the delayed slot on
+    # [a, b] is the leading M+1 entries
+    series = np.swapaxes(chain, 0, 1)
+    args = fn.ordered_args(Ts[zslice], series[..., zslice],
+                           series[..., :g.M + 1]) + [Zs[zslice]]
     with np.errstate(all="ignore"):
         lvals = p.lagrangian.compiled("body")(*args)
     lvals = np.broadcast_to(np.asarray(lvals, dtype=float), dZdt.shape)
@@ -214,8 +209,13 @@ def noether_charge(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                    mult: ml.MultiplierSet, fam: InvarianceFamily) -> np.ndarray:
     """The pointwise charge C per node; constant along extremals when
     tau = 0 or L reads no ``tau_`` slot (see ``noether_charge_delayed``)."""
-    gen = lift_generators(fam, traj)
-    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi)
+    return _charge(p, traj, mult, lift_generators(fam, traj),
+                   fn.trajectory_args(p, traj))
+
+
+def _charge(p, traj, mult, gen, args):
+    """C from the lifted generators and the node arguments along traj."""
+    inner = cd.dbr_inner(p, traj, mult, args)
     C = mult.psi * gen.Z - inner * gen.T
     for k in range(1, p.n + 1):
         C = C + np.sum(mult.phi[k - 1] * gen.X[k - 1], axis=0)
@@ -246,7 +246,9 @@ def noether_charge_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     delayed problem invariant under ``fam``; equal to ``noether_charge``
     when tau = 0 or L reads no ``tau_`` slot.  With tau > 0 the T generator
     must be a constant, the only time shift a constant delay admits."""
-    C = noether_charge(p, traj, mult, fam)
+    gen = lift_generators(fam, traj)
+    args = fn.trajectory_args(p, traj)
+    C = _charge(p, traj, mult, gen, args)
     if not cd.has_comb(p):
         return C
     gT = _gen_expr(fam.Tmap)
@@ -256,15 +258,13 @@ def noether_charge_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
             f"{ex.unparse(gT)!r} depending on {sorted(ex.free_variables(gT))}")
     T = ex.evaluate(gT, {})
     g = traj.grid
-    gen = lift_generators(fam, traj)
     X = np.swapaxes(gen.X, 0, 1)  # (m, n, M+1): X_0 .. X_{n-1}
     top = ml.blockwise_derivative(X[:, -1:, :], g.h, 1, g.junction)
     rates_hist, rates = cd.delayed_rates(p, g, traj.x)
     hist = _history_generators(fam, p, g) - T * rates_hist
     cur = np.concatenate([X, top], axis=1) - T * rates
-    psi = mult.psi
-    G, G_left = cd.comb_terms(p, g, traj.x, traj.z, psi, hist, cur)
-    point = -T * cd.breakpoint_jump(p, g, traj.x, traj.z, psi)
+    G, G_left = cd.comb_terms(p, traj, mult, args, hist, cur)
+    point = -T * cd.breakpoint_jump(p, traj, mult, args)
     return C + cd.comb_integral(G, G_left, g, point)
 
 

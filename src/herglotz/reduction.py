@@ -201,14 +201,7 @@ def _stacked_args(rp, stacked, j):
     mid_cur = np.zeros(cur.shape[:-1] + (P,))
     mid_cur[..., :c] = tr.midpoint_values(cur[..., :c + 1], h)
     mid_prev = _history_block(rp, tmid) if j == 1 else tr.midpoint_values(prev, h)
-    nodes = [tloc]
-    mids = [tmid]
-    for block, mblock in ((cur, mid_cur), (prev, mid_prev)):
-        for jc in range(rp.m):
-            for k in range(rp.n + 1):
-                nodes.append(block[jc, k])
-                mids.append(mblock[jc, k])
-    return nodes, mids
+    return fn.ordered_args(tloc, cur, prev), fn.ordered_args(tmid, mid_cur, mid_prev)
 
 
 def simulate_reduced(rp: ReducedProblem, stacked: StackedTrajectory) -> np.ndarray:

@@ -34,6 +34,10 @@ step is the step of the condensed Jacobian, the matrix's Schur complement.
 The matrix is factored by scipy's splu after its exact zeros are dropped;
 without scipy the dense LU solves the same matrix.
 
+One residual builds the derivative series at U and L's arguments once.
+The Jacobian reuses the last residual's build, z and psi at U, and the
+build of its batched condition map for the step maps and dL/dz.
+
 The line search halves the full Newton step until the residual falls; its
 damping, the step tolerance and the difference step are module constants.
 The returned trajectory keeps z, and the multipliers psi, from the last
@@ -129,7 +133,7 @@ class _System:
         g_reads = ex.free_variables(partials["z"])
         self.z_free = not (g_reads & (slots | {"z"}) or any(
             "z" in ex.free_variables(partials[s]) for s in slots))
-        self._last = None
+        self._last = self._built = None
         # position patterns: the condition rows and, for a z-coupled L, the
         # RK4 steps of z and the dL/dz nodes; one coloring serves all three
         lo, hi = _row_intervals(p, grid, self.sel1, self.sel2)
@@ -180,35 +184,52 @@ class _System:
         """R(U), batched over leading axes of U.  Given z and psi (node
         values, broadcast against the batch), they are held instead of
         simulated: that is the condition map F(U, z, psi)."""
-        p, grid = self.p, self.grid
         U = np.asarray(U, dtype=float)
-        x = tr.build_series(self.unpack(U), grid.h, p.n)
+        # the Jacobian reads the build of its batched condition map here
+        x, args = self._built = self._series(U)
         if z is None:
-            z, psi = self._simulate(x)
-            if U.ndim == 1:  # the Jacobian at U reuses x, z and psi
-                self._last = (U.copy(), x, z, psi)
-        terms = ml.weighted_terms(p, grid, x, z, psi, range(p.n + 1))
-        el1, el2 = cd.el_blocks(grid, terms)
-        tc = cd.transversality_values(grid, terms)
-        batch = U.shape[:-1]
+            z, psi = self._simulate(x, args)
+            if U.ndim == 1:  # the Jacobian at U reuses all of them
+                self._last = (U.copy(), x, args, z, psi)
+        terms = ml.weighted_terms(self.p, self.grid, args, z, psi, range(self.p.n + 1))
+        if self.z_free:  # read by no Jacobian: dropped before the block sums' peak
+            self._built = args = None
+        return self._conditions(x, terms)
+
+    def _series(self, U):
+        """The derivative series x at U and its node arguments, built once."""
+        x = tr.build_series(self.unpack(U), self.grid.h, self.p.n)
+        return x, fn.slot_args(self.p, self.grid, x)
+
+    def _state(self, U):
+        """x, its node arguments, z and psi at one U, as a residual there left them."""
+        if self._last is None or not np.array_equal(self._last[0], U):
+            x, args = self._series(U)
+            self._last = (U.copy(), x, args, *self._simulate(x, args))
+        return self._last[1:]
+
+    def _simulate(self, x, args):
+        """z and psi along x; a z-free L's psi and summands ignore z."""
+        p, grid = self.p, self.grid
+        z = np.zeros(grid.M + 1) if self.z_free else fn.rk4_z(p, grid, x, p.gamma, args)
+        return z, fn.psi_values(p, grid, args, z)
+
+    def _conditions(self, x, terms):
+        """The condition rows at the series x from its ``ml.weighted_terms``
+        of the orders 0..n; the batch is that of both."""
+        p = self.p
+        el1, el2 = cd.el_blocks(self.grid, terms)
+        tc = cd.transversality_values(self.grid, terms)
+        batch = el1.shape[:-2]
         parts = [el1[..., self.sel1].reshape(batch + (-1,))]
         if self.sel2.size:
             parts.append(el2[..., self.sel2].reshape(batch + (-1,)))
         parts.append(tc.reshape(batch + (-1,)))
         if p.n > 1:
             cont = x[..., :, 1:p.n, 0] - self.mu_at_a
-            parts.append(cont.reshape(batch + (-1,)))
+            parts.append(np.broadcast_to(cont, batch + cont.shape[-2:])
+                         .reshape(batch + (-1,)))
         return np.concatenate(parts, axis=-1)
-
-    def _simulate(self, x):
-        """z and psi along the derivative series x."""
-        p, grid = self.p, self.grid
-        if self.z_free:
-            # psi and every summand ignore the z argument
-            z = np.zeros(grid.M + 1)
-        else:
-            z = fn.rk4_z(p, grid, x, p.gamma)
-        return z, fn.psi_values(p, grid, x, z)
 
     def jacobian(self, U, R0, fd_step):
         """Forward-difference Newton matrix at U, where R0 = R(U), as COO
@@ -223,11 +244,7 @@ class _System:
         difference of F, of the step maps or of dL/dz, the other inputs
         held."""
         p, grid = self.p, self.grid
-        if self._last is not None and np.array_equal(self._last[0], U):
-            x, z, psi = self._last[1:]
-        else:
-            x = tr.build_series(self.unpack(U), grid.h, p.n)
-            z, psi = self._simulate(x)
+        x, args, z, psi = self._state(U)
         nu = U.shape[0]
         deltas = fd_step * (1.0 + np.abs(U))
         Ub = np.repeat(U[np.newaxis, :], self.n_colors, axis=0)
@@ -236,16 +253,18 @@ class _System:
         blocks = [(*self.pattern, _diff(self.pattern, self.color, Rb, R0, deltas))]
         if self.z_free:
             return _stack(blocks)
-        F_z, F_psi = self._node_derivatives(U, z, psi, R0, fd_step)
-        xb = tr.build_series(self.unpack(Ub), grid.h, p.n)
+        # released here, so that the linear solve does not hold the batch
+        (xb, argsb), self._built = self._built, None
+        F_z, F_psi = self._node_derivatives(x, args, z, psi, R0, fd_step)
         dz = fd_step * (1.0 + np.abs(z))
-        phi0 = fn.rk4_steps(p, grid, x, z)
-        a = (fn.rk4_steps(p, grid, x, z + dz) - phi0) / dz[:-1]
-        C = _diff(self.step_pattern, self.color, fn.rk4_steps(p, grid, xb, z),
-                  phi0, deltas)
-        g0 = fn.eval_on_nodes(p, grid, x, z, "z")
-        G_z = (fn.eval_on_nodes(p, grid, x, z + dz, "z") - g0) / dz
-        G_U = _diff(self.g_pattern, self.color, fn.eval_on_nodes(p, grid, xb, z, "z"),
+        stage = fn.stage_args(p, grid, x, args)
+        phi0 = fn.rk4_steps(p, stage, z)
+        a = (fn.rk4_steps(p, stage, z + dz) - phi0) / dz[:-1]
+        C = _diff(self.step_pattern, self.color,
+                  fn.rk4_steps(p, fn.stage_args(p, grid, xb, argsb), z), phi0, deltas)
+        g0 = fn.eval_args(p, args, z, "z")
+        G_z = (fn.eval_args(p, args, z + dz, "z") - g0) / dz
+        G_U = _diff(self.g_pattern, self.color, fn.eval_args(p, argsb, z, "z"),
                     g0, deltas)
         Z, G, W = nu + np.arange(3 * (grid.M + 1)).reshape(3, -1)
         one = np.ones(grid.M + 1)
@@ -259,10 +278,10 @@ class _System:
                    (W[pr], G[0] + pc, pv)]
         return _stack(blocks)
 
-    def _node_derivatives(self, U, z, psi, R0, fd_step):
+    def _node_derivatives(self, x, args, z, psi, R0, fd_step):
         """F_z and F_psi on the node pattern, from one batched condition map
-        that perturbs the z or the psi values of one node color at a time,
-        the positions held."""
+        at x that perturbs the z or the psi values of one node color at a
+        time."""
         K, color = self.n_node_colors, self.node_color
         nodes = np.arange(self.grid.M + 1)
         dz = fd_step * (1.0 + np.abs(z))
@@ -271,7 +290,8 @@ class _System:
         Pb = np.repeat(psi[np.newaxis, :], 2 * K, axis=0)
         Zb[color, nodes] += dz
         Pb[K + color, nodes] += dpsi
-        Fb = self.residual(np.broadcast_to(U, (2 * K,) + U.shape), Zb, Pb)
+        Fb = self._conditions(x, ml.weighted_terms(self.p, self.grid, args, Zb, Pb,
+                                                   range(self.p.n + 1)))
         pattern = self.node_pattern
         return (_diff(pattern, color, Fb, R0, dz),
                 _diff(pattern, K + color, Fb, R0, dpsi))
@@ -517,15 +537,11 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
         if lam * _sup(step) <= _TOL_X * (1.0 + _sup(U)):
             break
 
-    # z and psi from the last residual, when that one was evaluated at U; a
-    # z-free residual holds z = 0, but its psi reads t alone
-    last_U, _, z, psi = sys._last
-    if not np.array_equal(last_U, U):
-        z = psi = None
+    # z and psi as the last residual at U had them; a z-free residual holds
+    # z = 0, but its psi reads t alone
+    _, _, z, psi = sys._state(U)
     traj = fn.simulate_z(p, tr.from_positions(p, grid, sys.unpack(U)),
                          None if sys.z_free else z)
-    if psi is None:
-        psi = fn.compute_psi(p, traj)
     mult = ml.compute_phi(p, traj, psi)
     report = cd.full_report(p, traj, mult)
     sup_ok = report.norms_unflagged

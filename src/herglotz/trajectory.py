@@ -46,10 +46,12 @@ def align_grid(a, b, tau, n=1, M=None, h=None) -> Grid:
     """
     if not b > a:
         raise ValidationError(f"b must exceed a, got a={a!r}, b={b!r}")
+    if not 0.0 <= tau < b - a:
+        raise ValidationError(f"delay must satisfy 0 <= tau < b - a, got tau={tau!r}")
     if M is None:
         if h is None:
             raise ValidationError("align_grid needs M or h")
-        if not (np.isfinite(h) and h > 0):
+        if not (np.isfinite(h) and h > 0 and np.isfinite((b - a) / h)):
             raise ValidationError(f"h must be a positive finite step, got {h!r}")
         M0 = max(10 * n, int(round((b - a) / h)))
         for d in range(0, max(64, M0 // 8)):

@@ -95,7 +95,7 @@ def test_criterion_3_transversality(oscillator_solved, quadratic_n2_solved_fine)
     traj = fn.simulate_z(p, tr.from_expressions(p, g, [src]))
     psi = fn.compute_psi(p, traj)
     mult = ml.compute_phi(p, traj, psi)
-    tc = cd.transversality_residual(p, traj, mult)
+    tc = cd.full_report(p, traj, mult).tc
     err = abs(float(tc[0, 0]) - 0.1)
     ok = worst <= 1e-4 and err <= 1e-5
     report(3, ok, f"worst TC on converged fixtures {worst:.3e} (tol 1e-4); "
@@ -110,9 +110,8 @@ def test_criterion_4_dbr_delay_free(oscillator_solved, quadratic_n2_solved_fine)
     worst_dbr, worst_drift = 0.0, 0.0
     for p, res in (oscillator_solved, quadratic_n2_solved_fine):
         worst_dbr = max(worst_dbr, res.report.norms_unflagged["dbr"])
-        inner = cd.dbr_inner(p, res.trajectory.grid, res.trajectory.x,
-                             res.trajectory.z, res.multipliers.phi,
-                             res.multipliers.psi)
+        inner = cd.dbr_inner(p, res.trajectory, res.multipliers,
+                             fn.trajectory_args(p, res.trajectory))
         worst_drift = max(worst_drift, nt.drift(inner, res.report.dbr_flags))
     ok = worst_dbr <= 1e-3 and worst_drift <= 1e-4
     report("4 (delay-free)", ok,
@@ -133,7 +132,7 @@ def test_criterion_4_dbr_delayed_strict(delayed_solved):
     traj, mult = res.trajectory, res.multipliers
     _, dbr_delayed = res.report.dbr_delayed_norms
     dbr = res.report.norms_unflagged["dbr"]
-    D, _ = cd.comb_series(p, traj, mult)
+    D, _ = cd.comb_series(p, traj, mult, fn.trajectory_args(p, traj))
     comb_gap = float(np.max(np.abs(
         D - first_order_delayed_comb(p, traj, mult.psi))))
     inner = cd.dbr_inner_delayed(p, traj, mult)
@@ -266,9 +265,10 @@ def test_criterion_7_special_case_equivalences():
     traj = fn.simulate_z(p, tr.from_expressions(p, g, ["cos(t)"]))
     psi = fn.compute_psi(p, traj)
     mult = ml.compute_phi(p, traj, psi)
-    el1, _ = cd.el_residual(p, traj, mult)
+    rep = cd.full_report(p, traj, mult)
+    el1 = rep.el1
     worst = max(worst, float(np.max(np.abs(el1 - delay_free_el(p, traj, psi)))))
-    tc = cd.transversality_residual(p, traj, mult)
+    tc = rep.tc
     worst = max(worst, float(np.max(np.abs(tc - delay_free_tc(p, traj, psi)))))
 
     # first-order delayed special cases: direct two-term formulas
@@ -277,12 +277,14 @@ def test_criterion_7_special_case_equivalences():
     trajd = fn.simulate_z(pd, tr.from_expressions(pd, gd, ["1 - 0.3*t^2"]))
     psid = fn.compute_psi(pd, trajd)
     multd = ml.compute_phi(pd, trajd, psid)
-    el1d, el2d = cd.el_residual(pd, trajd, multd)
+    repd = cd.full_report(pd, trajd, multd)
+    el1d, el2d = repd.el1, repd.el2
     ref1, ref2 = first_order_delayed_el(pd, trajd, psid)
     worst = max(worst, float(np.max(np.abs(el1d[0] - ref1))),
                 float(np.max(np.abs(el2d[0] - ref2))))
     worst = max(worst, float(np.max(np.abs(
-        cd.dbr_residual(pd, trajd, multd) - first_order_delayed_dbr(pd, trajd, psid)))))
+        cd.dbr_residual(pd, trajd, multd, fn.trajectory_args(pd, trajd))
+        - first_order_delayed_dbr(pd, trajd, psid)))))
     fam = nt.make_family(pd, "t + s", ["x1 + 0.5*s*x1"], "z + s*t")
     gen = nt.lift_generators(fam, trajd)
     C = nt.noether_charge(pd, trajd, multd, fam)

@@ -622,3 +622,31 @@ def test_mutated_spec_keeps_the_exit_code_contract(tmp_path, data):
                  ["check-derivs", spec]):
         grid = [] if argv[0] == "check-derivs" else ["--M", "40"]
         assert main(argv + grid) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve", "charge"])
+def test_grid_checked_before_the_problem_is_built(tmp_path, capsys, monkeypatch,
+                                                  command):
+    # M = 100 is too small for n = 20, and that is known from the spec's
+    # numbers alone: no Lagrangian is differentiated or audited
+    def refuse(raw):
+        raise AssertionError("problem built before the grid check")
+
+    monkeypatch.setattr(herglotz.problem, "build_problem", refuse)
+    text = re.sub(r"^n = 1$", "n = 20", DELAYED, flags=re.M)
+    text += '\n[candidate]\nx1 = "1"\n\n[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\n'
+    assert main([command, write(tmp_path, "n20.spec", text), "--M", "100"]) == 2
+    assert "M=100 too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau, grid", [("0.0", ["--h", "1e-320"]),
+                                       ("1e308", ["--M", "40"]),
+                                       ("1e308", ["--h", "1e-2"])],
+                         ids=["step-count-overflow", "M-offset-overflow",
+                              "h-offset-overflow"])
+def test_grid_overflow_exit_2(tmp_path, capsys, tau, grid):
+    # a step count or a delay offset beyond the floats is a validation error,
+    # not an OverflowError traceback
+    text = re.sub(r"^tau = .*$", f"tau = {tau}", DELAYED, flags=re.M)
+    assert main(["solve", write(tmp_path, "big.spec", text), *grid]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")

@@ -22,7 +22,8 @@ def pipeline(p, src, h=1e-3, M=None):
 def test_el_zero_when_L_ignores_x():
     p = make_problem("-z")
     traj, mult = pipeline(p, "sin(t)", M=100)
-    el1, el2 = cd.el_residual(p, traj, mult)
+    rep = cd.full_report(p, traj, mult)
+    el1, el2 = rep.el1, rep.el2
     assert np.max(np.abs(el1)) <= 1e-12
     assert np.max(np.abs(el2)) <= 1e-12
 
@@ -30,7 +31,7 @@ def test_el_zero_when_L_ignores_x():
 def test_el_small_on_closed_form_extremal():
     p = oscillator_problem()
     traj, mult = pipeline(p, oscillator_closed_form_src(), h=1e-3)
-    el1, _ = cd.el_residual(p, traj, mult)
+    el1 = cd.full_report(p, traj, mult).el1
     assert np.max(np.abs(el1)) <= 5e-5
 
 
@@ -63,14 +64,14 @@ def test_el_perturbation_raises_norm():
 def test_tc_constant_extremal_n1():
     p = make_problem("0.5*xd1^2 - z")
     traj, mult = pipeline(p, "1", M=100)
-    tc = cd.transversality_residual(p, traj, mult)
+    tc = cd.full_report(p, traj, mult).tc
     assert abs(tc[0, 0]) <= 1e-8
 
 
 def test_tc_zero_when_L_has_no_derivative_slots():
     p = make_problem("0.5*x1^2 - z")
     traj, mult = pipeline(p, "cos(t)", M=100)
-    tc = cd.transversality_residual(p, traj, mult)
+    tc = cd.full_report(p, traj, mult).tc
     assert np.all(tc == 0.0)
 
 
@@ -78,21 +79,21 @@ def test_tc_n2_reads_terminal_acceleration():
     # k=2 residual is psi(b)*xdd(b) = xdd(b); x = 0.05 t^2 has xdd = 0.1
     p = make_problem("0.5*xdd1^2 - z", mu=("0.05*t^2",), n=2)
     traj, mult = pipeline(p, "0.05*t^2", h=1e-3)
-    tc = cd.transversality_residual(p, traj, mult)
+    tc = cd.full_report(p, traj, mult).tc
     assert abs(tc[1, 0] - 0.1) <= 1e-6
 
 
 def test_dbr_explicit_time_only():
     p = make_problem("t + 0*x1")
     traj, mult = pipeline(p, "sin(t)", M=100)
-    dbr = cd.dbr_residual(p, traj, mult)
+    dbr = cd.dbr_residual(p, traj, mult, fn.trajectory_args(p, traj))
     assert np.max(np.abs(dbr)) <= 1e-10
 
 
 def test_dbr_small_on_closed_form_extremal():
     p = oscillator_problem()
     traj, mult = pipeline(p, oscillator_closed_form_src(), h=1e-3)
-    dbr = cd.dbr_residual(p, traj, mult)
+    dbr = cd.dbr_residual(p, traj, mult, fn.trajectory_args(p, traj))
     assert np.max(np.abs(dbr)) <= 5e-5
 
 
@@ -118,10 +119,11 @@ def test_delay_free_equivalence_tau0():
     # tau=0 residuals equal an independent delay-free implementation
     p = make_problem("0.5*xdd1^2 - 0.4*x1^2 - z", mu=("1",), n=2)
     traj, mult = pipeline(p, "cos(t)", M=200)
-    el1, _ = cd.el_residual(p, traj, mult)
+    rep = cd.full_report(p, traj, mult)
+    el1 = rep.el1
     ref = delay_free_el(p, traj, mult.psi)
     assert np.max(np.abs(el1 - ref)) <= 1e-10
-    tc = cd.transversality_residual(p, traj, mult)
+    tc = rep.tc
     ref_tc = delay_free_tc(p, traj, mult.psi)
     assert np.max(np.abs(tc - ref_tc)) <= 1e-10
 
@@ -129,7 +131,8 @@ def test_delay_free_equivalence_tau0():
 def test_first_order_delayed_el_equivalence():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z", tau=0.25)
     traj, mult = pipeline(p, "1 - 0.3*t^2", M=200)
-    el1, el2 = cd.el_residual(p, traj, mult)
+    rep = cd.full_report(p, traj, mult)
+    el1, el2 = rep.el1, rep.el2
     ref1, ref2 = first_order_delayed_el(p, traj, mult.psi)
     assert np.max(np.abs(el1[0] - ref1)) <= 1e-10
     assert np.max(np.abs(el2[0] - ref2)) <= 1e-10
@@ -138,7 +141,7 @@ def test_first_order_delayed_el_equivalence():
 def test_first_order_delayed_dbr_equivalence():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
     traj, mult = pipeline(p, "1 - 0.3*t^2", M=200)
-    dbr = cd.dbr_residual(p, traj, mult)
+    dbr = cd.dbr_residual(p, traj, mult, fn.trajectory_args(p, traj))
     ref = first_order_delayed_dbr(p, traj, mult.psi)
     assert np.max(np.abs(dbr - ref)) <= 1e-10
 
@@ -197,7 +200,7 @@ def test_delayed_dbr_is_pointwise_without_comb(L, tau):
     traj, mult = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
     rep = cd.full_report(p, traj, mult)
     assert np.array_equal(rep.dbr_delayed, rep.dbr)
-    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi)
+    inner = cd.dbr_inner(p, traj, mult, fn.trajectory_args(p, traj))
     assert np.array_equal(cd.dbr_inner_delayed(p, traj, mult), inner)
 
 
@@ -205,7 +208,7 @@ def test_first_order_delayed_comb_equivalence():
     # the cross-delay L reads tau_xd1, so the x'' rate is exercised too
     p = make_problem(CROSS_DELAY, mu=("1 + 0.5*t",), tau=0.25)
     traj, mult = pipeline(p, "1 - 0.4*t + 0.3*t^2 - 0.2*t^3", M=200)
-    D, left = cd.comb_series(p, traj, mult)
+    D, left = cd.comb_series(p, traj, mult, fn.trajectory_args(p, traj))
     assert np.max(np.abs(D - first_order_delayed_comb(p, traj, mult.psi))) <= 1e-10
     # left limit at a + tau reads the history at a: tau_x1 = mu(a) = 1 and
     # the past rates x' = mu'(a) = 0.5, x'' = mu''(a) = 0, so D = psi/4
@@ -224,8 +227,32 @@ def test_delayed_inner_carries_the_breakpoint_jump():
     assert res.converged
     traj, mult = res.trajectory, res.multipliers
     q, w = traj.grid.p, cd.flag_width(p.n)
-    jump = cd.breakpoint_jump(p, traj.grid, traj.x, traj.z, mult.psi)
+    jump = cd.breakpoint_jump(p, traj, mult, fn.trajectory_args(p, traj))
     inner = cd.dbr_inner_delayed(p, traj, mult)
     step = np.mean(inner[q + w:q + 3 * w]) - np.mean(inner[q - 3 * w:q - w])
     assert abs(jump) >= 0.1
     assert abs(step) <= 1e-3
+
+
+@pytest.mark.parametrize("L", [CROSS_DELAY, "0.5*xd1^2 - 0.5*x1^2 - 0.2*z"],
+                         ids=["comb", "no-comb"])
+def test_one_argument_build_per_report(monkeypatch, L):
+    # the report, the corrected inner quantity and the delayed charge each
+    # build L's node arguments once and hand them to every evaluation
+    from herglotz import noether as nt
+    p = make_problem(L, mu=("1 + 0.5*t",), tau=0.25)
+    traj, mult = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
+    fam = nt.make_family(p, "t + s", ["x1"], "z")
+    builds = []
+    slot_args = fn.slot_args
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs.get("mid", False))
+        return slot_args(*args, **kwargs)
+
+    monkeypatch.setattr(fn, "slot_args", counted)
+    for f in (cd.full_report, cd.dbr_inner_delayed,
+              lambda *a: nt.noether_charge_delayed(*a, fam)):
+        builds.clear()
+        f(p, traj, mult)
+        assert builds == [False]

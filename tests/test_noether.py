@@ -123,7 +123,7 @@ def test_charge_time_translation_equals_minus_inner():
     traj, mult = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t + s", ["x1"], "z")
     C = nt.noether_charge(p, traj, mult, fam)
-    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi)
+    inner = cd.dbr_inner(p, traj, mult, fn.trajectory_args(p, traj))
     assert np.array_equal(C, -inner)
     assert abs(nt.drift(C) - nt.drift(inner)) <= 1e-8
 

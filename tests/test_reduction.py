@@ -150,7 +150,7 @@ def test_hamiltonian_matches_delayed_reassembly():
     mults = rd.map_multipliers(rp, traj, mult)
     H = rd.reduced_hamiltonian(rp, stacked, mults)
 
-    inner = cd.dbr_inner(p, traj.grid, traj.x, traj.z, mult.phi, mult.psi)
+    inner = cd.dbr_inner(p, traj, mult, fn.trajectory_args(p, traj))
     hist = ml.compute_phi_history(p, traj, psi)
     P = stacked.P
     tloc = stacked.h * np.arange(P + 1)

@@ -312,7 +312,8 @@ def test_solve_marches_z_once_per_residual(monkeypatch, L, tau, z_free):
     assert set(marches) == {3}
     assert len(marches) == (1 if z_free else len(residuals))
     traj = res.trajectory
-    assert np.array_equal(traj.z, rk4_z(p, traj.grid, traj.x, p.gamma))
+    assert np.array_equal(traj.z, rk4_z(p, traj.grid, traj.x, p.gamma,
+                                        fn.trajectory_args(p, traj)))
 
 
 @pytest.mark.parametrize("L, tau", [
@@ -439,19 +440,22 @@ def test_condensed_local_patterns(name):
     def series(U):
         return tr.build_series(system.unpack(U), grid.h, p.n)
 
+    def stage(x):
+        return fn.stage_args(p, grid, x, fn.slot_args(p, grid, x))
+
     def at_U(U, w):
         return np.broadcast_to(U, w.shape[:-1] + U.shape)
 
     for U in points:
         system.residual(U)
-        _, x, z, psi = system._last
+        _, x, _, z, psi = system._last
         F_U = _probe(lambda V: system.residual(V, z, psi), U)
         assert _outside(system.pattern, (nr, nu), F_U) == 0
         F_z = _probe(lambda w: system.residual(at_U(U, w), w, psi), z)
         F_psi = _probe(lambda w: system.residual(at_U(U, w), z, w), psi)
         for probe in (F_z, F_psi):
             assert _outside(system.node_pattern, (nr, M + 1), probe) == 0
-        C = _probe(lambda V: fn.rk4_steps(p, grid, series(V), z), U)
+        C = _probe(lambda V: fn.rk4_steps(p, stage(series(V)), z), U)
         assert _outside(system.step_pattern, (M, nu), C) == 0
         G_U = _probe(lambda V: fn.eval_on_nodes(p, grid, series(V), z, "z"), U)
         assert _outside(system.g_pattern, (M + 1, nu), G_U) == 0
@@ -484,7 +488,7 @@ def test_transversality_values_are_minus_phi_at_b(table, name):
     U = U0 + 1e-2 * np.random.default_rng(7).standard_normal(U0.shape)
     traj = fn.simulate_z(p, tr.from_positions(p, system.grid, system.unpack(U)))
     mult = ml.compute_phi(p, traj, fn.compute_psi(p, traj))
-    assert np.array_equal(cd.transversality_residual(p, traj, mult),
+    assert np.array_equal(cd.full_report(p, traj, mult).tc,
                           -mult.phi[..., -1])
 
 
@@ -522,6 +526,40 @@ def test_one_summand_build_per_residual(monkeypatch):
         solve_extremal(make_problem(L, **kw), SolveOptions(M=120, h=None))
     assert {ndim for ndim, _ in per_call} == {1, 2}  # plain and batched calls
     assert {count for _, count in per_call} == {1}
+
+
+@pytest.mark.parametrize("table, name, residual, jacobian", [
+    ("coupled", "delayed", 2, 3), ("coupled", "oscillator", 2, 3),
+    ("free", "delayed", 1, 1), ("free", "n2-cross", 1, 1),
+])
+def test_one_argument_build_per_series(monkeypatch, table, name, residual,
+                                       jacobian):
+    # a residual builds L's node arguments once, and a z-coupled one its
+    # midpoint arguments once for the march; the Jacobian reuses the
+    # residual's and builds the batched series and its arguments once, plus
+    # the midpoint arguments of both series for the RK4 step maps
+    L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
+    system = sv._System(make_problem(L, **kw), tr.align_grid(
+        0.0, 1.0, kw.get("tau", 0.0), n=kw.get("n", 1), M=200))
+    assert system.z_free == (table == "free")
+    U = system.pack(system.initial_positions())
+    counts = {"args": 0, "series": 0}
+    slot_args, build_series = fn.slot_args, tr.build_series
+
+    def counted_args(*args, **kwargs):
+        counts["args"] += 1
+        return slot_args(*args, **kwargs)
+
+    def counted_series(*args, **kwargs):
+        counts["series"] += 1
+        return build_series(*args, **kwargs)
+
+    monkeypatch.setattr(fn, "slot_args", counted_args)
+    monkeypatch.setattr(tr, "build_series", counted_series)
+    R = system.residual(U)
+    assert counts == {"args": residual, "series": 1}
+    system.jacobian(U, R, 1e-7)
+    assert counts == {"args": residual + jacobian, "series": 2}
 
 
 @pytest.mark.parametrize("M", [9, 10])
