@@ -8,11 +8,11 @@ from .errors import (DegenerateFamily, DomainError, ExprSyntaxError, GridTooSmal
                      ValidationError, ZeroDelay)
 from .expr import differentiate, evaluate, free_variables, parse_expression, simplify, substitute, unparse
 from .functional import admissibility_defect, compute_psi, simulate_z
-from .multipliers import MultiplierSet, compute_phi, compute_phi_history
+from .multipliers import MultiplierSet, compute_phi
 from .noether import InvarianceFamily, drift, invariance_defect, lift_generators, make_family, noether_charge
 from .problem import LagrangianSpec, ProblemSpec, build_problem, history_derivative, make_lagrangian
-from .reduction import (ReducedProblem, guinn_reduce, map_trajectory, reduced_hamiltonian,
-                        simulate_reduced, verify_reduction_equivalence, write_reduced_file)
+from .reduction import (ReducedProblem, guinn_reduce, map_trajectory, simulate_reduced,
+                        verify_reduction_equivalence, write_reduced_file)
 from .solver import SolveOptions, SolveResult, solve_extremal
 from .specfile import ProblemFileContent, parse_problem_file
 from .trajectory import (Grid, StateTrajectory, align_grid, from_expressions,

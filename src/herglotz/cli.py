@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import conditions as cd
-from . import expr as ex
 from . import functional as fn
 from . import multipliers as ml
 from . import noether as nt
@@ -167,6 +166,8 @@ def cmd_charge(args):
     if not (np.isfinite(args.defect_tol) and args.defect_tol >= 0):
         raise ValidationError(f"--defect-tol must be a non-negative finite "
                               f"number, got {args.defect_tol!r}")
+    if not 0.0 < args.ds <= 1e-2:  # invariance_defect's bounds, before the solve
+        raise ValidationError(f"--ds must lie in (0, 1e-2], got {args.ds!r}")
     raw, p, _ = _load(args)
     fam_content = raw.family
     if args.family_file:

@@ -126,7 +126,7 @@ def dbr_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     """d/dt(inner) - psi dL/dt per node; the time derivative honors the
     junction split because phi switches its delayed term off at b - tau."""
     grid = traj.grid
-    dinner = ml.blockwise_derivative(dbr_inner(p, traj, mult, args), grid.h, 1,
+    dinner = ml.blockwise_derivative(dbr_inner(p, traj, mult, args), grid.h,
                                      grid.junction)
     return dinner - mult.psi * fn.eval_args(p, args, traj.z, "t")
 
@@ -152,7 +152,7 @@ def delayed_rates(p, grid, x):
     for j in range(1, p.m + 1):
         for r in range(p.n + 1):
             hist[j - 1, r] = fn.history_node_values(p, grid, j, r + 1, idx)
-    top = ml.blockwise_derivative(x[:, p.n:, :], grid.h, 1, grid.junction)
+    top = ml.blockwise_derivative(x[:, p.n:, :], grid.h, grid.junction)
     return hist, np.concatenate([x[:, 1:, :], top], axis=1)
 
 
@@ -198,11 +198,6 @@ def comb_series(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     return comb_terms(p, traj, mult, args, *delayed_rates(p, traj.grid, traj.x))
 
 
-def comb_difference(D, q):
-    """D(t) - D(t + tau) per node, D being zero past b."""
-    return D - fn.ahead(D, q)
-
-
 def comb_integral(vals, left, grid, point=0.0):
     """int_t^min(t + tau, b) of a comb series per node: the trapezoid rule,
     split at a + tau with ``left`` the left limit there, plus a point mass
@@ -244,7 +239,7 @@ def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     dbr_delayed = dbr
     if has_comb(p):
         D, _ = comb_series(p, traj, mult, args)
-        dbr_delayed = dbr - comb_difference(D, grid.p)
+        dbr_delayed = dbr - (D - fn.ahead(D, grid.p))
     delayed_flags = dbr_flags.copy()
     delayed_flags[max(grid.p - w, 0):grid.p + w + 1] = True
     return ResidualReport(grid=grid, el1=el1, el2=el2, tc=tc, dbr=dbr,

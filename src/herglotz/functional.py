@@ -175,20 +175,14 @@ def _step_loop(L, stage, z):
                 [A[..., i] for A in am], [A[..., i] for A in a1], z[..., i])
 
 
-def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, gamma, args):
-    """March z along x by ``march_z``, with its affine step map when dL/dz
-    does not read z; ``args`` are the node arguments of x.  Batch axes of x
-    are carried through."""
+def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, args):
+    """March z along x from z(a) = gamma by ``march_z``, with its affine step
+    map when dL/dz does not read z; ``args`` are the node arguments of x.
+    Batch axes of x are carried through."""
     lag = p.lagrangian
     g = None if "z" in ex.free_variables(lag.partials["z"]) else lag.compiled("z")
-    return march_z(lag.compiled("body"), g, stage_args(p, grid, x, args), gamma,
+    return march_z(lag.compiled("body"), g, stage_args(p, grid, x, args), p.gamma,
                    grid.M)
-
-
-def _rk4_loop(p: pb.ProblemSpec, grid: tr.Grid, x, gamma, args):
-    """``rk4_z`` one step at a time, the reference for any L."""
-    return march_z(p.lagrangian.compiled("body"), None, stage_args(p, grid, x, args),
-                   gamma, grid.M)
 
 
 def rk4_steps(p: pb.ProblemSpec, stage, z):
@@ -210,7 +204,7 @@ def simulate_z(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     stopped being finite.
     """
     if z is None:
-        z = rk4_z(p, traj.grid, traj.x, p.gamma, slot_args(p, traj.grid, traj.x))
+        z = rk4_z(p, traj.grid, traj.x, slot_args(p, traj.grid, traj.x))
     bad = ~np.isfinite(z)
     if bad.any():
         i = int(np.argmax(bad))

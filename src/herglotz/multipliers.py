@@ -48,27 +48,25 @@ def weighted_terms(p, grid, args, z, psi, orders):
             for C, D in summand_terms(p, args, z, psi, orders)]
 
 
-def alternating_sum(terms, k, diff, sign=1):
-    """sign * sum_{l=0}^{len(terms)-1-k} (-1)^l diff(terms[l + k], l), added
-    term by term with its own sign so that exact zeros keep theirs."""
+def alternating_sum(terms, diff, sign=1):
+    """sign * sum_l (-1)^l diff(terms[l], l), added term by term with its own
+    sign so that exact zeros keep theirs."""
     acc = 0.0
-    for l in range(len(terms) - k):
-        d = diff(terms[l + k], l)
+    for l, term in enumerate(terms):
+        d = diff(term, l)
         acc = acc + d if sign * (-1) ** l > 0 else acc - d
     return acc
 
 
-def blockwise_derivative(vals, h, l, junction):
-    """d^l/dt^l taken independently on the node ranges [0, junction] and
+def blockwise_derivative(vals, h, junction):
+    """d/dt taken independently on the node ranges [0, junction] and
     [junction, M]; the junction node keeps the left-range value."""
-    if l == 0:
-        return np.array(vals, dtype=float, copy=True)
     M = vals.shape[-1] - 1
     if junction >= M:
-        return tr.differentiate_values(vals, h, l)
+        return tr.differentiate_values(vals, h)
     out = np.empty_like(np.asarray(vals, dtype=float))
-    out[..., :junction + 1] = tr.differentiate_values(vals[..., :junction + 1], h, l)
-    out[..., junction + 1:] = tr.differentiate_values(vals[..., junction:], h, l)[..., 1:]
+    out[..., :junction + 1] = tr.differentiate_values(vals[..., :junction + 1], h)
+    out[..., junction + 1:] = tr.differentiate_values(vals[..., junction:], h)[..., 1:]
     return out
 
 
@@ -81,7 +79,7 @@ def block_sums(terms, k, grid, sign=1):
     W spans the grid and ``right`` is the last node of ``left``."""
     def block(side, nodes):
         return alternating_sum(
-            [t[side][..., nodes] for t in terms[k:]], 0,
+            [t[side][..., nodes] for t in terms[k:]],
             lambda s, l: s if l == 0 else tr.differentiate_values(s, grid.h, l),
             sign)
 
@@ -116,21 +114,3 @@ def write_multiplier_csv(grid, mult: MultiplierSet, path):
     cols = [grid.nodes(), mult.psi] + [mult.phi[k, j]
                                        for k in range(n) for j in range(m)]
     tr._write_csv(path, header, cols)
-
-
-def compute_phi_history(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                        psi: np.ndarray) -> np.ndarray:
-    """phi_k on [a - tau, a] (delayed-term-only branch of the closed form):
-    shape (n, m, p+1).  Only the reduction cross-checks need this."""
-    grid = traj.grid
-    q = grid.p
-    # the t-argument shift makes this the delayed term's generator series
-    # evaluated on [a, a + tau]
-    S = [None] + [D for _, D in summand_terms(p, fn.trajectory_args(p, traj),
-                                              traj.z, psi, range(1, p.n + 1))]
-    phi = np.zeros((p.n, p.m, q + 1))
-    for k in range(1, p.n + 1):
-        phi[k - 1] = alternating_sum(
-            S, k, lambda s, l: tr.differentiate_values(s, grid.h, l)[..., :q + 1],
-            sign=-1)
-    return phi

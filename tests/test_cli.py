@@ -216,6 +216,23 @@ def test_verify_gamma_mismatch_exit_2(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a, b", [("0.5", "1.5"), ("0.0", "3.0")],
+                         ids=["shifted", "longer"])
+def test_verify_rejects_csv_of_another_interval_exit_2(tmp_path, capsys, a, b):
+    # the CSV's t column spans [0, 1]; a spec on another interval cannot
+    # certify it, even where z(a) and x(a) happen to match
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+    capsys.readouterr()
+    text = OSCILLATOR.replace("a = 0.0", f"a = {a}").replace("b = 1.0", f"b = {b}")
+    assert main(["verify", write(tmp_path, "moved.spec", text), out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"spans [0.0, 1.0], not the problem's interval [a, b] = [{a}, {b}]"
+            in captured.err)
+
+
 def _reduced_head(path):
     """The [reduced] section of a written reduced spec file."""
     from herglotz.specfile import parse_sections
@@ -521,6 +538,17 @@ def test_charge_rejects_bad_defect_tol_exit_2(tmp_path, capsys, value):
     assert "--defect-tol must be a non-negative finite number" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "5", "nan"])
+def test_charge_rejects_bad_ds_exit_2(tmp_path, capsys, value):
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    argv = ["charge", spec, "--h", "1e-2", "--ds", value, "--max-iters", "1",
+            "--tol", "1e-14"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before the solve
+    assert "--ds must lie in (0, 1e-2]" in captured.err
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_solve_rejects_non_finite_tol_exit_2(tmp_path, capsys, value):
     spec = write(tmp_path, "osc.spec", OSCILLATOR)
@@ -622,6 +650,30 @@ def test_mutated_spec_keeps_the_exit_code_contract(tmp_path, data):
                  ["check-derivs", spec]):
         grid = [] if argv[0] == "check-derivs" else ["--M", "40"]
         assert main(argv + grid) in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def mutable_csv(tmp_path_factory):
+    """The spec MUTABLE and the text of its simulated trajectory CSV at M=40."""
+    root = tmp_path_factory.mktemp("mutable")
+    spec, out = write(root, "mutable.spec", MUTABLE), str(root / "traj.csv")
+    assert main(["simulate", spec, "--M", "40", "--out", out]) == 0
+    with open(out) as fh:
+        return spec, fh.read()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_trajectory_csv_keeps_the_exit_code_contract(tmp_path, mutable_csv,
+                                                             data):
+    spec, csv = mutable_csv
+    start = data.draw(st.integers(0, len(csv)), label="start")
+    end = data.draw(st.integers(start, min(len(csv), start + 12)), label="end")
+    text = data.draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
+                     label="text")
+    mutated = write(tmp_path, "mutated.csv", csv[:start] + text + csv[end:])
+    assert main(["verify", spec, mutated]) in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("command", ["simulate", "solve", "charge"])

@@ -6,6 +6,7 @@ from herglotz import problem as pb
 from herglotz import trajectory as tr
 from herglotz.errors import NonFiniteLagrangian
 
+import oracles
 from conftest import make_problem
 
 
@@ -125,10 +126,10 @@ def test_batch_rk4_matches_scalar():
     batch = rng.uniform(0.5, 1.5, size=(4, 1, g.M + 1))
     batch[:, 0, 0] = 1.0
     xb = tr.build_series(batch, g.h, 1)
-    zb = fn.rk4_z(p, g, xb, p.gamma, fn.slot_args(p, g, xb))
+    zb = fn.rk4_z(p, g, xb, fn.slot_args(p, g, xb))
     for i in range(4):
         traj = tr.from_positions(p, g, batch[i])
-        zs = fn.rk4_z(p, g, traj.x, p.gamma, fn.slot_args(p, g, traj.x))
+        zs = fn.rk4_z(p, g, traj.x, fn.slot_args(p, g, traj.x))
         assert np.array_equal(zb[i], zs)
 
 
@@ -160,9 +161,9 @@ def _march_input(L, kw, M):
 def test_affine_march_matches_step_loop(name, M, monkeypatch):
     p, g, x = _march_input(*AFFINE[name], M)
     args = fn.slot_args(p, g, x)
-    want = fn._rk4_loop(p, g, x, p.gamma, args)
+    want = oracles.rk4_loop(p, g, x, args)
     monkeypatch.setattr(fn, "_step_loop", None)  # the step map must not loop
-    z = fn.rk4_z(p, g, x, p.gamma, args)
+    z = fn.rk4_z(p, g, x, args)
     assert z[0] == p.gamma
     assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -180,7 +181,7 @@ def test_non_affine_march_is_the_step_loop():
         want[i + 1] = fn._rk4_step(
             L, t[i], t[i] + 0.5 * h, t[i + 1], h, [A[i] for A in cur[1:]],
             [A[i] for A in mid[1:]], [A[i + 1] for A in cur[1:]], want[i])
-    assert np.array_equal(fn.rk4_z(p, g, x, p.gamma, cur), want)
+    assert np.array_equal(fn.rk4_z(p, g, x, cur), want)
 
 
 def test_affine_march_reports_the_loop_node_when_not_finite():
@@ -188,8 +189,8 @@ def test_affine_march_reports_the_loop_node_when_not_finite():
     g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=200)
     traj = tr.from_expressions(p, g, ["t - 0.5"])  # x1 = 0 at node 100
     args = fn.slot_args(p, g, traj.x)
-    first = [int(np.argmax(~np.isfinite(march(p, g, traj.x, p.gamma, args))))
-             for march in (fn.rk4_z, fn._rk4_loop)]
+    first = [int(np.argmax(~np.isfinite(march(p, g, traj.x, args))))
+             for march in (fn.rk4_z, oracles.rk4_loop)]
     assert first == [100, 100]
     with pytest.raises(NonFiniteLagrangian) as err:
         fn.simulate_z(p, traj)

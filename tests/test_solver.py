@@ -218,7 +218,7 @@ def test_colored_jacobian_equals_dense(name):
         R = system.residual(U)
         assert np.array_equal(R, marching.residual(U))
         dense = oracles.dense_jacobian(system, U, R, 1e-7)
-        colored = _matrix(system, system.jacobian(U, R, 1e-7))
+        colored = _matrix(system, system.jacobian(U, R))
         assert colored.shape == dense.shape
         assert np.max(np.abs(colored - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert not np.any(dense[~inside])
@@ -232,10 +232,10 @@ def _matrix(system, J):
     return A
 
 
-def _dense_triplets(system, U, R0, fd_step):
+def _dense_triplets(system, U, R0):
     """The dense oracle as a Newton matrix: the identity on the augmented
     unknowns, so that the step's U part solves the oracle alone."""
-    J = oracles.dense_jacobian(system, U, R0, fd_step)
+    J = oracles.dense_jacobian(system, U, R0, sv._FD_STEP)
     rows, cols = np.nonzero(J)
     aug = np.arange(system.n_unknowns, system.n_augmented)
     return (np.r_[rows, aug], np.r_[cols, aug], np.r_[J[rows, cols], np.ones(aug.size)])
@@ -312,7 +312,7 @@ def test_solve_marches_z_once_per_residual(monkeypatch, L, tau, z_free):
     assert set(marches) == {3}
     assert len(marches) == (1 if z_free else len(residuals))
     traj = res.trajectory
-    assert np.array_equal(traj.z, rk4_z(p, traj.grid, traj.x, p.gamma,
+    assert np.array_equal(traj.z, rk4_z(p, traj.grid, traj.x,
                                         fn.trajectory_args(p, traj)))
 
 
@@ -421,7 +421,7 @@ def test_condensed_jacobian_equals_dense(name):
     for U in points:
         R = system.residual(U)
         dense = oracles.dense_jacobian(system, U, R, 1e-7)
-        A = _matrix(system, system.jacobian(U, R, 1e-7))
+        A = _matrix(system, system.jacobian(U, R))
         J = A[:nu, :nu] - A[:nu, nu:] @ np.linalg.solve(A[nu:, nu:], A[nu:, :nu])
         err = np.abs(J - dense)
         assert np.max(err) <= 1e-6 * np.max(np.abs(dense))
@@ -558,7 +558,7 @@ def test_one_argument_build_per_series(monkeypatch, table, name, residual,
     monkeypatch.setattr(tr, "build_series", counted_series)
     R = system.residual(U)
     assert counts == {"args": residual, "series": 1}
-    system.jacobian(U, R, 1e-7)
+    system.jacobian(U, R)
     assert counts == {"args": residual + jacobian, "series": 2}
 
 
@@ -583,7 +583,7 @@ def test_dense_fallback_step_equals_splu_step(monkeypatch, L):
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
     U = system.pack(system.initial_positions())
     R = system.residual(U)
-    J = system.jacobian(U, R, 1e-7)
+    J = system.jacobian(U, R)
     splu_step = sv._newton_step(J, R, system.n_augmented)
     monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
     dense_step = sv._newton_step(J, R, system.n_augmented)
