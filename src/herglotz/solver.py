@@ -32,16 +32,23 @@ g), each local, so the matrix stays sparse.  Every iterate re-simulates z
 and psi, so those rows have a zero right-hand side and the U part of the
 step is the step of the condensed Jacobian, the matrix's Schur complement.
 The matrix is factored by scipy's splu after its exact zeros are dropped;
-without scipy the dense LU solves the same matrix.
+without scipy the dense LU of the same matrix gives the columns of its
+inverse that a step reads.
 
 One residual builds the derivative series at U and L's arguments once.
 The Jacobian reuses the last residual's build, z and psi at U, and the
 build of its batched condition map for the step maps and dL/dz.
 
-The line search halves the full Newton step until the residual falls; its
-damping, the step tolerance and the difference step are module constants.
-The returned trajectory keeps z, and the multipliers psi, from the last
-residual at its positions.
+Each Newton matrix is factored once and the factor is kept: the next step
+is a chord step with it, kept when it cuts the sup residual by the factor
+_RHO.  Otherwise the matrix is built and factored at the current positions
+and the line search halves the full Newton step until the residual falls;
+after a damped step the factor is dropped.  The budget's last step is always
+a Newton step, and once a chord step reaches tol_r one more chord step is
+kept if it lowers the residual at all.  The damping, the contraction factor,
+the step tolerance and the difference step are module constants.  The
+returned trajectory keeps z, and the multipliers psi, from the last residual
+at its positions.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from .errors import SingularJacobian, ValidationError
 _DAMPING = 1.0   # initial Newton damping: the full step, halved on failure
 _TOL_X = 1e-12   # stop once a step moves U by less, relative to 1 + |U|
 _FD_STEP = 1e-7  # relative forward-difference step of the Jacobian
+_RHO = 0.5       # a chord step is kept when it cuts the sup residual by this
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,8 @@ class SolveResult:
     trajectory: tr.StateTrajectory
     multipliers: ml.MultiplierSet
     report: cd.ResidualReport
-    iterations: list = field(default_factory=list)  # (iter, residual, damping)
+    # (step, residual, damping) per step; a chord step logs damping 1
+    iterations: list = field(default_factory=list)
     converged: bool = False
     elapsed: float = 0.0
 
@@ -255,8 +264,8 @@ class _System:
             return _stack(blocks)
         # released here, so that the linear solve does not hold the batch
         (xb, argsb), self._built = self._built, None
-        F_z, F_psi = self._node_derivatives(x, args, z, psi, R0)
         dz = _FD_STEP * (1.0 + np.abs(z))
+        F_z, F_psi = self._node_derivatives(x, args, z, psi, R0, dz)
         stage = fn.stage_args(p, grid, x, args)
         phi0 = fn.rk4_steps(p, stage, z)
         a = (fn.rk4_steps(p, stage, z + dz) - phi0) / dz[:-1]
@@ -278,13 +287,12 @@ class _System:
                    (W[pr], G[0] + pc, pv)]
         return _stack(blocks)
 
-    def _node_derivatives(self, x, args, z, psi, R0):
+    def _node_derivatives(self, x, args, z, psi, R0, dz):
         """F_z and F_psi on the node pattern, from one batched condition map
-        at x that perturbs the z or the psi values of one node color at a
-        time."""
+        at x that perturbs the z (by dz) or the psi values of one node color
+        at a time."""
         K, color = self.n_node_colors, self.node_color
         nodes = np.arange(self.grid.M + 1)
-        dz = _FD_STEP * (1.0 + np.abs(z))
         dpsi = _FD_STEP * (1.0 + np.abs(psi))
         Zb = np.repeat(z[np.newaxis, :], 2 * K, axis=0)
         Pb = np.repeat(psi[np.newaxis, :], 2 * K, axis=0)
@@ -500,11 +508,13 @@ def _modular_coloring(parts, m, M, first=1):
 
 
 def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> SolveResult:
-    """Damped Newton iteration on the discretized necessary conditions.
+    """Damped Newton iteration, with chord steps on a kept factor, on the
+    discretized necessary conditions.
 
-    Returns the last iterate, the best one since the line search accepts
-    only a lower residual, with converged=False when the iteration budget
-    runs out; raises SingularJacobian when the linearized system degenerates.
+    Returns the last iterate, the best one since every step is kept only
+    when it lowers the residual, with converged=False when the iteration
+    budget runs out; raises SingularJacobian when the linearized system
+    degenerates.
     """
     opts = opts or SolveOptions()
     opts.validate()
@@ -516,16 +526,39 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
     norm = _sup(R)
     log = [(0, norm, _DAMPING)]
 
-    for it in range(1, opts.max_iters + 1):
-        if norm <= opts.tol_r:
-            break
-        step = _newton_step(sys.jacobian(U, R), R, sys.n_augmented)
+    def trial(U_try):
+        R_try = sys.residual(U_try)
+        return U_try, R_try, _sup(R_try)
+
+    solve = None  # the kept factor, reused by chord steps while R contracts
+    it = 0
+    while it < opts.max_iters and norm > opts.tol_r:
+        it += 1
+        # a chord step: the kept factor applied to R, never the budget's last
+        if solve is not None and it < opts.max_iters:
+            step = solve(R)
+            U_try, R_try, norm_try = trial(U + step)
+            if norm_try <= _RHO * norm:
+                U, R, norm = U_try, R_try, norm_try
+                log.append((it, norm, 1.0))
+                if norm <= opts.tol_r and it + 1 < opts.max_iters:
+                    # chord steps converge linearly and stop just under
+                    # tol_r: one more, kept if it lowers R at all
+                    U_try, R_try, norm_try = trial(U + solve(R))
+                    if norm_try < norm:
+                        it += 1
+                        U, R, norm = U_try, R_try, norm_try
+                        log.append((it, norm, 1.0))
+                elif _sup(step) <= _TOL_X * (1.0 + _sup(U)):
+                    break
+                continue
+        solve = None  # dropped before the next matrix is built
+        solve = _factor(sys.jacobian(U, R), sys.n_augmented, R.size)
+        step = solve(R)
         lam = _DAMPING
         accepted = False
         while lam >= 1e-8:
-            U_try = U + lam * step
-            R_try = sys.residual(U_try)
-            norm_try = _sup(R_try)
+            U_try, R_try, norm_try = trial(U + lam * step)
             if norm_try < norm:
                 U, R, norm = U_try, R_try, norm_try
                 accepted = True
@@ -534,6 +567,8 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
         log.append((it, norm, lam))
         if not accepted:
             break
+        if lam < _DAMPING:  # a damped step: the matrix is refactored next
+            solve = None
         if lam * _sup(step) <= _TOL_X * (1.0 + _sup(U)):
             break
 
@@ -557,27 +592,34 @@ def _sup(v):
     return float(m) if np.isfinite(m) else float("inf")
 
 
-def _newton_step(J, R, size):
-    """The first R.size entries of the solution d of J d = [-R, 0, ...], J
-    given as COO triplets of a size x size matrix.  Its exact zeros are
-    dropped and it is factored by scipy's splu (COLAMD ordering); without
-    scipy the dense LU solves the same matrix."""
+def _factor(J, size, n):
+    """The Newton matrix J, COO triplets of a size x size matrix, factored
+    once: returns solve(R), the first n entries of the solution d of
+    J d = [-R, 0, ...] for an R of n entries.  Its exact zeros are dropped
+    and it is factored by scipy's splu (COLAMD ordering).  numpy has no
+    reusable LU, so without scipy the dense LU of the same matrix gives once
+    the n columns of J^-1 that such a right-hand side reaches, and each solve
+    is a product with their first n rows."""
     rows, cols, vals = J
     if not np.all(np.isfinite(vals)):
         raise SingularJacobian()
     nz = vals != 0.0
     rows, cols, vals = rows[nz], cols[nz], vals[nz]
-    rhs = np.zeros(size)
-    rhs[:R.size] = -R
     try:
         try:  # imported here: a module-level import would cost every command
             from scipy.sparse.linalg import splu
             from scipy.sparse import csc_array
         except ImportError:  # numpy only: the dense LU of the same matrix
-            A = np.bincount(rows * size + cols, vals, size * size)
-            d = np.linalg.solve(A.reshape(size, size), rhs)
-        else:
-            d = splu(csc_array((vals, (rows, cols)), shape=(size, size))).solve(rhs)
+            A = np.bincount(rows * size + cols, vals, size * size).reshape(size, size)
+            inv = np.linalg.solve(A, np.eye(size, n))[:n].copy()
+            return lambda R: -(inv @ R)
+        lu = splu(csc_array((vals, (rows, cols)), shape=(size, size)))
     except (RuntimeError, np.linalg.LinAlgError):  # an exactly singular factor
         raise SingularJacobian() from None
-    return d[:R.size]
+    rhs = np.zeros(size)
+
+    def solve(R):
+        rhs[:n] = -R
+        return lu.solve(rhs)[:n]
+
+    return solve

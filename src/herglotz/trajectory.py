@@ -263,8 +263,8 @@ def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
     off = np.max(np.abs(t - grid.nodes()))
     if off > _ALIGN_TOL * max(1.0, abs(grid.a), abs(grid.b)):
         raise ValidationError(
-            f"trajectory CSV t column is not the uniform grid from {t[0]!r} to "
-            f"{t[-1]!r} with {M} steps (off by up to {off:.3g})")
+            f"trajectory CSV t column is not the uniform grid from {float(t[0])!r} "
+            f"to {float(t[-1])!r} with {M} steps (off by up to {off:.3g})")
     x = np.empty((p.m, p.n + 1, M + 1))
     col = 1
     for j in range(p.m):

@@ -20,20 +20,16 @@ initial value at b.
 import time
 
 import numpy as np
-import pytest
 
 from herglotz import conditions as cd
-from herglotz import expr as ex
 from herglotz import functional as fn
 from herglotz import multipliers as ml
 from herglotz import noether as nt
-from herglotz import problem as pb
 from herglotz import reduction as rd
 from herglotz import trajectory as tr
 from herglotz.cli import main
-from herglotz.solver import SolveOptions, solve_extremal
 
-from conftest import (delayed_problem, make_problem, oscillator_closed_form,
+from conftest import (make_problem, oscillator_closed_form,
                       oscillator_closed_form_src, oscillator_problem)
 from oracles import (delay_free_el, delay_free_tc, first_order_delayed_el,
                      first_order_delayed_dbr, first_order_delayed_charge,

@@ -432,6 +432,22 @@ def test_verify_rejects_malformed_csv_exit_2(tmp_path, capsys, kind):
     assert "trajectory CSV" in capsys.readouterr().err
 
 
+def test_verify_non_uniform_grid_message_names_plain_numbers(tmp_path, capsys):
+    # the interval ends print as floats, not as numpy scalar reprs
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+    capsys.readouterr()
+    header, *rows = open(out).read().splitlines()
+    cells = [row.split(",") for row in rows]
+    cells[5][0] = repr(float(cells[5][0]) + 3e-3)
+    text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
+    assert main(["verify", spec, write(tmp_path, "bad.csv", text)]) == 2
+    err = capsys.readouterr().err
+    assert "uniform grid from 0.0 to 1.0 with 100 steps" in err
+    assert "np.float64" not in err
+
+
 @pytest.mark.parametrize("column, value", [("x1_d0", "nan"), ("z", "inf")])
 def test_verify_rejects_non_finite_cell_exit_2(tmp_path, capsys, column, value):
     spec = write(tmp_path, "delayed.spec", DELAYED)

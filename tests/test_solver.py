@@ -10,11 +10,13 @@ from herglotz import trajectory as tr
 from herglotz.errors import SingularJacobian, ValidationError
 from herglotz.reduction import verify_reduction_equivalence
 from herglotz import solver as sv
+from herglotz.cli import main
 from herglotz.solver import SolveOptions, solve_extremal
 
 import oracles
 from conftest import (delayed_problem, make_problem, oscillator_closed_form,
                       oscillator_problem)
+from test_cli import MUTABLE, write
 
 
 def test_oscillator_matches_closed_form(oscillator_solved):
@@ -578,15 +580,61 @@ def test_panel_rows_match_integral_to_b(M):
     "0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2",
 ], ids=["z-free", "zcoupled"])
 def test_dense_fallback_step_equals_splu_step(monkeypatch, L):
-    # without scipy the same Newton matrix is solved by the dense LU
+    # without scipy the same Newton matrix is solved by the dense LU; each
+    # kept factor also solves a second right-hand side, as a chord step does
     p = make_problem(L, tau=0.25, mu=("1 + 0.5*t",))
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
     U = system.pack(system.initial_positions())
     R = system.residual(U)
     J = system.jacobian(U, R)
-    splu_step = sv._newton_step(J, R, system.n_augmented)
+    splu_solve = sv._factor(J, system.n_augmented, R.size)
     monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
-    dense_step = sv._newton_step(J, R, system.n_augmented)
-    assert np.max(np.abs(dense_step - splu_step)) <= 1e-10 * np.max(np.abs(dense_step))
+    dense_solve = sv._factor(J, system.n_augmented, R.size)
+    R2 = system.residual(U + splu_solve(R))
+    for rhs in (R, R2):
+        splu_step, dense_step = splu_solve(rhs), dense_solve(rhs)
+        assert (np.max(np.abs(dense_step - splu_step))
+                <= 1e-10 * np.max(np.abs(dense_step)))
     with pytest.raises(SingularJacobian):
         solve_extremal(make_problem("x1 - z"), SolveOptions(M=100, h=None))
+
+
+# chord steps: the kept factor is reused while the residual contracts
+
+def test_chord_steps_reuse_one_matrix(monkeypatch):
+    p = make_problem("0.5*xd1^2 + 0.15*tau_x1^2 - 0.5*x1^2 - 0.1*z*x1", tau=0.25)
+    matrices = []
+    jacobian = sv._System.jacobian
+
+    def counted(self, U, R):
+        matrices.append(U)
+        return jacobian(self, U, R)
+
+    monkeypatch.setattr(sv._System, "jacobian", counted)
+    res = solve_extremal(p, SolveOptions(M=200, h=None))
+    assert res.converged
+    assert len(matrices) == 1
+    steps = res.iterations[1:]
+    assert len(steps) > len(matrices)
+    assert [lam for _, _, lam in steps] == [1.0] * len(steps)
+    norms = [norm for _, norm, _ in res.iterations]
+    assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+def test_budget_of_two_keeps_the_mutable_spec_converged(tmp_path, capsys):
+    # with a budget of 2 both steps are Newton steps, as before chord steps
+    spec = write(tmp_path, "mutable.spec", MUTABLE)
+    assert main(["solve", spec, "--M", "40", "--max-iters", "2"]) == 0
+    assert "converged: True" in capsys.readouterr().out
+
+
+def test_budget_of_one_is_one_newton_step():
+    p = make_problem("0.5*xd1^2 + 0.25*x1^4 - z")
+    res = solve_extremal(p, SolveOptions(M=100, h=None, max_iters=1, tol_r=1e-10))
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=100))
+    U = system.pack(system.initial_positions())
+    R = system.residual(U)
+    U1 = U + sv._factor(system.jacobian(U, R), system.n_augmented, R.size)(R)
+    assert [lam for _, _, lam in res.iterations] == [1.0, 1.0]
+    assert res.iterations[-1][1] == sv._sup(system.residual(U1))
+    assert np.array_equal(system.pack(res.trajectory.x[:, 0]), U1)
