@@ -5,7 +5,8 @@ fixed-step RK4.  When L is affine in z, every step is an affine map of z
 whose coefficients are computed for all steps at once, and only the scalar
 recurrence runs step by step; any other L is stepped one RK4 step at a
 time.  psi(t) = exp(integral_t^b dL/dz) via composite Simpson taken
-cumulatively from b (odd leftover interval closed with one trapezoid).
+cumulatively from b (an odd leftover interval closed with the 3-point rule,
+so psi stays fourth order).
 
 L's arguments along a derivative series are built once by ``slot_args``
 (``trajectory_args`` along a trajectory with z), in a layout known here
@@ -226,21 +227,27 @@ def admissibility_defect(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> float:
 
 def integral_to_b(g, h):
     """J_i = integral from t_i to b of a node series, composite Simpson from
-    the right; nodes an odd number of steps from b close the first interval
-    with a trapezoid."""
+    the right; nodes an odd number of steps from b close their first
+    interval with the 3-point rule, the trapezoid less h/12 (g_c - 2 g_{c+1}
+    + g_{c+2}) with c = max(i - 1, 0), which keeps the rule fourth order.
+    Its parabola is that of the Simpson panel on c..c+2."""
     g = np.asarray(g, dtype=float)
     M = g.shape[-1] - 1
     J = np.zeros_like(g)
     if M == 0:
         return J
     if M >= 2:
-        c = (h / 3.0) * (g[..., :-2] + 4.0 * g[..., 1:-1] + g[..., 2:])
+        panel = (h / 3.0) * (g[..., :-2] + 4.0 * g[..., 1:-1] + g[..., 2:])
         idx_even = np.arange(M - 2, -1, -2)
         if idx_even.size:
-            J[..., idx_even] = np.cumsum(c[..., idx_even], axis=-1)
+            J[..., idx_even] = np.cumsum(panel[..., idx_even], axis=-1)
     idx_odd = np.arange(M - 1, -1, -2)
     J[..., idx_odd] = (0.5 * h * (g[..., idx_odd] + g[..., idx_odd + 1])
                        + J[..., idx_odd + 1])
+    if M >= 2:  # the end correction; exactly 0.0 for a constant series
+        c = np.maximum(idx_odd - 1, 0)
+        J[..., idx_odd] -= (h / 12.0) * (g[..., c] - 2.0 * g[..., c + 1]
+                                         + g[..., c + 2])
     return J
 
 

@@ -6,10 +6,13 @@ Unknowns are the positions at nodes 1..M (node 0 is pinned to the history
 value); all derivative series come from the differentiation stencils, so the
 derivative-consistency invariants hold by construction.  The residual vector
 stacks one Euler-Lagrange equation per interior node (the delayed-sum block
-left of b - tau, the current-only block from there on), the n transversality
-values, and the continuity constraints x^(k)(a) = mu^(k)(a) for k = 1..n-1,
-which makes the system square.  Junction and end zones stay in the root
-system but are excluded from the acceptance sup-norms of the final report.
+el1 left of b - tau, the current-only block el2 from there on), the n
+transversality values tc, and the continuity constraints cont, x^(k)(a) =
+mu^(k)(a) for k = 1..n-1, which makes the system square.  The row blocks
+are declared once, as data in ``_System`` (row count, value and reach); the
+residual's order, its length and the condition rows' patterns are derived
+from them.  Junction and end zones stay in the root system but are
+excluded from the acceptance sup-norms of the final report.
 
 The Newton matrix is a forward finite difference assembled from local
 pieces as sparse COO triplets, one path for every Lagrangian.  With F(U, z,
@@ -36,8 +39,9 @@ without scipy the dense LU of the same matrix gives the columns of its
 inverse that a step reads.
 
 One residual builds the derivative series at U and L's arguments once.
-The Jacobian reuses the last residual's build, z and psi at U, and the
-build of its batched condition map for the step maps and dL/dz.
+The Jacobian reuses the kept iterate's build, z and psi at U (a rejected
+trial restores it), and the build of its batched condition map for the step
+maps and dL/dz.
 
 Each Newton matrix is factored once and the factor is kept: the next step
 is a chord step with it, kept when it cuts the sup residual by the factor
@@ -105,56 +109,97 @@ class SolveResult:
     elapsed: float = 0.0
 
 
+@dataclass(frozen=True)
+class _RowBlock:
+    """A block of condition rows: ``copies`` rows per output node in
+    ``nodes``, the copies outermost in the row order.  Its summands are
+    differentiated on the node range ``span``; a block without a span reads
+    the derivative series at its nodes and no summand.  A ``weighted``
+    block's summands add the delayed sum psi(t + tau) dL/dx_tau(t + tau).
+    ``value(x, (el1, el2), tc)`` gives its rows, last two axes in row order."""
+    name: str
+    nodes: np.ndarray
+    copies: int
+    span: tuple | None
+    weighted: bool
+    value: object
+
+
 class _System:
     """Residual map R(U) for one problem on one grid, with batch support."""
 
     def __init__(self, p, grid):
         self.p = p
         self.grid = grid
-        n, m, M = p.n, p.m, grid.M
-        if grid.p == 0:
-            self.sel1 = np.arange(n, M - n + 1)
-            self.sel2 = np.arange(0)
-        else:
-            # Every interior node contributes one equation; left of the
-            # junction it is the delayed-sum equation, from the junction on
-            # the current-only one.  Dropping the junction-zone rows instead
-            # leaves a few unknowns unconstrained and the Newton step parks a
-            # parasitic wiggle there, so the zone stays in the root system
-            # and is only excluded from the acceptance sup-norms.
-            j = grid.junction
-            self.sel1 = np.arange(n, j)
-            self.sel2 = np.arange(0, M - n - j + 1)  # junction node uses el2
-            if self.sel1.size == 0 or self.sel2.size == 0:
-                raise ValidationError(
-                    "grid too coarse for the delay: the Euler-Lagrange blocks "
-                    "have no interior nodes")
+        n, m, M, q, jn = p.n, p.m, grid.M, grid.p, grid.junction
         self.pinned = np.array([[pb.history_derivative(p, j_, 0, p.a)]
                                 for j_ in range(1, m + 1)])
         self.mu_at_a = np.array([[pb.history_derivative(p, j_, k, p.a)
                                   for k in range(1, n)]
                                  for j_ in range(1, m + 1)])  # (m, n-1)
-        self.n_res = m * (self.sel1.size + self.sel2.size) + n * m + (n - 1) * m
+        # The condition rows, block by block in the residual's order.  Every
+        # interior node has one Euler-Lagrange equation, the delayed-sum one
+        # left of the junction and the current-only one from it on: dropping
+        # the junction-zone rows leaves a few unknowns unconstrained and the
+        # Newton step parks a parasitic wiggle there, so the zone is only
+        # excluded from the acceptance sup-norms.  The transversality rows,
+        # differentiated on [b - tau, b] (the whole grid at tau = 0), are
+        # declared with the whole-grid reach.
+        e1 = np.arange(n, jn if q else M - n + 1)
+        e2 = np.arange(jn, M - n + 1)  # empty at tau = 0
+        if q and not (e1.size and e2.size):
+            raise ValidationError(
+                "grid too coarse for the delay: the Euler-Lagrange blocks "
+                "have no interior nodes")
+        mu = self.mu_at_a
+        self.row_blocks = [b for b in (
+            _RowBlock("el1", e1, m, (0, jn), True, lambda x, el, tc: el[0][..., e1]),
+            _RowBlock("el2", e2, m, (jn, M), False,
+                      lambda x, el, tc: el[1][..., e2 - jn]),
+            _RowBlock("tc", np.array([M]), n * m, (0, M), False, lambda x, el, tc: tc),
+            _RowBlock("cont", np.array([0]), (n - 1) * m, None, False,
+                      lambda x, el, tc: x[..., :, 1:n, 0] - mu),
+        ) if b.copies * b.nodes.size]
+        self.n_res = sum(b.copies * b.nodes.size for b in self.row_blocks)
         self.n_unknowns = m * M
         assert self.n_res == self.n_unknowns  # square by construction
-        slots = set.union(*_slot_sets(p))
+        cur, tau = _slot_sets(p)
         partials = p.lagrangian.partials
+        reads = {s: ex.free_variables(partials[s]) for s in cur | tau}
         g_reads = ex.free_variables(partials["z"])
-        self.z_free = not (g_reads & (slots | {"z"}) or any(
-            "z" in ex.free_variables(partials[s]) for s in slots))
+        self.z_free = not (g_reads & (cur | tau | {"z"})
+                           or any("z" in reads[s] for s in cur | tau))
+        delayed = bool(ex.free_variables(p.lagrangian.body) & tau)
         self._last = self._built = None
         # position patterns: the condition rows and, for a z-coupled L, the
-        # RK4 steps of z and the dL/dz nodes; one coloring serves all three
-        lo, hi = _row_intervals(p, grid, self.sel1, self.sel2)
-        self.pattern = _expand_pattern(lo, hi, m, M)
-        parts = [(lo, hi)]
+        # RK4 steps of z and the dL/dz nodes; one coloring serves all three.
+        # A summand at s reads the series at s, at s - p when a current-slot
+        # partial reads a delayed slot, and in the delayed sum at s + p when
+        # a delayed-slot partial reads a current slot.
+        back = -q if any(reads[s] & tau for s in cur) else None
+        ahead = q if any(reads[s] & cur for s in tau) else None
+        reach = _stencil_reach(0, M, n)
+        parts = [_row_intervals(self.row_blocks, n, reach, 1, M,
+                                lambda b: (0, back, ahead if b.weighted else None))]
+        self.pattern = _expand_pattern(*parts[0], m, M)
         if not self.z_free:
-            parts += [_step_intervals(p, grid), _node_intervals(p, grid, g_reads)]
+            # dL/dz at node i reads the series at i (current slots) and at
+            # i - p (delayed slots)
+            nodes = np.arange(M + 1)
+            g_back = _reach(nodes, nodes, -q, *reach)
+            parts += [_step_intervals(grid, reach, delayed), _intervals(
+                [reach if g_reads & cur else None, g_back if g_reads & tau else None],
+                M + 1, 1, M)]
             self.step_pattern = _expand_pattern(*parts[1], m, M)
             self.g_pattern = _expand_pattern(*parts[2], m, M)
         self.color, self.n_colors = _modular_coloring(parts, m, M)
         if not self.z_free:
-            lo, hi = _row_intervals(p, grid, self.sel1, self.sel2, nodes=True)
+            # z and psi: a summand at s reads them at s and, in the delayed
+            # sum, at s + p; rows without summands read none
+            lo, hi = _row_intervals(
+                self.row_blocks, n, (nodes, nodes), 0, M,
+                lambda b: (None if b.span is None else 0,
+                           q if delayed and b.weighted else None))
             self.node_pattern = _expand_pattern(lo, hi, 1, M, first=0)
             self.node_color, self.n_node_colors = _modular_coloring(
                 [(lo, hi)], 1, M, first=0)
@@ -225,20 +270,13 @@ class _System:
 
     def _conditions(self, x, terms):
         """The condition rows at the series x from its ``ml.weighted_terms``
-        of the orders 0..n; the batch is that of both."""
-        p = self.p
-        el1, el2 = cd.el_blocks(self.grid, terms)
+        of the orders 0..n, block by block; the batch is that of both."""
+        el = cd.el_blocks(self.grid, terms)
         tc = cd.transversality_values(self.grid, terms)
-        batch = el1.shape[:-2]
-        parts = [el1[..., self.sel1].reshape(batch + (-1,))]
-        if self.sel2.size:
-            parts.append(el2[..., self.sel2].reshape(batch + (-1,)))
-        parts.append(tc.reshape(batch + (-1,)))
-        if p.n > 1:
-            cont = x[..., :, 1:p.n, 0] - self.mu_at_a
-            parts.append(np.broadcast_to(cont, batch + cont.shape[-2:])
-                         .reshape(batch + (-1,)))
-        return np.concatenate(parts, axis=-1)
+        batch = el[0].shape[:-2]
+        rows = [b.value(x, el, tc) for b in self.row_blocks]
+        return np.concatenate([np.broadcast_to(v, batch + v.shape[-2:])
+                               .reshape(batch + (-1,)) for v in rows], axis=-1)
 
     def jacobian(self, U, R0):
         """Forward-difference Newton matrix at U, where R0 = R(U), as COO
@@ -320,20 +358,25 @@ def _stack(blocks):
 
 def _panel_rows(M, h):
     """The rows whose solution w is ``fn.integral_to_b(g, h)``: w_M = 0, and
-    from each node i < M one panel to the right, the trapezoid
-    w_i - w_{i+1} - h/2 (g_i + g_{i+1}) when M - i is odd, else the Simpson
-    panel w_i - w_{i+2} - h/3 (g_i + 4 g_{i+1} + g_{i+2}).  Triplets with g
-    in columns 0..M and w in columns M+1..2M+1."""
+    from each node i < M one panel to the right, the 3-point rule
+    w_i - w_{i+1} - h/12 (-g_{i-1} + 8 g_i + 5 g_{i+1}) when M - i is odd
+    (5 g_0 + 8 g_1 - g_2 at i = 0), else the Simpson panel
+    w_i - w_{i+2} - h/3 (g_i + 4 g_{i+1} + g_{i+2}).  Rows i and i - 1 read
+    the same g nodes, which keeps the factor's fill near the trapezoid's.
+    Triplets with g in columns 0..M and w in columns M+1..2M+1."""
     i = np.arange(M)
     t, s = i[(M - i) % 2 == 1], i[(M - i) % 2 == 0]
+    c = np.maximum(t - 1, 0)
+    back = c < t  # the parabola through g_{i-1}, g_i, g_{i+1}
     w = M + 1
     parts = [(np.arange(M + 1), w + np.arange(M + 1), 1.0),
-             (t, w + t + 1, -1.0), (t, t, -h / 2), (t, t + 1, -h / 2),
+             (t, w + t + 1, -1.0), (t, c, np.where(back, 1, -5) * h / 12),
+             (t, c + 1, -8 * h / 12), (t, c + 2, np.where(back, -5, 1) * h / 12),
              (s, w + s + 2, -1.0), (s, s, -h / 3), (s, s + 1, -4 * h / 3),
              (s, s + 2, -h / 3)]
     rows, cols, vals = zip(*parts)
     return (np.concatenate(rows), np.concatenate(cols),
-            np.repeat(vals, [r.size for r in rows]))
+            np.concatenate([np.broadcast_to(v, r.shape) for r, v in zip(rows, vals)]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,109 +404,57 @@ def _slot_sets(p):
             {pb.delayed_slot_name(j, k) for j in js for k in ks})
 
 
-def _reads_delayed(p):
-    return bool(ex.free_variables(p.lagrangian.body) & _slot_sets(p)[1])
+def _reach(s0, s1, shift, lo, hi):
+    """The inputs read through the reach (lo, hi) per index by the indices
+    s0..s1 moved by ``shift``: one delay back, the history answers below
+    index 0, where nothing is read."""
+    s0, s1 = s0 + shift, s1 + shift
+    return lo[np.maximum(s0, 0)], np.where(s1 < 0, -1, hi[np.maximum(s1, 0)])
 
 
-def _row_intervals(p, grid, sel1, sel2, nodes=False):
-    """Position nodes each residual row can read, as up to three intervals
-    per row (columns 0..2 of ``lo``/``hi``; empty where lo > hi), in the row
-    order of ``_System.residual``; every component of a node shares them.
-
-    A summand series at node s reads the derivative series at s (current
-    slots); at s - p when a current-slot partial reads a delayed slot; at
-    s + p when a delayed-slot partial reads a current slot, through the
-    shifted delayed term psi(t + tau) dL/dx_tau(t + tau).  Each block takes
-    up to n stencil passes of those series, which take up to n passes of the
-    positions.
-
-    With ``nodes`` the intervals are those of the z and psi node values
-    (nodes 0..M) instead: the identity reach replaces the position stencil
-    reach, a summand at s reads them at s and, in the weighted block when L
-    reads a delayed slot, at s + p; the continuity rows read none."""
-    cur, tau = _slot_sets(p)
-    n, m, M, q = p.n, p.m, grid.M, grid.p
-    if nodes:
-        back = False
-        fwd = q > 0 and _reads_delayed(p)
-        xl = xh = np.arange(M + 1)
-    else:
-        reads = {s: ex.free_variables(p.lagrangian.partials[s])
-                 for s in cur | tau}
-        back = q > 0 and any(reads[s] & tau for s in cur)
-        fwd = q > 0 and any(reads[s] & cur for s in tau)
-        xl, xh = _stencil_reach(0, M, n)
-    empty = (np.full(1, M + 1), np.full(1, -1))
-
-    def block(s0, s1, weighted):
-        # input nodes read by the summand series over the node ranges s0..s1;
-        # weighted blocks lie left of b - tau, where s + p stays on the grid
-        ivs = [(xl[s0], xh[s1])]
-        ivs.append((xl[np.maximum(s0, q) - q], xh[np.maximum(s1 - q, 0)])
-                   if back else empty)
-        ivs.append((xl[s0 + q], xh[s1 + q]) if fwd and weighted else empty)
-        lo = np.stack([np.broadcast_to(a, s0.shape) for a, _ in ivs], axis=-1)
-        hi = np.stack([np.broadcast_to(b, s0.shape) for _, b in ivs], axis=-1)
-        if back:  # the history answers below a: no unknown is read
-            hi[s1 < q, 1] = -1
-        return lo, hi
-
-    jn = grid.junction
-    l1, h1 = _stencil_reach(0, jn, n)
-    parts = [block(l1[sel1], h1[sel1], True)]
-    if sel2.size:
-        l2, h2 = _stencil_reach(jn, M, n)
-        parts.append(block(l2[sel2], h2[sel2], False))
-    parts = [(np.tile(lo, (m, 1)), np.tile(hi, (m, 1))) for lo, hi in parts]
-    # n*m transversality rows at b, differentiated on [b - tau, b] (on the
-    # whole grid at tau = 0), within the whole-grid reach taken here, and
-    # (n-1)*m continuity rows x^(k)(a)
-    sl, sh = _stencil_reach(0, M, n)
-    tc = block(sl[-1:], sh[-1:], False)
-    parts.append(tuple(np.repeat(a, n * m, axis=0) for a in tc))
-    cont = ((np.array([[M + 1] * 3]), np.array([[-1] * 3])) if nodes else
-            (np.array([[xl[0], M + 1, M + 1]]), np.array([[xh[0], -1, -1]])))
-    parts.append(tuple(np.repeat(a, (n - 1) * m, axis=0) for a in cont))
-    lo, hi = (np.concatenate(a) for a in zip(*parts))
-    # positions: node 0 is pinned, the unknowns are the nodes 1..M
-    return np.maximum(lo, 0 if nodes else 1), np.minimum(hi, M)
+def _intervals(ivs, size, first, M):
+    """Intervals (lo, hi) as columns over ``size`` rows, None for a column
+    that reads nothing, clipped to the nodes first..M."""
+    ivs = [(0, -1) if iv is None else iv for iv in ivs]
+    lo, hi = (np.stack([np.broadcast_to(iv[k], size) for iv in ivs], axis=-1)
+              for k in (0, 1))
+    return np.maximum(lo, first), np.minimum(hi, M)
 
 
-def _step_intervals(p, grid):
-    """Position nodes RK4 step i (z_i to z_{i+1}) reads, i = 0..M-1, as two
-    intervals per step.  It reads the derivative series at i and i + 1 and
-    at the Hermite midpoint, whose top order takes i-1..i+2 (0..3 and
-    M-3..M at the ends); when L reads a delayed slot, the same at i - p,
-    where step p - 1 reads node 0 only and earlier steps the history."""
+def _row_intervals(blocks, n, reach, first, M, moves):
+    """Input nodes each condition row reads through ``reach``, one interval
+    per entry of ``moves(block)``, in the row order of the blocks, clipped
+    to first..M.  A block's row at node o reads its summands at the nodes
+    s0..s1 that n stencil passes over the block's span reach from o (o alone
+    without a span), each entry moving them by a delay or, if None, reading
+    nothing."""
+    parts = []
+    for b in blocks:
+        s0 = s1 = b.nodes
+        if b.span:
+            lo, hi = _stencil_reach(*b.span, n)
+            s0, s1 = lo[b.nodes - b.span[0]], hi[b.nodes - b.span[0]]
+        ivs = [None if d is None else _reach(s0, s1, d, *reach) for d in moves(b)]
+        parts.append([np.tile(a, (b.copies, 1))
+                      for a in _intervals(ivs, s0.size, first, M)])
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _step_intervals(grid, reach, delayed):
+    """Position nodes RK4 step i (z_i to z_{i+1}) reads, i = 0..M-1, through
+    the series ``reach``: the series at i and i + 1 and at the Hermite
+    midpoint, whose top order takes i-1..i+2 (0..3 and M-3..M at the ends);
+    when L reads a delayed slot, also at i - p, i + 1 - p and the midpoint
+    of step i - p."""
     M, q = grid.M, grid.p
-    xl, xh = _stencil_reach(0, M, p.n)
+    xl, xh = reach
     i = np.arange(M)
-    s0 = np.minimum(np.maximum(i - 1, 0), M - 3)
-    s1 = np.maximum(np.minimum(i + 2, M), 3)
-    lo = np.full((M, 2), M + 1)
-    hi = np.full((M, 2), -1)
-    lo[:, 0], hi[:, 0] = xl[s0], xh[s1]
-    if q > 0 and _reads_delayed(p):
-        d = i[q:] - q
-        lo[q:, 1], hi[q:, 1] = xl[s0[d]], xh[s1[d]]
-        lo[q - 1, 1], hi[q - 1, 1] = xl[0], xh[0]
-    return np.maximum(lo, 1), np.minimum(hi, M)
-
-
-def _node_intervals(p, grid, g_reads):
-    """Position nodes dL/dz at node i = 0..M reads, as two intervals per
-    node: the derivative series at i and, when it reads a delayed slot, at
-    i - p (the history below a)."""
-    cur, tau = _slot_sets(p)
-    M, q = grid.M, grid.p
-    xl, xh = _stencil_reach(0, M, p.n)
-    lo = np.full((M + 1, 2), M + 1)
-    hi = np.full((M + 1, 2), -1)
-    if g_reads & cur:
-        lo[:, 0], hi[:, 0] = xl, xh
-    if g_reads & tau:
-        lo[q:, 1], hi[q:, 1] = xl[:M + 1 - q], xh[:M + 1 - q]
-    return np.maximum(lo, 1), np.minimum(hi, M)
+    mid = (xl[np.minimum(np.maximum(i - 1, 0), M - 3)],
+           xh[np.maximum(np.minimum(i + 2, M), 3)])
+    ivs = [mid]
+    if delayed:
+        ivs += [_reach(i, i, -q, *mid), _reach(i, i + 1, -q, xl, xh)]
+    return _intervals(ivs, M, 1, M)
 
 
 def _expand_pattern(lo, hi, m, M, first=1):
@@ -526,9 +517,16 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
     norm = _sup(R)
     log = [(0, norm, _DAMPING)]
 
-    def trial(U_try):
+    def trial(U_try, keep):
+        # U_try, its residual and sup when keep(sup); else None, and the kept
+        # iterate's build goes back to _last for the next Jacobian and the end
+        build = sys._last
         R_try = sys.residual(U_try)
-        return U_try, R_try, _sup(R_try)
+        norm_try = _sup(R_try)
+        if keep(norm_try):
+            return U_try, R_try, norm_try
+        sys._last = build
+        return None
 
     solve = None  # the kept factor, reused by chord steps while R contracts
     it = 0
@@ -537,17 +535,17 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
         # a chord step: the kept factor applied to R, never the budget's last
         if solve is not None and it < opts.max_iters:
             step = solve(R)
-            U_try, R_try, norm_try = trial(U + step)
-            if norm_try <= _RHO * norm:
-                U, R, norm = U_try, R_try, norm_try
+            new = trial(U + step, lambda v: v <= _RHO * norm)
+            if new:
+                U, R, norm = new
                 log.append((it, norm, 1.0))
                 if norm <= opts.tol_r and it + 1 < opts.max_iters:
                     # chord steps converge linearly and stop just under
                     # tol_r: one more, kept if it lowers R at all
-                    U_try, R_try, norm_try = trial(U + solve(R))
-                    if norm_try < norm:
+                    new = trial(U + solve(R), lambda v: v < norm)
+                    if new:
                         it += 1
-                        U, R, norm = U_try, R_try, norm_try
+                        U, R, norm = new
                         log.append((it, norm, 1.0))
                 elif _sup(step) <= _TOL_X * (1.0 + _sup(U)):
                     break
@@ -556,16 +554,14 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
         solve = _factor(sys.jacobian(U, R), sys.n_augmented, R.size)
         step = solve(R)
         lam = _DAMPING
-        accepted = False
         while lam >= 1e-8:
-            U_try, R_try, norm_try = trial(U + lam * step)
-            if norm_try < norm:
-                U, R, norm = U_try, R_try, norm_try
-                accepted = True
+            new = trial(U + lam * step, lambda v: v < norm)
+            if new:
+                U, R, norm = new
                 break
             lam *= 0.5
         log.append((it, norm, lam))
-        if not accepted:
+        if not new:
             break
         if lam < _DAMPING:  # a damped step: the matrix is refactored next
             solve = None

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def write(tmp_path, name, text):
 
 
 def read_csv(path):
-    lines = [ln for ln in open(path).read().splitlines()
+    lines = [ln for ln in Path(path).read_text().splitlines()
              if ln.strip() and not ln.startswith("#")]
     header = lines[0].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
@@ -177,7 +178,7 @@ def test_verify_perturbed_raises_norms(tmp_path, capsys):
     out = str(tmp_path / "sol.csv")
     main(["solve", spec, "--h", "1e-2", "--out", out])
     capsys.readouterr()
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     header = lines[0].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     t = data[:, 0]
@@ -204,7 +205,7 @@ def test_verify_gamma_mismatch_exit_2(tmp_path, capsys):
     out = str(tmp_path / "sol.csv")
     main(["solve", spec, "--h", "1e-2", "--out", out])
     capsys.readouterr()
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     data[0, -1] += 0.5  # violate z(a) = gamma
     bad = str(tmp_path / "bad.csv")
@@ -357,7 +358,7 @@ def test_verify_residual_csv(tmp_path, capsys):
     main(["solve", spec, "--h", "1e-2", "--out", out])
     rout = str(tmp_path / "resid.csv")
     assert main(["verify", spec, out, "--out", rout]) == 0
-    text = open(rout).read()
+    text = Path(rout).read_text()
     lines = text.splitlines()
     assert lines[0].startswith("t,block,")
     assert any(",el1," in ln for ln in lines)
@@ -369,7 +370,7 @@ def test_charge_csv(tmp_path, capsys):
     spec = write(tmp_path, "osc.spec", OSCILLATOR)
     cout = str(tmp_path / "charge.csv")
     assert main(["charge", spec, "--h", "1e-2", "--out", cout]) == 0
-    lines = open(cout).read().splitlines()
+    lines = Path(cout).read_text().splitlines()
     assert lines[0] == "t,charge"
     assert lines[-1].startswith("# drift ")
     assert len(lines) == 103  # header + 101 nodes + drift line
@@ -417,7 +418,7 @@ def test_verify_rejects_malformed_csv_exit_2(tmp_path, capsys, kind):
     out = str(tmp_path / "sol.csv")
     assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
     capsys.readouterr()
-    header, *rows = open(out).read().splitlines()
+    header, *rows = Path(out).read_text().splitlines()
     cells = [row.split(",") for row in rows]
     if kind == "header-only":
         cells = []
@@ -438,7 +439,7 @@ def test_verify_non_uniform_grid_message_names_plain_numbers(tmp_path, capsys):
     out = str(tmp_path / "sol.csv")
     assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
     capsys.readouterr()
-    header, *rows = open(out).read().splitlines()
+    header, *rows = Path(out).read_text().splitlines()
     cells = [row.split(",") for row in rows]
     cells[5][0] = repr(float(cells[5][0]) + 3e-3)
     text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
@@ -454,7 +455,7 @@ def test_verify_rejects_non_finite_cell_exit_2(tmp_path, capsys, column, value):
     out = str(tmp_path / "sol.csv")
     assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
     capsys.readouterr()
-    header, *rows = open(out).read().splitlines()
+    header, *rows = Path(out).read_text().splitlines()
     cells = [row.split(",") for row in rows]
     cells[9][header.split(",").index(column)] = value
     text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
@@ -510,7 +511,7 @@ def test_verify_residual_csv_layout_m2_delayed(tmp_path, capsys):
     rout = str(tmp_path / "resid.csv")
     assert main(["verify", spec, traj, "--out", rout]) == 0
     printed = dict(re.findall(r"sup (\w+): (\S+)", capsys.readouterr().out))
-    header, *rows, footer = open(rout).read().splitlines()
+    header, *rows, footer = Path(rout).read_text().splitlines()
     assert header == "t,block,r1,r2"
     cells = [row.split(",") for row in rows]
     blocks = [c[1] for c in cells]

@@ -348,6 +348,37 @@ def test_solve_takes_psi_from_last_residual(monkeypatch, L, tau):
     assert np.array_equal(res.multipliers.psi, fn.compute_psi(p, res.trajectory))
 
 
+@pytest.mark.parametrize("table, name, M", [
+    ("free", "delayed", 400), ("free", "n2-cross", 200), ("coupled", "n2", 200),
+])
+def test_one_series_build_per_residual_and_jacobian(monkeypatch, table, name, M):
+    # a rejected trial restores the kept iterate's build, so neither the next
+    # Jacobian nor the end of the solve builds the series at U again
+    L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
+    counts = {"series": 0, "residuals": 0, "jacobians": 0}
+    series, residual, jacobian = (sv._System._series, sv._System.residual,
+                                  sv._System.jacobian)
+
+    def counted_series(self, U):
+        counts["series"] += 1
+        return series(self, U)
+
+    def counted_residual(self, U, z=None, psi=None):
+        counts["residuals"] += np.ndim(U) == 1
+        return residual(self, U, z, psi)
+
+    def counted_jacobian(self, U, R0):
+        counts["jacobians"] += 1
+        return jacobian(self, U, R0)
+
+    monkeypatch.setattr(sv._System, "_series", counted_series)
+    monkeypatch.setattr(sv._System, "residual", counted_residual)
+    monkeypatch.setattr(sv._System, "jacobian", counted_jacobian)
+    res = solve_extremal(make_problem(L, **kw), SolveOptions(M=M, h=None))
+    assert res.converged
+    assert counts["series"] == counts["residuals"] + counts["jacobians"]
+
+
 @pytest.mark.parametrize("name", ["delayed", "cross-delay", "m2-cross"])
 def test_colored_solve_matches_dense_solve(monkeypatch, name):
     L, kw = Z_FREE[name]
@@ -461,6 +492,43 @@ def test_condensed_local_patterns(name):
         assert _outside(system.step_pattern, (M, nu), C) == 0
         G_U = _probe(lambda V: fn.eval_on_nodes(p, grid, series(V), z, "z"), U)
         assert _outside(system.g_pattern, (M + 1, nu), G_U) == 0
+
+
+# Pattern tightness at M = 200.  The tests above only check that every
+# probed nonzero lies inside its pattern; these counts catch a reach that
+# widens.  Per z-free fixture (colors, pattern entries); per z-coupled one
+# (colors, pattern entries, node colors, step, g and node pattern entries).
+TIGHTNESS = {
+    ("free", "oscillator"): (9, 1784),
+    ("free", "delayed"): (9, 1784),
+    ("free", "delayed-velocity"): (9, 1784),
+    ("free", "cross-delay"): (37, 4472),
+    ("free", "n2-cross"): (67, 8330),
+    ("free", "n3"): (25, 4804),
+    ("free", "m2-cross"): (74, 17888),
+    ("free", "short-first-block"): (9, 1784),
+    ("free", "short-first-block-cross"): (21, 2132),
+    ("free", "tau0-delayed-slot"): (9, 1784),
+    ("coupled", "oscillator"): (9, 1784, 5, 1586, 1002, 1000),
+    ("coupled", "delayed"): (20, 1784, 11, 2781, 1002, 1745),
+    ("coupled", "z-delayed-partial"): (20, 1784, 11, 2781, 752, 1745),
+    ("coupled", "n2"): (31, 3316, 20, 4152, 1790, 3093),
+    ("coupled", "m2"): (74, 17888, 11, 5562, 2004, 3490),
+    ("coupled", "short-first-block"): (19, 1784, 17, 1741, 102, 1095),
+    ("coupled", "z-squared"): (20, 1784, 11, 2781, 0, 1745),
+}
+
+
+@pytest.mark.parametrize("table, name", sorted(TIGHTNESS))
+def test_pattern_tightness(table, name):
+    L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
+    p = make_problem(L, **kw)
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
+    counts = (system.n_colors, system.pattern[0].size)
+    if not system.z_free:
+        counts += (system.n_node_colors, system.step_pattern[0].size,
+                   system.g_pattern[0].size, system.node_pattern[0].size)
+    assert counts == TIGHTNESS[table, name]
 
 
 @pytest.mark.parametrize("name", sorted(Z_COUPLED))
