@@ -7,7 +7,7 @@ from .errors import (DegenerateFamily, DomainError, ExprSyntaxError, GridTooSmal
                      SingularJacobian, UnboundVariable, UnknownFunction,
                      ValidationError, ZeroDelay)
 from .expr import differentiate, evaluate, free_variables, parse_expression, simplify, substitute, unparse
-from .functional import admissibility_defect, compute_psi, simulate_z
+from .functional import admissibility_defect, simulate_z
 from .multipliers import MultiplierSet, compute_phi
 from .noether import InvarianceFamily, drift, invariance_defect, lift_generators, make_family, noether_charge
 from .problem import LagrangianSpec, ProblemSpec, build_problem, history_derivative, make_lagrangian
@@ -16,6 +16,6 @@ from .reduction import (ReducedProblem, guinn_reduce, map_trajectory, simulate_r
 from .solver import SolveOptions, SolveResult, solve_extremal
 from .specfile import ProblemFileContent, parse_problem_file
 from .trajectory import (Grid, StateTrajectory, align_grid, from_expressions,
-                         from_positions, read_trajectory_csv, write_trajectory_csv)
+                         read_trajectory_csv, write_trajectory_csv)
 
 __version__ = "0.1.0"

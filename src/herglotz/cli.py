@@ -40,16 +40,21 @@ _NUMERIC_ERRORS = (DomainError, NonFiniteLagrangian, UnboundVariable,
 
 
 def _load(args):
-    """The spec's content, problem and, for a command with grid options,
-    grid (else None), checked first from the spec's a, b, tau and n so that
-    a grid that cannot serve exits before L is differentiated and audited."""
+    """The spec's content, problem, grid and solve options, the last two
+    None for a command without them.  The grid is checked from the spec's
+    a, b, tau and n and the solve options next, so that neither fails after
+    L is differentiated and audited."""
     with open(args.file) as fh:
         raw = specfile.parse_problem_file(fh.read())
-    grid = None
+    grid = opts = None
     if "M" in vars(args):
-        grid = tr.align_grid(raw.a, raw.b, raw.tau, n=raw.n, M=args.M,
-                             h=args.h if args.M is None else None)
-    return raw, pb.build_problem(raw), grid
+        h = args.h if args.M is None else None
+        grid = tr.align_grid(raw.a, raw.b, raw.tau, n=raw.n, M=args.M, h=h)
+        if "tol" in vars(args):
+            opts = sv.SolveOptions(M=args.M, h=h, tol_r=args.tol,
+                                   max_iters=args.max_iters)
+            opts.validate()
+    return raw, pb.build_problem(raw), grid, opts
 
 
 def _fmt(v):
@@ -57,7 +62,7 @@ def _fmt(v):
 
 
 def cmd_simulate(args):
-    raw, p, grid = _load(args)
+    raw, p, grid, _ = _load(args)
     if raw.candidate is None:
         raise ValidationError("simulate needs a [candidate] section with x1..xm")
     traj = tr.from_expressions(p, grid, list(raw.candidate))
@@ -73,26 +78,24 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _solve(args, p):
-    opts = sv.SolveOptions(M=args.M, h=args.h if args.M is None else None,
-                           tol_r=args.tol, max_iters=args.max_iters)
-    return sv.solve_extremal(p, opts)
+def _print_norms(report):
+    """The sup and unflagged sup of each of the report's four blocks."""
+    norms, unflagged = report.norms, report.norms_unflagged
+    for key in ("el1", "el2", "tc", "dbr"):
+        print(f"sup {key}: {_fmt(norms[key])} (unflagged {_fmt(unflagged[key])})")
 
 
 def _print_report(result):
-    norms = result.report.norms
-    unflagged = result.report.norms_unflagged
     print(f"iterations: {len(result.iterations) - 1}")
     for it, norm, lam in result.iterations:
         print(f"  iter {it:3d}  residual {norm:.6e}  damping {lam:.3g}")
-    for key in ("el1", "el2", "tc", "dbr"):
-        print(f"sup {key}: {_fmt(norms[key])} (unflagged {_fmt(unflagged[key])})")
+    _print_norms(result.report)
     print(f"converged: {result.converged}")
 
 
 def cmd_solve(args):
-    _, p, _ = _load(args)
-    result = _solve(args, p)
+    _, p, _, opts = _load(args)
+    result = sv.solve_extremal(p, opts)
     if args.out:
         tr.write_trajectory_csv(result.trajectory, args.out)
         print(f"wrote {args.out}")
@@ -105,7 +108,7 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    _, p, _ = _load(args)
+    _, p, _, _ = _load(args)
     traj = tr.read_trajectory_csv(p, args.trajectory)
     problems = []
     if abs(traj.z[0] - p.gamma) > 1e-9 * (1 + abs(p.gamma)):
@@ -117,16 +120,14 @@ def cmd_verify(args):
                             f"history value {mu_a!r}")
     if problems:
         raise ValidationError(problems)
-    psi = fn.compute_psi(p, traj)
-    mult = ml.compute_phi(p, traj, psi)
-    report = cd.full_report(p, traj, mult)
+    slots = fn.trajectory_args(p, traj)  # L's node arguments, built once
+    psi = fn.psi_values(p, traj.grid, slots, traj.z)
+    mult = ml.compute_phi(p, traj, psi, slots)
+    report = cd.full_report(p, traj, mult, slots)
     if args.out:
         _write_residual_csv(report, args.out)
         print(f"wrote {args.out}")
-    norms = report.norms
-    unflagged = report.norms_unflagged
-    for key in ("el1", "el2", "tc", "dbr"):
-        print(f"sup {key}: {_fmt(norms[key])} (unflagged {_fmt(unflagged[key])})")
+    _print_norms(report)
     return EXIT_OK
 
 
@@ -150,7 +151,7 @@ def _write_residual_csv(report, path):
 
 
 def cmd_reduce(args):
-    _, p, _ = _load(args)
+    _, p, _, _ = _load(args)
     rp = rd.guinn_reduce(p)
     if args.out:
         rd.write_reduced_file(rp, args.out)
@@ -168,7 +169,7 @@ def cmd_charge(args):
                               f"number, got {args.defect_tol!r}")
     if not 0.0 < args.ds <= 1e-2:  # invariance_defect's bounds, before the solve
         raise ValidationError(f"--ds must lie in (0, 1e-2], got {args.ds!r}")
-    raw, p, _ = _load(args)
+    raw, p, _, opts = _load(args)
     fam_content = raw.family
     if args.family_file:
         with open(args.family_file) as fh:
@@ -184,13 +185,14 @@ def cmd_charge(args):
                               "file or a separate family file)")
     fam = nt.make_family(p, fam_content.T, fam_content.X, fam_content.Z,
                          fam_content.xi)
-    result = _solve(args, p)
+    result = sv.solve_extremal(p, opts)
     if not result.converged:
         _print_report(result)
         return EXIT_NO_CONVERGENCE
     traj = result.trajectory
     d1, d2 = nt.invariance_defect(p, traj, fam, ds=args.ds)
-    charge = nt.noether_charge(p, traj, result.multipliers, fam)
+    charge = nt.noether_charge(p, traj, result.multipliers, fam,
+                               fn.trajectory_args(p, traj))
     total = nt.drift(charge)
     interior = nt.drift(charge, mask=result.report.dbr_flags)
     if args.out:
@@ -208,7 +210,7 @@ def cmd_charge(args):
 
 
 def cmd_check_derivs(args):
-    _, p, _ = _load(args)
+    _, p, _, _ = _load(args)
     rows = pb.check_derivatives(p)
     print(f"{'slot':<12} {'t':>12} {'symbolic':>16} {'fd':>16} {'rel_err':>12}")
     worst = 0.0

@@ -211,10 +211,9 @@ def comb_integral(vals, left, grid, point=0.0):
 
 
 def dbr_inner_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                      mult: ml.MultiplierSet) -> np.ndarray:
+                      mult: ml.MultiplierSet, args) -> np.ndarray:
     """E(t) + int_t^min(t + tau, b) D(s) ds per node: constant along the
     extremals of an autonomous L, delayed or not."""
-    args = fn.trajectory_args(p, traj)
     inner = dbr_inner(p, traj, mult, args)
     if not has_comb(p):
         return inner
@@ -223,9 +222,9 @@ def dbr_inner_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
 
 
 def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                mult: ml.MultiplierSet) -> ResidualReport:
+                mult: ml.MultiplierSet, args) -> ResidualReport:
+    """Every block of the report at the node arguments ``args`` along traj."""
     grid = traj.grid
-    args = fn.trajectory_args(p, traj)
     terms = ml.weighted_terms(p, grid, args, traj.z, mult.psi, range(p.n + 1))
     el1, el2 = el_blocks(grid, terms)
     tc = transversality_values(grid, terms)

@@ -11,7 +11,8 @@ so psi stays fourth order).
 L's arguments along a derivative series are built once by ``slot_args``
 (``trajectory_args`` along a trajectory with z), in a layout known here
 only, and every evaluation along the series reads that build: the march,
-psi, and the summands and reports of ``multipliers`` and ``conditions``.
+psi, and the summands, reports and charges of ``multipliers``,
+``conditions`` and ``noether``, which take it from their caller.
 
 The low-level helpers accept leading batch axes on the sample arrays; the
 solver uses them to evaluate whole Jacobian chunks in one sweep.
@@ -64,8 +65,8 @@ def ordered_args(t, cur, delayed):
 
 
 def trajectory_args(p: pb.ProblemSpec, traj: tr.StateTrajectory):
-    """``slot_args`` on the nodes of a trajectory with z, built once by each
-    certifying call for all of its evaluations."""
+    """``slot_args`` on the nodes of a trajectory with z, built once by a
+    command for every evaluation along it."""
     if traj.z is None:
         raise ValidationError("trajectory has no z series; simulate it first")
     return slot_args(p, traj.grid, traj.x)
@@ -252,13 +253,8 @@ def integral_to_b(g, h):
 
 
 def psi_values(p: pb.ProblemSpec, grid: tr.Grid, args, z):
-    """psi on the nodes from the node arguments ``args`` of a series and z."""
+    """psi(t) = exp(integral_t^b dL/dz) on the nodes from the node arguments
+    ``args`` of a series and z; psi(b) = 1 exactly."""
     J = integral_to_b(eval_args(p, args, z, "z"), grid.h)
     with np.errstate(all="ignore"):
         return np.exp(J)
-
-
-def compute_psi(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> np.ndarray:
-    """psi(t) = exp(integral_t^b dL/dz) on the nodes, shape (M+1,);
-    psi(b) = 1 exactly."""
-    return psi_values(p, traj.grid, trajectory_args(p, traj), traj.z)

@@ -91,13 +91,13 @@ def block_sums(terms, k, grid, sign=1):
 
 
 def compute_phi(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                psi: np.ndarray) -> MultiplierSet:
-    """Evaluate the closed form for every k; no backward integration.  The
-    node at b - tau keeps the left block's value."""
+                psi: np.ndarray, args) -> MultiplierSet:
+    """Evaluate the closed form for every k at the node arguments ``args``
+    of ``fn.slot_args`` along traj; no backward integration.  The node at
+    b - tau keeps the left block's value."""
     grid = traj.grid
     jn = grid.junction
-    terms = [None] + weighted_terms(p, grid, fn.trajectory_args(p, traj), traj.z,
-                                    psi, range(1, p.n + 1))
+    terms = [None] + weighted_terms(p, grid, args, traj.z, psi, range(1, p.n + 1))
     phi = np.zeros((p.n, p.m, grid.M + 1))
     for k in range(1, p.n + 1):
         left, right = block_sums(terms, k, grid, sign=-1)

@@ -206,11 +206,12 @@ def invariance_defect(p: pb.ProblemSpec, traj: tr.StateTrajectory,
 
 
 def noether_charge(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                   mult: ml.MultiplierSet, fam: InvarianceFamily) -> np.ndarray:
-    """The pointwise charge C per node; constant along extremals when
-    tau = 0 or L reads no ``tau_`` slot (see ``noether_charge_delayed``)."""
-    return _charge(p, traj, mult, lift_generators(fam, traj),
-                   fn.trajectory_args(p, traj))
+                   mult: ml.MultiplierSet, fam: InvarianceFamily,
+                   args) -> np.ndarray:
+    """The pointwise charge C per node, at the node arguments ``args`` of
+    ``fn.slot_args`` along traj; constant along extremals when tau = 0 or L
+    reads no ``tau_`` slot (see ``noether_charge_delayed``)."""
+    return _charge(p, traj, mult, lift_generators(fam, traj), args)
 
 
 def _charge(p, traj, mult, gen, args):
@@ -240,14 +241,14 @@ def _history_generators(fam, p, grid):
 
 
 def noether_charge_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                           mult: ml.MultiplierSet,
-                           fam: InvarianceFamily) -> np.ndarray:
-    """C + int_t^min(t+tau, b) G per node, constant along the extremals of a
-    delayed problem invariant under ``fam``; equal to ``noether_charge``
-    when tau = 0 or L reads no ``tau_`` slot.  With tau > 0 the T generator
-    must be a constant, the only time shift a constant delay admits."""
+                           mult: ml.MultiplierSet, fam: InvarianceFamily,
+                           args) -> np.ndarray:
+    """C + int_t^min(t+tau, b) G per node, at the node arguments ``args``
+    along traj, constant along the extremals of a delayed problem invariant
+    under ``fam``; equal to ``noether_charge`` when tau = 0 or L reads no
+    ``tau_`` slot.  With tau > 0 the T generator must be a constant, the
+    only time shift a constant delay admits."""
     gen = lift_generators(fam, traj)
-    args = fn.trajectory_args(p, traj)
     C = _charge(p, traj, mult, gen, args)
     if not cd.has_comb(p):
         return C

@@ -38,10 +38,12 @@ The matrix is factored by scipy's splu after its exact zeros are dropped;
 without scipy the dense LU of the same matrix gives the columns of its
 inverse that a step reads.
 
-One residual builds the derivative series at U and L's arguments once.
-The Jacobian reuses the kept iterate's build, z and psi at U (a rejected
-trial restores it), and the build of its batched condition map for the step
-maps and dL/dz.
+One residual builds the derivative series at U and L's arguments once and
+returns that build, with z and psi, next to R.  The iteration keeps it with
+the iterate: the Jacobian reads the kept iterate's build and that of its
+batched condition map for the step maps and dL/dz, and no trial puts
+anything back.  The returned trajectory, multipliers and report read the
+last iterate's build: its series, arguments, z and psi.
 
 Each Newton matrix is factored once and the factor is kept: the next step
 is a chord step with it, kept when it cuts the sup residual by the factor
@@ -50,9 +52,7 @@ and the line search halves the full Newton step until the residual falls;
 after a damped step the factor is dropped.  The budget's last step is always
 a Newton step, and once a chord step reaches tol_r one more chord step is
 kept if it lowers the residual at all.  The damping, the contraction factor,
-the step tolerance and the difference step are module constants.  The
-returned trajectory keeps z, and the multipliers psi, from the last residual
-at its positions.
+the step tolerance and the difference step are module constants.
 """
 
 from __future__ import annotations
@@ -170,7 +170,6 @@ class _System:
         self.z_free = not (g_reads & (cur | tau | {"z"})
                            or any("z" in reads[s] for s in cur | tau))
         delayed = bool(ex.free_variables(p.lagrangian.body) & tau)
-        self._last = self._built = None
         # position patterns: the condition rows and, for a z-coupled L, the
         # RK4 steps of z and the dL/dz nodes; one coloring serves all three.
         # A summand at s reads the series at s, at s - p when a current-slot
@@ -235,38 +234,18 @@ class _System:
         return pos
 
     def residual(self, U, z=None, psi=None):
-        """R(U), batched over leading axes of U.  Given z and psi (node
-        values, broadcast against the batch), they are held instead of
-        simulated: that is the condition map F(U, z, psi)."""
-        U = np.asarray(U, dtype=float)
-        # the Jacobian reads the build of its batched condition map here
-        x, args = self._built = self._series(U)
-        if z is None:
-            z, psi = self._simulate(x, args)
-            if U.ndim == 1:  # the Jacobian at U reuses all of them
-                self._last = (U.copy(), x, args, z, psi)
-        terms = ml.weighted_terms(self.p, self.grid, args, z, psi, range(self.p.n + 1))
-        if self.z_free:  # read by no Jacobian: dropped before the block sums' peak
-            self._built = args = None
-        return self._conditions(x, terms)
-
-    def _series(self, U):
-        """The derivative series x at U and its node arguments, built once."""
-        x = tr.build_series(self.unpack(U), self.grid.h, self.p.n)
-        return x, fn.slot_args(self.p, self.grid, x)
-
-    def _state(self, U):
-        """x, its node arguments, z and psi at one U, as a residual there left them."""
-        if self._last is None or not np.array_equal(self._last[0], U):
-            x, args = self._series(U)
-            self._last = (U.copy(), x, args, *self._simulate(x, args))
-        return self._last[1:]
-
-    def _simulate(self, x, args):
-        """z and psi along x; a z-free L's psi and summands ignore z."""
+        """R(U), batched over leading axes of U, and the build it read: the
+        derivative series x at U, its node arguments, z and psi.  Given z and
+        psi (node values, broadcast against the batch), they are held instead
+        of simulated: that is the condition map F(U, z, psi)."""
         p, grid = self.p, self.grid
-        z = np.zeros(grid.M + 1) if self.z_free else fn.rk4_z(p, grid, x, args)
-        return z, fn.psi_values(p, grid, args, z)
+        x = tr.build_series(self.unpack(np.asarray(U, dtype=float)), grid.h, p.n)
+        args = fn.slot_args(p, grid, x)
+        if z is None:  # a z-free L's psi and summands ignore z
+            z = np.zeros(grid.M + 1) if self.z_free else fn.rk4_z(p, grid, x, args)
+            psi = fn.psi_values(p, grid, args, z)
+        terms = ml.weighted_terms(p, grid, args, z, psi, range(p.n + 1))
+        return self._conditions(x, terms), (x, args, z, psi)
 
     def _conditions(self, x, terms):
         """The condition rows at the series x from its ``ml.weighted_terms``
@@ -278,9 +257,10 @@ class _System:
         return np.concatenate([np.broadcast_to(v, batch + v.shape[-2:])
                                .reshape(batch + (-1,)) for v in rows], axis=-1)
 
-    def jacobian(self, U, R0):
-        """Forward-difference Newton matrix at U, where R0 = R(U), as COO
-        triplets (rows, cols, vals) of a square matrix of side n_augmented.
+    def jacobian(self, U, R0, build):
+        """Forward-difference Newton matrix at U, where R0 and ``build`` are
+        R(U) and the build it read, as COO triplets (rows, cols, vals) of a
+        square matrix of side n_augmented.
 
         For a z-free L it is F_U.  Any other L appends the unknowns z, g =
         dL/dz and w = log psi on the nodes 0..M, in that order, with the rows
@@ -291,17 +271,15 @@ class _System:
         difference of F, of the step maps or of dL/dz, the other inputs
         held."""
         p, grid = self.p, self.grid
-        x, args, z, psi = self._state(U)
+        x, args, z, psi = build
         nu = U.shape[0]
         deltas = _FD_STEP * (1.0 + np.abs(U))
         Ub = np.repeat(U[np.newaxis, :], self.n_colors, axis=0)
         Ub[self.color, np.arange(nu)] += deltas
-        Rb = self.residual(Ub, z, psi)
+        Rb, (xb, argsb, _, _) = self.residual(Ub, z, psi)
         blocks = [(*self.pattern, _diff(self.pattern, self.color, Rb, R0, deltas))]
         if self.z_free:
             return _stack(blocks)
-        # released here, so that the linear solve does not hold the batch
-        (xb, argsb), self._built = self._built, None
         dz = _FD_STEP * (1.0 + np.abs(z))
         F_z, F_psi = self._node_derivatives(x, args, z, psi, R0, dz)
         stage = fn.stage_args(p, grid, x, args)
@@ -513,20 +491,15 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
     grid = tr.align_grid(p.a, p.b, p.tau, n=p.n, M=opts.M, h=opts.h)
     sys = _System(p, grid)
     U = sys.pack(sys.initial_positions()).astype(float)
-    R = sys.residual(U)
+    R, build = sys.residual(U)
     norm = _sup(R)
     log = [(0, norm, _DAMPING)]
 
     def trial(U_try, keep):
-        # U_try, its residual and sup when keep(sup); else None, and the kept
-        # iterate's build goes back to _last for the next Jacobian and the end
-        build = sys._last
-        R_try = sys.residual(U_try)
+        # U_try, its residual, sup and build when keep(sup), else None
+        R_try, build_try = sys.residual(U_try)
         norm_try = _sup(R_try)
-        if keep(norm_try):
-            return U_try, R_try, norm_try
-        sys._last = build
-        return None
+        return (U_try, R_try, norm_try, build_try) if keep(norm_try) else None
 
     solve = None  # the kept factor, reused by chord steps while R contracts
     it = 0
@@ -537,7 +510,7 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
             step = solve(R)
             new = trial(U + step, lambda v: v <= _RHO * norm)
             if new:
-                U, R, norm = new
+                U, R, norm, build = new
                 log.append((it, norm, 1.0))
                 if norm <= opts.tol_r and it + 1 < opts.max_iters:
                     # chord steps converge linearly and stop just under
@@ -545,19 +518,19 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
                     new = trial(U + solve(R), lambda v: v < norm)
                     if new:
                         it += 1
-                        U, R, norm = new
+                        U, R, norm, build = new
                         log.append((it, norm, 1.0))
                 elif _sup(step) <= _TOL_X * (1.0 + _sup(U)):
                     break
                 continue
         solve = None  # dropped before the next matrix is built
-        solve = _factor(sys.jacobian(U, R), sys.n_augmented, R.size)
+        solve = _factor(sys.jacobian(U, R, build), sys.n_augmented, R.size)
         step = solve(R)
         lam = _DAMPING
         while lam >= 1e-8:
             new = trial(U + lam * step, lambda v: v < norm)
             if new:
-                U, R, norm = new
+                U, R, norm, build = new
                 break
             lam *= 0.5
         log.append((it, norm, lam))
@@ -568,13 +541,14 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
         if lam * _sup(step) <= _TOL_X * (1.0 + _sup(U)):
             break
 
-    # z and psi as the last residual at U had them; a z-free residual holds
-    # z = 0, but its psi reads t alone
-    _, _, z, psi = sys._state(U)
-    traj = fn.simulate_z(p, tr.from_positions(p, grid, sys.unpack(U)),
-                         None if sys.z_free else z)
-    mult = ml.compute_phi(p, traj, psi)
-    report = cd.full_report(p, traj, mult)
+    # the last residual's build at U; a z-free residual holds z = 0, so z is
+    # marched here on its arguments, but its psi reads t alone
+    x, args, z, psi = build
+    if sys.z_free:
+        z = fn.rk4_z(p, grid, x, args)
+    traj = fn.simulate_z(p, tr.StateTrajectory(grid, x), z)
+    mult = ml.compute_phi(p, traj, psi, args)
+    report = cd.full_report(p, traj, mult, args)
     sup_ok = report.norms_unflagged
     converged = (sup_ok["el1"] <= opts.tol_r and sup_ok["el2"] <= opts.tol_r
                  and sup_ok["tc"] <= opts.tol_r)

@@ -153,17 +153,6 @@ class StateTrajectory:
         return replace(self, z=np.asarray(z, dtype=float))
 
 
-def from_positions(p: pb.ProblemSpec, grid: Grid, positions) -> StateTrajectory:
-    """Build a trajectory from position samples; derivative series come from
-    repeated stencil differentiation of the samples on [a, b]."""
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if pos.shape != (p.m, grid.M + 1):
-        raise ValidationError(
-            f"positions must have shape ({p.m}, {grid.M + 1}), got {pos.shape}")
-    x = build_series(pos, grid.h, p.n)
-    return StateTrajectory(grid=grid, x=x)
-
-
 def build_series(pos, h, n):
     """Stack position samples with their n stencil-derived derivative series.
     pos: (..., M+1) -> (..., n+1, M+1)."""

@@ -12,7 +12,8 @@ restricted to the stacked intervals with the costates of the history
 interval [a - tau, a], and the stacked Hamiltonian.  These read the
 library's summands and the stacked slot arrays of ``reduction``; what they
 check is the reduced view itself.  ``rk4_loop`` is the z march one RK4 step
-at a time, the reference for the affine step map.
+at a time, the reference for the affine step map, and ``from_positions``
+builds a trajectory from position samples as a solve builds its series.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from herglotz import problem as pb
 from herglotz import reduction as rd
 from herglotz.functional import integral_to_b, march_z, stage_args, trajectory_args
 from herglotz.multipliers import alternating_sum, summand_terms
-from herglotz.trajectory import StateTrajectory, differentiate_values
+from herglotz.trajectory import StateTrajectory, build_series, differentiate_values
 
 
 def central_fd(e, binding, var, h=1e-6):
@@ -222,7 +223,7 @@ def dense_jacobian(system, U, R0, fd_step, chunk=256):
         cols = np.arange(lo, min(lo + chunk, nu))
         Ub = np.repeat(U[np.newaxis, :], cols.size, axis=0)
         Ub[np.arange(cols.size), cols] += deltas[cols]
-        Rb = system.residual(Ub)
+        Rb, _ = system.residual(Ub)
         J[:, cols] = ((Rb - R0) / deltas[cols, np.newaxis]).T
     return J
 
@@ -275,6 +276,14 @@ def reduced_psi(rp, stacked):
         psi[j - 1] = terminal * np.exp(J)
         terminal = psi[j - 1, 0]
     return psi
+
+
+def from_positions(p, grid, positions):
+    """A trajectory from position samples on the grid, its derivative series
+    by repeated stencil differentiation of the samples, as a solve builds
+    them."""
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    return StateTrajectory(grid=grid, x=build_series(pos, grid.h, p.n))
 
 
 def compute_phi_history(p, traj, psi):

@@ -33,7 +33,8 @@ from conftest import (make_problem, oscillator_closed_form,
                       oscillator_closed_form_src, oscillator_problem)
 from oracles import (delay_free_el, delay_free_tc, first_order_delayed_el,
                      first_order_delayed_dbr, first_order_delayed_charge,
-                     first_order_delayed_comb, map_multipliers, reduced_hamiltonian)
+                     first_order_delayed_comb, from_positions, map_multipliers,
+                     reduced_hamiltonian)
 
 
 def report(criterion, ok, detail):
@@ -62,7 +63,7 @@ def test_criterion_2_psi_contract():
     for h in (4e-3, 2e-3, 1e-3):
         g = tr.align_grid(0.0, 1.0, 0.0, n=1, h=h)
         traj = fn.simulate_z(p, tr.from_expressions(p, g, ["1"]))
-        psi = fn.compute_psi(p, traj)
+        psi = fn.psi_values(p, g, fn.trajectory_args(p, traj), traj.z)
         sups.append(float(np.max(np.abs(psi - np.exp(g.nodes() - 1.0)))))
         gz = fn.eval_on_nodes(p, g, traj.x, traj.z, "z")
         r = tr.differentiate_values(psi, g.h, 1) + psi * gz
@@ -89,9 +90,10 @@ def test_criterion_3_transversality(oscillator_solved, quadratic_n2_solved_fine)
     g = tr.align_grid(0.0, 1.0, 0.0, n=1, h=1e-3)
     src = oscillator_closed_form_src() + " + 0.05*t^2"
     traj = fn.simulate_z(p, tr.from_expressions(p, g, [src]))
-    psi = fn.compute_psi(p, traj)
-    mult = ml.compute_phi(p, traj, psi)
-    tc = cd.full_report(p, traj, mult).tc
+    args = fn.trajectory_args(p, traj)
+    psi = fn.psi_values(p, g, args, traj.z)
+    mult = ml.compute_phi(p, traj, psi, args)
+    tc = cd.full_report(p, traj, mult, args).tc
     err = abs(float(tc[0, 0]) - 0.1)
     ok = worst <= 1e-4 and err <= 1e-5
     report(3, ok, f"worst TC on converged fixtures {worst:.3e} (tol 1e-4); "
@@ -126,12 +128,13 @@ def test_criterion_4_dbr_delayed_strict(delayed_solved):
     term out, stays large: the comb term carries the whole gap."""
     p, res = delayed_solved
     traj, mult = res.trajectory, res.multipliers
+    args = fn.trajectory_args(p, traj)
     _, dbr_delayed = res.report.dbr_delayed_norms
     dbr = res.report.norms_unflagged["dbr"]
-    D, _ = cd.comb_series(p, traj, mult, fn.trajectory_args(p, traj))
+    D, _ = cd.comb_series(p, traj, mult, args)
     comb_gap = float(np.max(np.abs(
         D - first_order_delayed_comb(p, traj, mult.psi))))
-    inner = cd.dbr_inner_delayed(p, traj, mult)
+    inner = cd.dbr_inner_delayed(p, traj, mult, args)
     drift = nt.drift(inner, res.report.dbr_flags)
     ok = dbr_delayed <= 1e-3 and drift <= 1e-4 and comb_gap <= 1e-10 and dbr >= 1e-2
     report("4 (delayed)", ok,
@@ -194,9 +197,10 @@ def test_criterion_6_charge_drift_strict(delayed_solved):
     constant along the extremal."""
     p, res = delayed_solved
     traj, mult = res.trajectory, res.multipliers
-    C = nt.noether_charge_delayed(p, traj, mult, _time_translation(p))
+    args = fn.trajectory_args(p, traj)
+    C = nt.noether_charge_delayed(p, traj, mult, _time_translation(p), args)
     drift = nt.drift(C, res.report.dbr_flags)
-    gap = float(np.max(np.abs(C + cd.dbr_inner_delayed(p, traj, mult))))
+    gap = float(np.max(np.abs(C + cd.dbr_inner_delayed(p, traj, mult, args))))
     ok = drift <= 1e-3 and gap <= 1e-12
     report("6 (drift)", ok,
            f"delayed charge drift {drift:.3e} (tol 1e-3), "
@@ -215,8 +219,8 @@ def test_criterion_6_conserved_counterparts(delayed_solved):
     mults = map_multipliers(rp, res.trajectory, res.multipliers)
     H = reduced_hamiltonian(rp, stacked, mults)
     h_drift = float(np.max(H) - np.min(H))
-    C = nt.noether_charge(p, res.trajectory, res.multipliers,
-                          _time_translation(p))
+    C = nt.noether_charge(p, res.trajectory, res.multipliers, _time_translation(p),
+                          fn.trajectory_args(p, res.trajectory))
     endpoint = abs(float(C[-1] - C[0]))
     ok = h_drift <= 1e-5 and endpoint <= 1e-5
     report("6 (conserved counterparts)", ok,
@@ -231,15 +235,15 @@ def test_criterion_6_perturbed_non_extremal(delayed_solved):
     g = res.trajectory.grid
     pos = res.trajectory.x[:, 0, :].copy()
     pos[0] += 1e-2 * np.sin(np.pi * g.nodes())
-    pert = fn.simulate_z(p, tr.from_positions(p, g, pos))
-    psi = fn.compute_psi(p, pert)
-    mult = ml.compute_phi(p, pert, psi)
-    C = nt.noether_charge(p, pert, mult, _time_translation(p))
+    pert = fn.simulate_z(p, from_positions(p, g, pos))
+    args = fn.trajectory_args(p, pert)
+    mult = ml.compute_phi(p, pert, fn.psi_values(p, g, args, pert.z), args)
+    C = nt.noether_charge(p, pert, mult, _time_translation(p), args)
     drift = nt.drift(C, res.report.dbr_flags)
     # the comb-corrected checks of criteria 4 and 6 fail here too
-    _, dbr_delayed = cd.full_report(p, pert, mult).dbr_delayed_norms
+    _, dbr_delayed = cd.full_report(p, pert, mult, args).dbr_delayed_norms
     drift_delayed = nt.drift(
-        nt.noether_charge_delayed(p, pert, mult, _time_translation(p)),
+        nt.noether_charge_delayed(p, pert, mult, _time_translation(p), args),
         res.report.dbr_flags)
     ok = drift >= 1e-2 and dbr_delayed >= 1e-3 and drift_delayed >= 1e-3
     report("6 (perturbed)", ok, f"non-extremal charge drift {drift:.3e} (>= 1e-2), "
@@ -259,9 +263,10 @@ def test_criterion_7_special_case_equivalences():
     p = make_problem("0.5*xdd1^2 - 0.4*x1^2 - z", mu=("1",), n=2)
     g = tr.align_grid(0.0, 1.0, 0.0, n=2, M=200)
     traj = fn.simulate_z(p, tr.from_expressions(p, g, ["cos(t)"]))
-    psi = fn.compute_psi(p, traj)
-    mult = ml.compute_phi(p, traj, psi)
-    rep = cd.full_report(p, traj, mult)
+    args = fn.trajectory_args(p, traj)
+    psi = fn.psi_values(p, g, args, traj.z)
+    mult = ml.compute_phi(p, traj, psi, args)
+    rep = cd.full_report(p, traj, mult, args)
     el1 = rep.el1
     worst = max(worst, float(np.max(np.abs(el1 - delay_free_el(p, traj, psi)))))
     tc = rep.tc
@@ -271,19 +276,20 @@ def test_criterion_7_special_case_equivalences():
     pd = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z", tau=0.25)
     gd = tr.align_grid(0.0, 1.0, 0.25, n=1, M=200)
     trajd = fn.simulate_z(pd, tr.from_expressions(pd, gd, ["1 - 0.3*t^2"]))
-    psid = fn.compute_psi(pd, trajd)
-    multd = ml.compute_phi(pd, trajd, psid)
-    repd = cd.full_report(pd, trajd, multd)
+    argsd = fn.trajectory_args(pd, trajd)
+    psid = fn.psi_values(pd, gd, argsd, trajd.z)
+    multd = ml.compute_phi(pd, trajd, psid, argsd)
+    repd = cd.full_report(pd, trajd, multd, argsd)
     el1d, el2d = repd.el1, repd.el2
     ref1, ref2 = first_order_delayed_el(pd, trajd, psid)
     worst = max(worst, float(np.max(np.abs(el1d[0] - ref1))),
                 float(np.max(np.abs(el2d[0] - ref2))))
     worst = max(worst, float(np.max(np.abs(
-        cd.dbr_residual(pd, trajd, multd, fn.trajectory_args(pd, trajd))
+        cd.dbr_residual(pd, trajd, multd, argsd)
         - first_order_delayed_dbr(pd, trajd, psid)))))
     fam = nt.make_family(pd, "t + s", ["x1 + 0.5*s*x1"], "z + s*t")
     gen = nt.lift_generators(fam, trajd)
-    C = nt.noether_charge(pd, trajd, multd, fam)
+    C = nt.noether_charge(pd, trajd, multd, fam, argsd)
     ref5 = first_order_delayed_charge(pd, trajd, psid, gen.T, gen.X[0, 0], gen.Z)
     worst = max(worst, float(np.max(np.abs(C - ref5))))
 
@@ -305,7 +311,7 @@ def test_criterion_8_first_variation(oscillator_solved, quadratic_n2_solved_fine
         def z_eps(eps):
             pos = res.trajectory.x[:, 0, :].copy()
             pos[0] += eps * (t - grid.a) ** 2  # vanishes with n-1 derivatives at a
-            return fn.simulate_z(p, tr.from_positions(p, grid, pos)).z[-1]
+            return fn.simulate_z(p, from_positions(p, grid, pos)).z[-1]
 
         d1 = z_eps(1e-2) - z_b
         d2 = z_eps(5e-3) - z_b

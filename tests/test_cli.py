@@ -156,21 +156,40 @@ def test_solve_nonconvergence_exit_4(tmp_path, capsys):
     assert data.shape[0] == 101
 
 
+N2_DELAYED = """
+[problem]
+a = 0.0
+b = 1.0
+tau = 0.25
+n = 2
+m = 1
+gamma = 0.0
+
+[lagrangian]
+L = "0.5*xdd1^2 + 0.3*tau_xd1^2 + 0.2*x1*tau_xdd1 - 0.1*z"
+
+[history]
+mu1 = "1 + 0.5*t"
+"""
+
+
 def test_verify_roundtrip_matches_solve(tmp_path, capsys):
-    spec = write(tmp_path, "osc.spec", OSCILLATOR)
-    out = str(tmp_path / "sol.csv")
-    main(["solve", spec, "--h", "1e-2", "--out", out])
-    solve_out = capsys.readouterr().out
-    assert main(["verify", spec, out]) == 0
-    verify_out = capsys.readouterr().out
+    # the solve reports from its last residual's build and verify from the
+    # CSV it wrote: the four sup lines agree digit for digit, for a z-free
+    # delayed L, a z-coupled one and an n = 2 one as for the oscillator
+    def sups(text):
+        return [ln for ln in text.splitlines() if ln.startswith("sup ")]
 
-    def norms(text):
-        return {m.group(1): float(m.group(2)) for m in
-                re.finditer(r"sup (\w+): ([0-9.e+-]+)", text)}
-
-    a, b = norms(solve_out), norms(verify_out)
-    for key in ("el1", "el2", "tc", "dbr"):
-        assert abs(a[key] - b[key]) <= 1e-12
+    for name, text in (("osc", OSCILLATOR), ("delayed", DELAYED),
+                       ("zcoupled", MUTABLE), ("n2", N2_DELAYED)):
+        spec = write(tmp_path, f"{name}.spec", text)
+        out = str(tmp_path / f"{name}.csv")
+        assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+        solve_out = capsys.readouterr().out
+        assert main(["verify", spec, out]) == 0
+        verify_out = capsys.readouterr().out
+        assert len(sups(solve_out)) == 4
+        assert sups(solve_out) == sups(verify_out), name
 
 
 def test_verify_perturbed_raises_norms(tmp_path, capsys):
@@ -693,19 +712,74 @@ def test_mutated_trajectory_csv_keeps_the_exit_code_contract(tmp_path, mutable_c
     assert main(["verify", spec, mutated]) in (0, 2, 3, 4)
 
 
-@pytest.mark.parametrize("command", ["simulate", "solve", "charge"])
+@pytest.mark.parametrize("command, n, options, message", [
+    ("simulate", 20, [], "M=100 too small"),
+    ("solve", 20, [], "M=100 too small"),
+    ("charge", 20, [], "M=100 too small"),
+    ("solve", 1, ["--tol", "nan"], "tol_r must be positive and finite"),
+    ("charge", 1, ["--max-iters", "0"], "max_iters must be an integer >= 1"),
+], ids=["simulate", "solve", "charge", "solve-tol", "charge-max-iters"])
 def test_grid_checked_before_the_problem_is_built(tmp_path, capsys, monkeypatch,
-                                                  command):
-    # M = 100 is too small for n = 20, and that is known from the spec's
-    # numbers alone: no Lagrangian is differentiated or audited
+                                                  command, n, options, message):
+    # M = 100 is too small for n = 20, and a tolerance or a budget out of
+    # range is wrong whatever L is: each is known from the spec's numbers and
+    # the options alone, so no Lagrangian is differentiated or audited
     def refuse(raw):
         raise AssertionError("problem built before the grid check")
 
     monkeypatch.setattr(herglotz.problem, "build_problem", refuse)
-    text = re.sub(r"^n = 1$", "n = 20", DELAYED, flags=re.M)
+    text = re.sub(r"^n = 1$", f"n = {n}", DELAYED, flags=re.M)
     text += '\n[candidate]\nx1 = "1"\n\n[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\n'
-    assert main([command, write(tmp_path, "n20.spec", text), "--M", "100"]) == 2
-    assert "M=100 too small" in capsys.readouterr().err
+    spec = write(tmp_path, "spec.spec", text)
+    assert main([command, spec, "--M", "100", *options]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L", [
+    "0.5*xd1^2 + 0.25*tau_x1^2 - 0.3*x1*tau_xd1 - 0.2*z",
+    "0.5*xd1^2 - 0.5*x1^2 - 0.2*z",
+    "0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*x1 - z",
+], ids=["comb", "no-comb", "zcoupled"])
+def test_one_argument_build_per_command(tmp_path, capsys, monkeypatch, L):
+    # verify builds L's node arguments once, for psi, phi and the report; a
+    # solve builds them in its residuals only, its trajectory, multipliers
+    # and report reading the last one's; charge builds them once more, for
+    # its charge
+    scope, builds = ["command"], []
+    slot_args = herglotz.functional.slot_args
+
+    def within(name, f):
+        def scoped(*args, **kwargs):
+            scope.append(name)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                scope.pop()
+        return scoped
+
+    def counted(*args, **kwargs):
+        if not kwargs.get("mid", False):  # the march's midpoint build aside
+            builds.append(scope[-1])
+        return slot_args(*args, **kwargs)
+
+    solver = herglotz.solver
+    monkeypatch.setattr(herglotz.functional, "slot_args", counted)
+    monkeypatch.setattr(solver._System, "residual",
+                        within("residual", solver._System.residual))
+    monkeypatch.setattr(solver, "solve_extremal",
+                        within("solve", solver.solve_extremal))
+    text = (DELAYED.replace("tau = 0.5", "tau = 0.25")
+            .replace('"0.5*xd1^2 + 0.25*tau_x1^2 - z"', f'"{L}"')
+            + '\n[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\n')
+    spec, out = write(tmp_path, "spec.spec", text), str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--M", "100", "--out", out]) == 0
+    assert set(builds) == {"residual"}
+    builds.clear()
+    assert main(["verify", spec, out]) == 0
+    assert builds == ["command"]
+    builds.clear()
+    assert main(["charge", spec, "--M", "100"]) == 0
+    assert [b for b in builds if b != "residual"] == ["command"]
 
 
 @pytest.mark.parametrize("tau, grid", [("0.0", ["--h", "1e-320"]),

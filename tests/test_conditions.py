@@ -8,21 +8,26 @@ from herglotz import trajectory as tr
 
 from conftest import make_problem, oscillator_closed_form_src, oscillator_problem
 from oracles import (delay_free_el, delay_free_tc, first_order_delayed_comb,
-                     first_order_delayed_el, first_order_delayed_dbr)
+                     first_order_delayed_el, first_order_delayed_dbr, from_positions)
+
+
+def certify(p, traj):
+    """The multipliers along traj and L's node arguments there, built once."""
+    args = fn.trajectory_args(p, traj)
+    psi = fn.psi_values(p, traj.grid, args, traj.z)
+    return ml.compute_phi(p, traj, psi, args), args
 
 
 def pipeline(p, src, h=1e-3, M=None):
     g = tr.align_grid(p.a, p.b, p.tau, n=p.n, M=M, h=None if M else h)
     traj = fn.simulate_z(p, tr.from_expressions(p, g, [src] * p.m))
-    psi = fn.compute_psi(p, traj)
-    mult = ml.compute_phi(p, traj, psi)
-    return traj, mult
+    return (traj, *certify(p, traj))
 
 
 def test_el_zero_when_L_ignores_x():
     p = make_problem("-z")
-    traj, mult = pipeline(p, "sin(t)", M=100)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, "sin(t)", M=100)
+    rep = cd.full_report(p, traj, mult, args)
     el1, el2 = rep.el1, rep.el2
     assert np.max(np.abs(el1)) <= 1e-12
     assert np.max(np.abs(el2)) <= 1e-12
@@ -30,15 +35,15 @@ def test_el_zero_when_L_ignores_x():
 
 def test_el_small_on_closed_form_extremal():
     p = oscillator_problem()
-    traj, mult = pipeline(p, oscillator_closed_form_src(), h=1e-3)
-    el1 = cd.full_report(p, traj, mult).el1
+    traj, mult, args = pipeline(p, oscillator_closed_form_src(), h=1e-3)
+    el1 = cd.full_report(p, traj, mult, args).el1
     assert np.max(np.abs(el1)) <= 5e-5
 
 
 def test_el_blocks_partition_at_junction():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
-    traj, mult = pipeline(p, "1", M=100)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, "1", M=100)
+    rep = cd.full_report(p, traj, mult, args)
     assert rep.el1.shape == (1, traj.grid.junction + 1)
     assert rep.el2.shape == (1, traj.grid.p + 1)
     assert rep.dbr.shape == (traj.grid.M + 1,)
@@ -48,14 +53,12 @@ def test_el_perturbation_raises_norm():
     p = oscillator_problem()
     g = tr.align_grid(0.0, 1.0, 0.0, n=1, h=1e-3)
     base = fn.simulate_z(p, tr.from_expressions(p, g, [oscillator_closed_form_src()]))
-    psi = fn.compute_psi(p, base)
-    rep0 = cd.full_report(p, base, ml.compute_phi(p, base, psi))
+    rep0 = cd.full_report(p, base, *certify(p, base))
 
     pos = base.x[:, 0, :].copy()
     pos[0] += 1e-2 * np.sin(np.pi * g.nodes())
-    pert = fn.simulate_z(p, tr.from_positions(p, g, pos))
-    psi_p = fn.compute_psi(p, pert)
-    rep1 = cd.full_report(p, pert, ml.compute_phi(p, pert, psi_p))
+    pert = fn.simulate_z(p, from_positions(p, g, pos))
+    rep1 = cd.full_report(p, pert, *certify(p, pert))
 
     assert rep1.norms_unflagged["el1"] >= 10 * max(rep0.norms_unflagged["el1"], 1e-6)
     assert rep1.norms_unflagged["dbr"] >= 1e-2
@@ -63,44 +66,44 @@ def test_el_perturbation_raises_norm():
 
 def test_tc_constant_extremal_n1():
     p = make_problem("0.5*xd1^2 - z")
-    traj, mult = pipeline(p, "1", M=100)
-    tc = cd.full_report(p, traj, mult).tc
+    traj, mult, args = pipeline(p, "1", M=100)
+    tc = cd.full_report(p, traj, mult, args).tc
     assert abs(tc[0, 0]) <= 1e-8
 
 
 def test_tc_zero_when_L_has_no_derivative_slots():
     p = make_problem("0.5*x1^2 - z")
-    traj, mult = pipeline(p, "cos(t)", M=100)
-    tc = cd.full_report(p, traj, mult).tc
+    traj, mult, args = pipeline(p, "cos(t)", M=100)
+    tc = cd.full_report(p, traj, mult, args).tc
     assert np.all(tc == 0.0)
 
 
 def test_tc_n2_reads_terminal_acceleration():
     # k=2 residual is psi(b)*xdd(b) = xdd(b); x = 0.05 t^2 has xdd = 0.1
     p = make_problem("0.5*xdd1^2 - z", mu=("0.05*t^2",), n=2)
-    traj, mult = pipeline(p, "0.05*t^2", h=1e-3)
-    tc = cd.full_report(p, traj, mult).tc
+    traj, mult, args = pipeline(p, "0.05*t^2", h=1e-3)
+    tc = cd.full_report(p, traj, mult, args).tc
     assert abs(tc[1, 0] - 0.1) <= 1e-6
 
 
 def test_dbr_explicit_time_only():
     p = make_problem("t + 0*x1")
-    traj, mult = pipeline(p, "sin(t)", M=100)
-    dbr = cd.dbr_residual(p, traj, mult, fn.trajectory_args(p, traj))
+    traj, mult, args = pipeline(p, "sin(t)", M=100)
+    dbr = cd.dbr_residual(p, traj, mult, args)
     assert np.max(np.abs(dbr)) <= 1e-10
 
 
 def test_dbr_small_on_closed_form_extremal():
     p = oscillator_problem()
-    traj, mult = pipeline(p, oscillator_closed_form_src(), h=1e-3)
-    dbr = cd.dbr_residual(p, traj, mult, fn.trajectory_args(p, traj))
+    traj, mult, args = pipeline(p, oscillator_closed_form_src(), h=1e-3)
+    dbr = cd.dbr_residual(p, traj, mult, args)
     assert np.max(np.abs(dbr)) <= 5e-5
 
 
 def test_report_norms_are_exact_sups():
     p = oscillator_problem()
-    traj, mult = pipeline(p, "1 - 0.2*t", M=100)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, "1 - 0.2*t", M=100)
+    rep = cd.full_report(p, traj, mult, args)
     assert rep.norms["el1"] == np.max(np.abs(rep.el1))
     assert rep.norms["dbr"] == np.max(np.abs(rep.dbr))
     assert rep.norms_unflagged["el1"] <= rep.norms["el1"]
@@ -108,8 +111,8 @@ def test_report_norms_are_exact_sups():
 
 def test_flags_mark_one_sided_zones():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
-    traj, mult = pipeline(p, "1", M=100)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, "1", M=100)
+    rep = cd.full_report(p, traj, mult, args)
     w = cd.flag_width(1)
     assert np.all(rep.el1_flags[:w]) and np.all(rep.el1_flags[-w:])
     assert not rep.el1_flags[w:-w].any()
@@ -118,8 +121,8 @@ def test_flags_mark_one_sided_zones():
 def test_delay_free_equivalence_tau0():
     # tau=0 residuals equal an independent delay-free implementation
     p = make_problem("0.5*xdd1^2 - 0.4*x1^2 - z", mu=("1",), n=2)
-    traj, mult = pipeline(p, "cos(t)", M=200)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, "cos(t)", M=200)
+    rep = cd.full_report(p, traj, mult, args)
     el1 = rep.el1
     ref = delay_free_el(p, traj, mult.psi)
     assert np.max(np.abs(el1 - ref)) <= 1e-10
@@ -130,8 +133,8 @@ def test_delay_free_equivalence_tau0():
 
 def test_first_order_delayed_el_equivalence():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z", tau=0.25)
-    traj, mult = pipeline(p, "1 - 0.3*t^2", M=200)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, "1 - 0.3*t^2", M=200)
+    rep = cd.full_report(p, traj, mult, args)
     el1, el2 = rep.el1, rep.el2
     ref1, ref2 = first_order_delayed_el(p, traj, mult.psi)
     assert np.max(np.abs(el1[0] - ref1)) <= 1e-10
@@ -140,16 +143,16 @@ def test_first_order_delayed_el_equivalence():
 
 def test_first_order_delayed_dbr_equivalence():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
-    traj, mult = pipeline(p, "1 - 0.3*t^2", M=200)
-    dbr = cd.dbr_residual(p, traj, mult, fn.trajectory_args(p, traj))
+    traj, mult, args = pipeline(p, "1 - 0.3*t^2", M=200)
+    dbr = cd.dbr_residual(p, traj, mult, args)
     ref = first_order_delayed_dbr(p, traj, mult.psi)
     assert np.max(np.abs(dbr - ref)) <= 1e-10
 
 
 def test_multicomponent_dimensions():
     p = make_problem("0.5*xd1^2 + 0.5*xd2^2 - x1*x2 - z", mu=("1", "2"), m=2)
-    traj, mult = pipeline(p, "1", M=100)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, "1", M=100)
+    rep = cd.full_report(p, traj, mult, args)
     assert rep.el1.shape[0] == 2
     assert rep.tc.shape == (1, 2)
 
@@ -163,9 +166,8 @@ def test_delayed_velocity_extremal_and_perturbation(delayed_velocity_solved):
     g = res.trajectory.grid
     pos = res.trajectory.x[:, 0, :].copy()
     pos[0] += 1e-2 * np.sin(np.pi * g.nodes())
-    pert = fn.simulate_z(p, tr.from_positions(p, g, pos))
-    psi = fn.compute_psi(p, pert)
-    rep = cd.full_report(p, pert, ml.compute_phi(p, pert, psi))
+    pert = fn.simulate_z(p, from_positions(p, g, pos))
+    rep = cd.full_report(p, pert, *certify(p, pert))
     assert rep.norms_unflagged["el1"] >= 10 * max(base, 1e-5)
 
 
@@ -182,8 +184,8 @@ def test_delayed_dbr_identity_off_extremal(L, n, src, M):
     # dE/dt - psi dL/dt - [D(t) - D(t + tau)] = sum_j R_j x_j' holds for every
     # admissible trajectory; the gap left is the stencils' O(h^4) error
     p = make_problem(L, mu=("1 + 0.5*t",), tau=0.25, n=n)
-    traj, mult = pipeline(p, src, M=M)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, src, M=M)
+    rep = cd.full_report(p, traj, mult, args)
     R = np.concatenate([rep.el1, rep.el2[:, 1:]], axis=1)
     work = np.sum(R * traj.x[:, 1, :], axis=0)
     keep = ~rep.dbr_delayed_flags
@@ -197,18 +199,18 @@ def test_delayed_dbr_is_pointwise_without_comb(L, tau):
     # tau = 0 or no tau_ slot: no comb term, so the delayed block and the
     # corrected inner quantity are the pointwise ones bit for bit
     p = make_problem(L, mu=("1 + 0.5*t",), tau=tau)
-    traj, mult = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
-    rep = cd.full_report(p, traj, mult)
+    traj, mult, args = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
+    rep = cd.full_report(p, traj, mult, args)
     assert np.array_equal(rep.dbr_delayed, rep.dbr)
-    inner = cd.dbr_inner(p, traj, mult, fn.trajectory_args(p, traj))
-    assert np.array_equal(cd.dbr_inner_delayed(p, traj, mult), inner)
+    inner = cd.dbr_inner(p, traj, mult, args)
+    assert np.array_equal(cd.dbr_inner_delayed(p, traj, mult, args), inner)
 
 
 def test_first_order_delayed_comb_equivalence():
     # the cross-delay L reads tau_xd1, so the x'' rate is exercised too
     p = make_problem(CROSS_DELAY, mu=("1 + 0.5*t",), tau=0.25)
-    traj, mult = pipeline(p, "1 - 0.4*t + 0.3*t^2 - 0.2*t^3", M=200)
-    D, left = cd.comb_series(p, traj, mult, fn.trajectory_args(p, traj))
+    traj, mult, args = pipeline(p, "1 - 0.4*t + 0.3*t^2 - 0.2*t^3", M=200)
+    D, left = cd.comb_series(p, traj, mult, args)
     assert np.max(np.abs(D - first_order_delayed_comb(p, traj, mult.psi))) <= 1e-10
     # left limit at a + tau reads the history at a: tau_x1 = mu(a) = 1 and
     # the past rates x' = mu'(a) = 0.5, x'' = mu''(a) = 0, so D = psi/4
@@ -226,33 +228,10 @@ def test_delayed_inner_carries_the_breakpoint_jump():
     res = solve_extremal(p, SolveOptions(M=200, h=None))
     assert res.converged
     traj, mult = res.trajectory, res.multipliers
+    args = fn.trajectory_args(p, traj)
     q, w = traj.grid.p, cd.flag_width(p.n)
-    jump = cd.breakpoint_jump(p, traj, mult, fn.trajectory_args(p, traj))
-    inner = cd.dbr_inner_delayed(p, traj, mult)
+    jump = cd.breakpoint_jump(p, traj, mult, args)
+    inner = cd.dbr_inner_delayed(p, traj, mult, args)
     step = np.mean(inner[q + w:q + 3 * w]) - np.mean(inner[q - 3 * w:q - w])
     assert abs(jump) >= 0.1
     assert abs(step) <= 1e-3
-
-
-@pytest.mark.parametrize("L", [CROSS_DELAY, "0.5*xd1^2 - 0.5*x1^2 - 0.2*z"],
-                         ids=["comb", "no-comb"])
-def test_one_argument_build_per_report(monkeypatch, L):
-    # the report, the corrected inner quantity and the delayed charge each
-    # build L's node arguments once and hand them to every evaluation
-    from herglotz import noether as nt
-    p = make_problem(L, mu=("1 + 0.5*t",), tau=0.25)
-    traj, mult = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
-    fam = nt.make_family(p, "t + s", ["x1"], "z")
-    builds = []
-    slot_args = fn.slot_args
-
-    def counted(*args, **kwargs):
-        builds.append(kwargs.get("mid", False))
-        return slot_args(*args, **kwargs)
-
-    monkeypatch.setattr(fn, "slot_args", counted)
-    for f in (cd.full_report, cd.dbr_inner_delayed,
-              lambda *a: nt.noether_charge_delayed(*a, fam)):
-        builds.clear()
-        f(p, traj, mult)
-        assert builds == [False]

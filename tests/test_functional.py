@@ -59,14 +59,14 @@ def test_admissibility_defect_small_on_simulated():
 def test_psi_identity_when_z_free():
     p = make_problem("0.5*xd1^2")
     traj = fn.simulate_z(p, build(p, "sin(t)", M=100))
-    psi = fn.compute_psi(p, traj)
+    psi = fn.psi_values(p, traj.grid, fn.trajectory_args(p, traj), traj.z)
     assert np.all(psi == 1.0)
 
 
 def test_psi_constant_coefficient():
     p = make_problem("0.5*xd1^2 - z")
     traj = fn.simulate_z(p, build(p, "1", h=1e-3))
-    psi = fn.compute_psi(p, traj)
+    psi = fn.psi_values(p, traj.grid, fn.trajectory_args(p, traj), traj.z)
     t = traj.grid.nodes()
     assert psi[-1] == 1.0
     assert np.max(np.abs(psi - np.exp(t - 1.0))) <= 1e-10
@@ -77,7 +77,7 @@ def test_psi_polynomial_coefficient():
     # dL/dz = -t: psi(t) = exp((t^2 - 1)/2)
     p = make_problem("-t*z")
     traj = fn.simulate_z(p, build(p, "1", h=1e-3))
-    psi = fn.compute_psi(p, traj)
+    psi = fn.psi_values(p, traj.grid, fn.trajectory_args(p, traj), traj.z)
     t = traj.grid.nodes()
     assert np.max(np.abs(psi - np.exp((t ** 2 - 1.0) / 2.0))) <= 1e-9
     assert abs(psi[0] - 0.60653065971) <= 1e-9
@@ -86,7 +86,7 @@ def test_psi_polynomial_coefficient():
 def test_psi_positive_and_bounded_when_gz_nonpositive():
     p = make_problem("-z - 0.5*z*x1^2")
     traj = fn.simulate_z(p, build(p, "cos(t)", M=200))
-    psi = fn.compute_psi(p, traj)
+    psi = fn.psi_values(p, traj.grid, fn.trajectory_args(p, traj), traj.z)
     assert np.all(psi > 0)
     assert np.all(psi <= 1.0 + 1e-15)
 
@@ -98,7 +98,7 @@ def test_adjoint_residual_refinement():
     resids = []
     for h in (4e-3, 2e-3, 1e-3):
         traj = fn.simulate_z(p, build(p, "1", h=h))
-        psi = fn.compute_psi(p, traj)
+        psi = fn.psi_values(p, traj.grid, fn.trajectory_args(p, traj), traj.z)
         gz = fn.eval_on_nodes(p, traj.grid, traj.x, traj.z, "z")
         r = tr.differentiate_values(psi, traj.grid.h, 1) + psi * gz
         resids.append(np.max(np.abs(r)))
@@ -128,7 +128,7 @@ def test_batch_rk4_matches_scalar():
     xb = tr.build_series(batch, g.h, 1)
     zb = fn.rk4_z(p, g, xb, fn.slot_args(p, g, xb))
     for i in range(4):
-        traj = tr.from_positions(p, g, batch[i])
+        traj = oracles.from_positions(p, g, batch[i])
         zs = fn.rk4_z(p, g, traj.x, fn.slot_args(p, g, traj.x))
         assert np.array_equal(zb[i], zs)
 

@@ -12,8 +12,9 @@ from conftest import make_problem
 def pipeline(p, src, h=1e-3, M=None):
     g = tr.align_grid(p.a, p.b, p.tau, n=p.n, M=M, h=None if M else h)
     traj = fn.simulate_z(p, tr.from_expressions(p, g, [src] * p.m))
-    psi = fn.compute_psi(p, traj)
-    return traj, psi, ml.compute_phi(p, traj, psi)
+    args = fn.trajectory_args(p, traj)
+    psi = fn.psi_values(p, g, args, traj.z)
+    return traj, psi, ml.compute_phi(p, traj, psi, args)
 
 
 def test_phi_zero_on_constant_extremal():

@@ -95,7 +95,7 @@ def test_roundtrip_unmap_exact():
 def test_reduced_psi_matches_delayed_psi():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.4*x1*z - z", tau=0.25)
     traj = admissible(p, "1 - 0.2*t^2", M=400)
-    psi = fn.compute_psi(p, traj)
+    psi = fn.psi_values(p, traj.grid, fn.trajectory_args(p, traj), traj.z)
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
     psij = oracles.reduced_psi(rp, stacked)
@@ -131,8 +131,9 @@ def test_hamiltonian_conservation_x_free_lagrangian():
     # L = -z: phi = 0 and H = sum_j psi_j L_j is constant for any admissible x
     p = make_problem("-z + 0*xd1", tau=0.5, gamma=1.0)
     traj = admissible(p, "1 + 0.2*t", M=200)
-    psi = fn.compute_psi(p, traj)
-    mult = ml.compute_phi(p, traj, psi)
+    args = fn.trajectory_args(p, traj)
+    psi = fn.psi_values(p, traj.grid, args, traj.z)
+    mult = ml.compute_phi(p, traj, psi, args)
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
     mults = oracles.map_multipliers(rp, traj, mult)
@@ -144,14 +145,15 @@ def test_hamiltonian_conservation_x_free_lagrangian():
 def test_hamiltonian_matches_delayed_reassembly():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
     traj = admissible(p, "1 - 0.2*t^2", M=400)
-    psi = fn.compute_psi(p, traj)
-    mult = ml.compute_phi(p, traj, psi)
+    args = fn.trajectory_args(p, traj)
+    psi = fn.psi_values(p, traj.grid, args, traj.z)
+    mult = ml.compute_phi(p, traj, psi, args)
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
     mults = oracles.map_multipliers(rp, traj, mult)
     H = oracles.reduced_hamiltonian(rp, stacked, mults)
 
-    inner = cd.dbr_inner(p, traj, mult, fn.trajectory_args(p, traj))
+    inner = cd.dbr_inner(p, traj, mult, args)
     hist = oracles.compute_phi_history(p, traj, psi)
     P = stacked.P
     tloc = stacked.h * np.arange(P + 1)

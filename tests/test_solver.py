@@ -137,7 +137,7 @@ def test_objective_stationarity(oscillator_solved):
     def z_eps(eps):
         pos = res.trajectory.x[:, 0, :].copy()
         pos[0] += eps * t ** 2
-        return fn.simulate_z(p, tr.from_positions(p, grid, pos)).z[-1]
+        return fn.simulate_z(p, oracles.from_positions(p, grid, pos)).z[-1]
 
     d1 = z_eps(1e-2) - z_b
     d2 = z_eps(5e-3) - z_b
@@ -217,10 +217,10 @@ def test_colored_jacobian_equals_dense(name):
     U0 = system.pack(system.initial_positions())
     rng = np.random.default_rng(3)
     for U in (U0, U0 + 1e-2 * rng.standard_normal(U0.shape)):
-        R = system.residual(U)
-        assert np.array_equal(R, marching.residual(U))
+        R, build = system.residual(U)
+        assert np.array_equal(R, marching.residual(U)[0])
         dense = oracles.dense_jacobian(system, U, R, 1e-7)
-        colored = _matrix(system, system.jacobian(U, R))
+        colored = _matrix(system, system.jacobian(U, R, build))
         assert colored.shape == dense.shape
         assert np.max(np.abs(colored - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert not np.any(dense[~inside])
@@ -234,7 +234,7 @@ def _matrix(system, J):
     return A
 
 
-def _dense_triplets(system, U, R0):
+def _dense_triplets(system, U, R0, build):
     """The dense oracle as a Newton matrix: the identity on the augmented
     unknowns, so that the step's U part solves the oracle alone."""
     J = oracles.dense_jacobian(system, U, R0, sv._FD_STEP)
@@ -345,33 +345,36 @@ def test_solve_takes_psi_from_last_residual(monkeypatch, L, tau):
     assert res.converged and len(res.iterations) > 1
     assert before == list(range(len(before)))
     assert len(integrals) == len(before)
-    assert np.array_equal(res.multipliers.psi, fn.compute_psi(p, res.trajectory))
+    traj = res.trajectory
+    assert np.array_equal(res.multipliers.psi, fn.psi_values(
+        p, traj.grid, fn.trajectory_args(p, traj), traj.z))
 
 
 @pytest.mark.parametrize("table, name, M", [
     ("free", "delayed", 400), ("free", "n2-cross", 200), ("coupled", "n2", 200),
 ])
 def test_one_series_build_per_residual_and_jacobian(monkeypatch, table, name, M):
-    # a rejected trial restores the kept iterate's build, so neither the next
-    # Jacobian nor the end of the solve builds the series at U again
+    # the kept iterate's build travels with it and a rejected trial's is
+    # dropped, so neither the next Jacobian nor the end of the solve builds
+    # the series at U again
     L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
     counts = {"series": 0, "residuals": 0, "jacobians": 0}
-    series, residual, jacobian = (sv._System._series, sv._System.residual,
+    series, residual, jacobian = (tr.build_series, sv._System.residual,
                                   sv._System.jacobian)
 
-    def counted_series(self, U):
+    def counted_series(*args):
         counts["series"] += 1
-        return series(self, U)
+        return series(*args)
 
     def counted_residual(self, U, z=None, psi=None):
         counts["residuals"] += np.ndim(U) == 1
         return residual(self, U, z, psi)
 
-    def counted_jacobian(self, U, R0):
+    def counted_jacobian(self, U, R0, build):
         counts["jacobians"] += 1
-        return jacobian(self, U, R0)
+        return jacobian(self, U, R0, build)
 
-    monkeypatch.setattr(sv._System, "_series", counted_series)
+    monkeypatch.setattr(tr, "build_series", counted_series)
     monkeypatch.setattr(sv._System, "residual", counted_residual)
     monkeypatch.setattr(sv._System, "jacobian", counted_jacobian)
     res = solve_extremal(make_problem(L, **kw), SolveOptions(M=M, h=None))
@@ -452,9 +455,9 @@ def test_condensed_jacobian_equals_dense(name):
     local = np.zeros_like(inside)
     local[system.pattern] = True
     for U in points:
-        R = system.residual(U)
+        R, build = system.residual(U)
         dense = oracles.dense_jacobian(system, U, R, 1e-7)
-        A = _matrix(system, system.jacobian(U, R))
+        A = _matrix(system, system.jacobian(U, R, build))
         J = A[:nu, :nu] - A[:nu, nu:] @ np.linalg.solve(A[nu:, nu:], A[nu:, :nu])
         err = np.abs(J - dense)
         assert np.max(err) <= 1e-6 * np.max(np.abs(dense))
@@ -480,12 +483,11 @@ def test_condensed_local_patterns(name):
         return np.broadcast_to(U, w.shape[:-1] + U.shape)
 
     for U in points:
-        system.residual(U)
-        _, x, _, z, psi = system._last
-        F_U = _probe(lambda V: system.residual(V, z, psi), U)
+        _, (_, _, z, psi) = system.residual(U)
+        F_U = _probe(lambda V: system.residual(V, z, psi)[0], U)
         assert _outside(system.pattern, (nr, nu), F_U) == 0
-        F_z = _probe(lambda w: system.residual(at_U(U, w), w, psi), z)
-        F_psi = _probe(lambda w: system.residual(at_U(U, w), z, w), psi)
+        F_z = _probe(lambda w: system.residual(at_U(U, w), w, psi)[0], z)
+        F_psi = _probe(lambda w: system.residual(at_U(U, w), z, w)[0], psi)
         for probe in (F_z, F_psi):
             assert _outside(system.node_pattern, (nr, M + 1), probe) == 0
         C = _probe(lambda V: fn.rk4_steps(p, stage(series(V)), z), U)
@@ -556,9 +558,10 @@ def test_transversality_values_are_minus_phi_at_b(table, name):
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
     U0 = system.pack(system.initial_positions())
     U = U0 + 1e-2 * np.random.default_rng(7).standard_normal(U0.shape)
-    traj = fn.simulate_z(p, tr.from_positions(p, system.grid, system.unpack(U)))
-    mult = ml.compute_phi(p, traj, fn.compute_psi(p, traj))
-    assert np.array_equal(cd.full_report(p, traj, mult).tc,
+    traj = fn.simulate_z(p, oracles.from_positions(p, system.grid, system.unpack(U)))
+    args = fn.trajectory_args(p, traj)
+    mult = ml.compute_phi(p, traj, fn.psi_values(p, traj.grid, args, traj.z), args)
+    assert np.array_equal(cd.full_report(p, traj, mult, args).tc,
                           -mult.phi[..., -1])
 
 
@@ -626,9 +629,9 @@ def test_one_argument_build_per_series(monkeypatch, table, name, residual,
 
     monkeypatch.setattr(fn, "slot_args", counted_args)
     monkeypatch.setattr(tr, "build_series", counted_series)
-    R = system.residual(U)
+    R, build = system.residual(U)
     assert counts == {"args": residual, "series": 1}
-    system.jacobian(U, R)
+    system.jacobian(U, R, build)
     assert counts == {"args": residual + jacobian, "series": 2}
 
 
@@ -653,12 +656,12 @@ def test_dense_fallback_step_equals_splu_step(monkeypatch, L):
     p = make_problem(L, tau=0.25, mu=("1 + 0.5*t",))
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
     U = system.pack(system.initial_positions())
-    R = system.residual(U)
-    J = system.jacobian(U, R)
+    R, build = system.residual(U)
+    J = system.jacobian(U, R, build)
     splu_solve = sv._factor(J, system.n_augmented, R.size)
     monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
     dense_solve = sv._factor(J, system.n_augmented, R.size)
-    R2 = system.residual(U + splu_solve(R))
+    R2, _ = system.residual(U + splu_solve(R))
     for rhs in (R, R2):
         splu_step, dense_step = splu_solve(rhs), dense_solve(rhs)
         assert (np.max(np.abs(dense_step - splu_step))
@@ -674,9 +677,9 @@ def test_chord_steps_reuse_one_matrix(monkeypatch):
     matrices = []
     jacobian = sv._System.jacobian
 
-    def counted(self, U, R):
+    def counted(self, U, R, build):
         matrices.append(U)
-        return jacobian(self, U, R)
+        return jacobian(self, U, R, build)
 
     monkeypatch.setattr(sv._System, "jacobian", counted)
     res = solve_extremal(p, SolveOptions(M=200, h=None))
@@ -701,8 +704,8 @@ def test_budget_of_one_is_one_newton_step():
     res = solve_extremal(p, SolveOptions(M=100, h=None, max_iters=1, tol_r=1e-10))
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=100))
     U = system.pack(system.initial_positions())
-    R = system.residual(U)
-    U1 = U + sv._factor(system.jacobian(U, R), system.n_augmented, R.size)(R)
+    R, build = system.residual(U)
+    U1 = U + sv._factor(system.jacobian(U, R, build), system.n_augmented, R.size)(R)
     assert [lam for _, _, lam in res.iterations] == [1.0, 1.0]
-    assert res.iterations[-1][1] == sv._sup(system.residual(U1))
+    assert res.iterations[-1][1] == sv._sup(system.residual(U1)[0])
     assert np.array_equal(system.pack(res.trajectory.x[:, 0]), U1)
