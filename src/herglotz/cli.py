@@ -66,13 +66,14 @@ def cmd_simulate(args):
     if raw.candidate is None:
         raise ValidationError("simulate needs a [candidate] section with x1..xm")
     traj = tr.from_expressions(p, grid, list(raw.candidate))
-    traj = fn.simulate_z(p, traj)
+    slots = fn.slot_args(p, grid, traj.x)  # L's node arguments, built once
+    traj = fn.simulate_z(p, traj, fn.rk4_z(p, grid, traj.x, slots))
     if args.out:
         tr.write_trajectory_csv(traj, args.out)
         print(f"wrote {args.out}")
     else:
         tr.write_trajectory_csv(traj, sys.stdout)
-    defect = fn.admissibility_defect(p, traj)
+    defect = fn.admissibility_defect(p, traj, slots)
     print(f"z(b) = {_fmt(traj.z[-1])}")
     print(f"admissibility defect sup|dz/dt - L| = {_fmt(defect)}")
     return EXIT_OK

@@ -214,13 +214,13 @@ def simulate_z(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     return traj.with_z(z)
 
 
-def admissibility_defect(p: pb.ProblemSpec, traj: tr.StateTrajectory) -> float:
-    """sup |dz/dt - L| over the nodes (stencil derivative of the z series)."""
+def admissibility_defect(p: pb.ProblemSpec, traj: tr.StateTrajectory, args) -> float:
+    """sup |dz/dt - L| over the nodes (stencil derivative of the z series);
+    ``args`` are the node arguments of ``slot_args`` along traj.x."""
     if traj.z is None:
         raise ValidationError("trajectory has no z series")
     zdot = tr.differentiate_values(traj.z, traj.grid.h, 1)
-    lvals = eval_on_nodes(p, traj.grid, traj.x, traj.z, "body")
-    return float(np.max(np.abs(zdot - lvals)))
+    return float(np.max(np.abs(zdot - eval_args(p, args, traj.z, "body"))))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ residual's order, its length and the condition rows' patterns are derived
 from them.  Junction and end zones stay in the root system but are
 excluded from the acceptance sup-norms of the final report.
 
-The Newton matrix is a forward finite difference assembled from local
-pieces as sparse COO triplets, one path for every Lagrangian.  With F(U, z,
+The Newton matrix is a finite difference assembled from local pieces as
+sparse COO triplets, one path for every Lagrangian.  With F(U, z,
 psi) the condition map (the residual with z and psi held), each row of F
 reads the positions of a few stencil-neighbouring nodes, plus the nodes one
 delay away when a current-slot partial reads a delayed slot or the reverse,
@@ -27,14 +27,19 @@ and one batched condition map per color replaces one per unknown.  One flag
 sorts the Lagrangians: L is z-free when no slot partial reads z and dL/dz
 reads neither z nor a slot.  Then F_z is zero and psi depends on t alone, so
 the residual is assembled without marching z at all and the matrix is F_U.
-Any other L takes z, g = dL/dz and w = log psi on the nodes as augmented
-unknowns, as the state and the multiplier of the optimal-control view: their
-rows are the linearized RK4 steps z_{i+1} = Phi_i(z_i; positions near i),
-the g nodes and the panel recurrences of the integral psi = exp(integral_t^b
-g), each local, so the matrix stays sparse.  Every iterate re-simulates z
-and psi, so those rows have a zero right-hand side and the U part of the
-step is the step of the condensed Jacobian, the matrix's Schur complement.
-The matrix is factored by scipy's splu after its exact zeros are dropped;
+Any other L has two matrices.  The held matrix is F_U alone, z and psi held
+while the positions move, as a forward-backward sweep of optimal control
+holds the state and its multiplier: it has the side, the pattern and the
+coloring of a z-free L's matrix.  The augmented matrix takes z, g = dL/dz
+and w = log psi on the nodes as augmented unknowns: their rows are the
+linearized RK4 steps z_{i+1} = Phi_i(z_i; positions near i), the g nodes
+and the panel recurrences of the integral psi = exp(integral_t^b g), each
+local, so the matrix stays sparse.  Every iterate re-simulates z and psi, so
+those rows have a zero right-hand side and the U part of the step is the
+step of the condensed Jacobian, the matrix's Schur complement.  Its step
+maps take a central difference, since their second derivative in U grows
+like 1/h, and its structure is built with the first augmented matrix.  A
+matrix is factored by scipy's splu after its exact zeros are dropped;
 without scipy the dense LU of the same matrix gives the columns of its
 inverse that a step reads.
 
@@ -45,18 +50,24 @@ batched condition map for the step maps and dL/dz, and no trial puts
 anything back.  The returned trajectory, multipliers and report read the
 last iterate's build: its series, arguments, z and psi.
 
-Each Newton matrix is factored once and the factor is kept: the next step
-is a chord step with it, kept when it cuts the sup residual by the factor
-_RHO.  Otherwise the matrix is built and factored at the current positions
-and the line search halves the full Newton step until the residual falls;
-after a damped step the factor is dropped.  The budget's last step is always
-a Newton step, and once a chord step reaches tol_r one more chord step is
-kept if it lowers the residual at all.  The damping, the contraction factor,
-the step tolerance and the difference step are module constants.
+Each matrix is factored once and the factor is kept: the next step is a
+chord step with it, kept when it cuts the sup residual by the factor _RHO.
+A z-coupled solve starts on the held matrix, whose steps are chord steps
+only; its first rejected step, a singular held matrix or the budget's last
+step hands the solve to the augmented matrix for good.  Otherwise the
+Newton matrix (the augmented one for a z-coupled L) is built and factored
+at the current positions and the line search halves the full Newton step
+until the residual falls; after a damped step the factor is dropped.  The
+budget's last step is always a Newton step, and once a chord step reaches
+tol_r one more chord step is kept if it lowers the residual at all.  No
+matrix is built before a step needs one, so a start under tol_r factors
+nothing.  The damping, the contraction factor, the step tolerance and the
+difference step are module constants.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -73,7 +84,7 @@ from .errors import SingularJacobian, ValidationError
 
 _DAMPING = 1.0   # initial Newton damping: the full step, halved on failure
 _TOL_X = 1e-12   # stop once a step moves U by less, relative to 1 + |U|
-_FD_STEP = 1e-7  # relative forward-difference step of the Jacobian
+_FD_STEP = 1e-7  # relative difference step of the Jacobian
 _RHO = 0.5       # a chord step is kept when it cuts the sup residual by this
 
 
@@ -125,6 +136,22 @@ class _RowBlock:
     value: object
 
 
+@dataclass(frozen=True)
+class _Augmented:
+    """The structure of the augmented Newton matrix: the joint coloring of
+    the position columns over the condition rows, the RK4 steps of z and the
+    dL/dz nodes; the step and g patterns; the node pattern of the z and psi
+    columns of the condition rows and its coloring; the panel rows of w."""
+    color: np.ndarray
+    n_colors: int
+    step_pattern: tuple
+    g_pattern: tuple
+    node_pattern: tuple
+    node_color: np.ndarray
+    n_node_colors: int
+    panels: tuple
+
+
 class _System:
     """Residual map R(U) for one problem on one grid, with batch support."""
 
@@ -169,42 +196,51 @@ class _System:
         g_reads = ex.free_variables(partials["z"])
         self.z_free = not (g_reads & (cur | tau | {"z"})
                            or any("z" in reads[s] for s in cur | tau))
-        delayed = bool(ex.free_variables(p.lagrangian.body) & tau)
-        # position patterns: the condition rows and, for a z-coupled L, the
-        # RK4 steps of z and the dL/dz nodes; one coloring serves all three.
-        # A summand at s reads the series at s, at s - p when a current-slot
-        # partial reads a delayed slot, and in the delayed sum at s + p when
-        # a delayed-slot partial reads a current slot.
+        # the condition rows' position pattern and its coloring: a summand at
+        # s reads the series at s, at s - p when a current-slot partial reads
+        # a delayed slot, and in the delayed sum at s + p when a delayed-slot
+        # partial reads a current slot
         back = -q if any(reads[s] & tau for s in cur) else None
         ahead = q if any(reads[s] & cur for s in tau) else None
-        reach = _stencil_reach(0, M, n)
-        parts = [_row_intervals(self.row_blocks, n, reach, 1, M,
-                                lambda b: (0, back, ahead if b.weighted else None))]
-        self.pattern = _expand_pattern(*parts[0], m, M)
-        if not self.z_free:
-            # dL/dz at node i reads the series at i (current slots) and at
-            # i - p (delayed slots)
-            nodes = np.arange(M + 1)
-            g_back = _reach(nodes, nodes, -q, *reach)
-            parts += [_step_intervals(grid, reach, delayed), _intervals(
-                [reach if g_reads & cur else None, g_back if g_reads & tau else None],
-                M + 1, 1, M)]
-            self.step_pattern = _expand_pattern(*parts[1], m, M)
-            self.g_pattern = _expand_pattern(*parts[2], m, M)
-        self.color, self.n_colors = _modular_coloring(parts, m, M)
-        if not self.z_free:
-            # z and psi: a summand at s reads them at s and, in the delayed
-            # sum, at s + p; rows without summands read none
-            lo, hi = _row_intervals(
-                self.row_blocks, n, (nodes, nodes), 0, M,
-                lambda b: (None if b.span is None else 0,
-                           q if delayed and b.weighted else None))
-            self.node_pattern = _expand_pattern(lo, hi, 1, M, first=0)
-            self.node_color, self.n_node_colors = _modular_coloring(
-                [(lo, hi)], 1, M, first=0)
-            self.panels = _panel_rows(M, grid.h)
+        self.rows_read = _row_intervals(
+            self.row_blocks, n, _stencil_reach(0, M, n), 1, M,
+            lambda b: (0, back, ahead if b.weighted else None))
+        self.pattern = _expand_pattern(*self.rows_read, m, M)
+        self.color, self.n_colors = _modular_coloring([self.rows_read], m, M)
         # the Newton matrix appends z, g = dL/dz and w = log psi on the nodes
         self.n_augmented = self.n_unknowns + (0 if self.z_free else 3 * (M + 1))
+
+    @functools.cached_property
+    def augmented(self):
+        """The structure of a z-coupled L's augmented Newton matrix, built
+        with its first matrix: the step and g patterns, the node pattern,
+        their colorings and the panel rows."""
+        p, grid = self.p, self.grid
+        n, m, M, q = p.n, p.m, grid.M, grid.p
+        cur, tau = _slot_sets(p)
+        g_reads = ex.free_variables(p.lagrangian.partials["z"])
+        delayed = bool(ex.free_variables(p.lagrangian.body) & tau)
+        # the RK4 steps of z and the dL/dz nodes, one coloring with the
+        # condition rows; dL/dz at node i reads the series at i (current
+        # slots) and at i - p (delayed slots)
+        reach = _stencil_reach(0, M, n)
+        nodes = np.arange(M + 1)
+        g_back = _reach(nodes, nodes, -q, *reach)
+        steps = _step_intervals(grid, reach, delayed)
+        g = _intervals([reach if g_reads & cur else None,
+                        g_back if g_reads & tau else None], M + 1, 1, M)
+        color, n_colors = _modular_coloring([self.rows_read, steps, g], m, M)
+        # z and psi: a summand at s reads them at s and, in the delayed sum,
+        # at s + p; rows without summands read none
+        lo, hi = _row_intervals(
+            self.row_blocks, n, (nodes, nodes), 0, M,
+            lambda b: (None if b.span is None else 0,
+                       q if delayed and b.weighted else None))
+        node_color, n_node_colors = _modular_coloring([(lo, hi)], 1, M, first=0)
+        return _Augmented(color, n_colors, _expand_pattern(*steps, m, M),
+                          _expand_pattern(*g, m, M),
+                          _expand_pattern(lo, hi, 1, M, first=0), node_color,
+                          n_node_colors, _panel_rows(M, grid.h))
 
     def initial_positions(self):
         """Taylor extension of the history from a."""
@@ -257,57 +293,63 @@ class _System:
         return np.concatenate([np.broadcast_to(v, batch + v.shape[-2:])
                                .reshape(batch + (-1,)) for v in rows], axis=-1)
 
-    def jacobian(self, U, R0, build):
+    def jacobian(self, U, R0, build, held):
         """Forward-difference Newton matrix at U, where R0 and ``build`` are
-        R(U) and the build it read, as COO triplets (rows, cols, vals) of a
-        square matrix of side n_augmented.
+        R(U) and the build it read, as COO triplets (rows, cols, vals).
 
-        For a z-free L it is F_U.  Any other L appends the unknowns z, g =
-        dL/dz and w = log psi on the nodes 0..M, in that order, with the rows
+        For a z-free L, or ``held``, it is F_U, side n_unknowns: the
+        condition map's derivative in the positions with z and psi held,
+        colored by the condition rows alone.  Otherwise it is the augmented
+        matrix of side n_augmented, which appends the unknowns z, g = dL/dz
+        and w = log psi on the nodes 0..M, in that order, with the rows
         dz_0 = 0, dz_{i+1} - a_i dz_i - C_i dU = 0 (the RK4 steps),
         dg_i - G_z,i dz_i - G_U,i dU = 0 (the g nodes) and the panel
         recurrences of ``fn.integral_to_b``; the condition rows become
         F_U dU + F_z dz + (F_psi psi) dw.  Every block is a colored
         difference of F, of the step maps or of dL/dz, the other inputs
-        held."""
+        held; the step maps C take a central one, since their second
+        derivative in U grows like 1/h."""
         p, grid = self.p, self.grid
         x, args, z, psi = build
-        nu = U.shape[0]
         deltas = _FD_STEP * (1.0 + np.abs(U))
-        Ub = np.repeat(U[np.newaxis, :], self.n_colors, axis=0)
-        Ub[self.color, np.arange(nu)] += deltas
-        Rb, (xb, argsb, _, _) = self.residual(Ub, z, psi)
-        blocks = [(*self.pattern, _diff(self.pattern, self.color, Rb, R0, deltas))]
-        if self.z_free:
-            return _stack(blocks)
+        if held or self.z_free:
+            Rb, _ = self.residual(_colored(U, deltas, self.color, self.n_colors),
+                                  z, psi)
+            return (*self.pattern, _diff(self.pattern, self.color, Rb, R0, deltas))
+        s = self.augmented
+        Rb, (xb, argsb, _, _) = self.residual(_colored(U, deltas, s.color, s.n_colors),
+                                              z, psi)
+        xm = tr.build_series(self.unpack(_colored(U, -deltas, s.color, s.n_colors)),
+                             grid.h, p.n)
         dz = _FD_STEP * (1.0 + np.abs(z))
         F_z, F_psi = self._node_derivatives(x, args, z, psi, R0, dz)
         stage = fn.stage_args(p, grid, x, args)
         phi0 = fn.rk4_steps(p, stage, z)
         a = (fn.rk4_steps(p, stage, z + dz) - phi0) / dz[:-1]
-        C = _diff(self.step_pattern, self.color,
-                  fn.rk4_steps(p, fn.stage_args(p, grid, xb, argsb), z), phi0, deltas)
+        sr, sc = s.step_pattern
+        C = ((fn.rk4_steps(p, fn.stage_args(p, grid, xb, argsb), z)
+              - fn.rk4_steps(p, fn.stage_args(p, grid, xm, fn.slot_args(p, grid, xm)),
+                             z))[s.color[sc], sr] / (2.0 * deltas[sc]))
         g0 = fn.eval_args(p, args, z, "z")
         G_z = (fn.eval_args(p, args, z + dz, "z") - g0) / dz
-        G_U = _diff(self.g_pattern, self.color, fn.eval_args(p, argsb, z, "z"),
-                    g0, deltas)
-        Z, G, W = nu + np.arange(3 * (grid.M + 1)).reshape(3, -1)
+        G_U = _diff(s.g_pattern, s.color, fn.eval_args(p, argsb, z, "z"), g0, deltas)
+        Z, G, W = U.shape[0] + np.arange(3 * (grid.M + 1)).reshape(3, -1)
         one = np.ones(grid.M + 1)
-        nr, nc = self.node_pattern
-        sr, sc = self.step_pattern
-        gr, gc = self.g_pattern
-        pr, pc, pv = self.panels
-        blocks += [(nr, Z[nc], F_z), (nr, W[nc], F_psi * psi[nc]),
-                   (Z, Z, one), (Z[1:], Z[:-1], -a), (Z[1:][sr], sc, -C),
-                   (G, G, one), (G, Z, -G_z), (G[gr], gc, -G_U),
-                   (W[pr], G[0] + pc, pv)]
-        return _stack(blocks)
+        nr, nc = s.node_pattern
+        gr, gc = s.g_pattern
+        pr, pc, pv = s.panels
+        return _stack([(*self.pattern, _diff(self.pattern, s.color, Rb, R0, deltas)),
+                       (nr, Z[nc], F_z), (nr, W[nc], F_psi * psi[nc]),
+                       (Z, Z, one), (Z[1:], Z[:-1], -a), (Z[1:][sr], sc, -C),
+                       (G, G, one), (G, Z, -G_z), (G[gr], gc, -G_U),
+                       (W[pr], G[0] + pc, pv)])
 
     def _node_derivatives(self, x, args, z, psi, R0, dz):
         """F_z and F_psi on the node pattern, from one batched condition map
         at x that perturbs the z (by dz) or the psi values of one node color
         at a time."""
-        K, color = self.n_node_colors, self.node_color
+        s = self.augmented
+        K, color = s.n_node_colors, s.node_color
         nodes = np.arange(self.grid.M + 1)
         dpsi = _FD_STEP * (1.0 + np.abs(psi))
         Zb = np.repeat(z[np.newaxis, :], 2 * K, axis=0)
@@ -316,9 +358,16 @@ class _System:
         Pb[K + color, nodes] += dpsi
         Fb = self._conditions(x, ml.weighted_terms(self.p, self.grid, args, Zb, Pb,
                                                    range(self.p.n + 1)))
-        pattern = self.node_pattern
-        return (_diff(pattern, color, Fb, R0, dz),
-                _diff(pattern, K + color, Fb, R0, dpsi))
+        return (_diff(s.node_pattern, color, Fb, R0, dz),
+                _diff(s.node_pattern, K + color, Fb, R0, dpsi))
+
+
+def _colored(U, deltas, color, n_colors):
+    """One copy of U per color, each with the columns of its color moved by
+    their deltas."""
+    Ub = np.repeat(U[np.newaxis, :], n_colors, axis=0)
+    Ub[color, np.arange(U.shape[0])] += deltas
+    return Ub
 
 
 def _diff(pattern, color, Fb, F0, deltas):
@@ -478,7 +527,8 @@ def _modular_coloring(parts, m, M, first=1):
 
 def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> SolveResult:
     """Damped Newton iteration, with chord steps on a kept factor, on the
-    discretized necessary conditions.
+    discretized necessary conditions; a z-coupled L's chord steps start on
+    the held matrix.
 
     Returns the last iterate, the best one since every step is kept only
     when it lowers the residual, with converged=False when the iteration
@@ -501,12 +551,24 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
         norm_try = _sup(R_try)
         return (U_try, R_try, norm_try, build_try) if keep(norm_try) else None
 
+    def factor(held):
+        # the matrix at the iterate, factored: F_U alone when held
+        return _factor(sys.jacobian(U, R, build, held),
+                       sys.n_unknowns if held else sys.n_augmented, R.size)
+
+    held = not sys.z_free  # z and psi held until a held step fails to contract
     solve = None  # the kept factor, reused by chord steps while R contracts
     it = 0
     while it < opts.max_iters and norm > opts.tol_r:
         it += 1
+        last = it == opts.max_iters
+        if held and solve is None and not last:
+            try:
+                solve = factor(True)
+            except SingularJacobian:  # some rows read U through z and psi alone
+                held = False
         # a chord step: the kept factor applied to R, never the budget's last
-        if solve is not None and it < opts.max_iters:
+        if solve is not None and not last:
             step = solve(R)
             new = trial(U + step, lambda v: v <= _RHO * norm)
             if new:
@@ -523,8 +585,9 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
                 elif _sup(step) <= _TOL_X * (1.0 + _sup(U)):
                     break
                 continue
+        held = False  # the Newton matrix from here on
         solve = None  # dropped before the next matrix is built
-        solve = _factor(sys.jacobian(U, R, build), sys.n_augmented, R.size)
+        solve = factor(False)
         step = solve(R)
         lam = _DAMPING
         while lam >= 1e-8:

@@ -212,20 +212,32 @@ def first_order_delayed_comb(p, traj, psi):
     return D
 
 
-def dense_jacobian(system, U, R0, fd_step, chunk=256):
-    """Forward difference of the full residual map of a solver system, one
-    column per unknown, with z and psi re-simulated for every perturbed U;
-    the residual is evaluated in batches of ``chunk`` columns."""
+def dense_jacobian(system, U, R0, fd_step, chunk=256, central=False, hold=None):
+    """Finite difference of the full residual map of a solver system, one
+    column per unknown, with z and psi re-simulated for every perturbed U,
+    or held at ``hold`` = (z, psi); the residual is evaluated in batches of
+    ``chunk`` columns.  The difference is forward from R0 = R(U), or central
+    when ``central``."""
     nu = U.shape[0]
     J = np.empty((system.n_res, nu))
     deltas = fd_step * (1.0 + np.abs(U))
     for lo in range(0, nu, chunk):
         cols = np.arange(lo, min(lo + chunk, nu))
-        Ub = np.repeat(U[np.newaxis, :], cols.size, axis=0)
-        Ub[np.arange(cols.size), cols] += deltas[cols]
-        Rb, _ = system.residual(Ub)
-        J[:, cols] = ((Rb - R0) / deltas[cols, np.newaxis]).T
+        d = deltas[cols]
+        Rb, _ = system.residual(_moved(U, cols, d), *(hold or ()))
+        if central:
+            Rm, _ = system.residual(_moved(U, cols, -d), *(hold or ()))
+            J[:, cols] = ((Rb - Rm) / (2.0 * d[:, np.newaxis])).T
+        else:
+            J[:, cols] = ((Rb - R0) / d[:, np.newaxis]).T
     return J
+
+
+def _moved(U, cols, deltas):
+    """One copy of U per column in ``cols``, that column moved by its delta."""
+    Ub = np.repeat(U[np.newaxis, :], cols.size, axis=0)
+    Ub[np.arange(cols.size), cols] += deltas
+    return Ub
 
 
 def rk4_loop(p, grid, x, args):

@@ -2,15 +2,19 @@
 
     PYTHONPATH=src:tests python -m pytest -q -p solve_record --solve-record=solves.json
 
-For each call it writes the test that made it, M, n, tau, the converged
-flag, the step count and the final residual to the JSON file (a list, in
-call order).  It loads only when named with ``-p`` and changes no test's
-outcome.  A solver change keeps every solve that converges:
+For each call it writes the test that made it, M, m, n, tau, the converged
+flag, the step count, the final residual and the side of every matrix the
+solve factored to the JSON file (a list, in call order).  It loads only
+when named with ``-p`` and changes no test's outcome.  A solver change keeps
+every solve that converges:
 
     python tests/solve_record.py before.json after.json
 
 lists the calls (the k-th of a test) that converged in the first record and
-not in the second, and exits 1 if there is one.
+not in the second, and exits 1 if there is one.  Beside it, it counts the
+factored matrices of each record by side: m*M (the positions alone: a
+z-free L's Newton matrix, or the held one of a z-coupled L) or larger (the
+augmented matrix of a z-coupled L).
 """
 
 import functools
@@ -33,13 +37,24 @@ def pytest_load_initial_conftests(early_config, parser, args):
 
     @functools.wraps(solve)
     def recorded(p, opts=None):
-        result = solve(p, opts)
+        sides, factor = [], solver._factor
+
+        def counted(J, size, n):
+            sides.append(size)
+            return factor(J, size, n)
+
+        solver._factor = counted
+        try:
+            result = solve(p, opts)
+        finally:
+            solver._factor = factor
         records.append({
             "test": os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0],
-            "M": result.trajectory.grid.M, "n": p.n, "tau": p.tau,
+            "M": result.trajectory.grid.M, "m": p.m, "n": p.n, "tau": p.tau,
             "converged": result.converged,
             "steps": len(result.iterations) - 1,
-            "residual": result.iterations[-1][1]})
+            "residual": result.iterations[-1][1],
+            "sides": sides})
         return result
 
     solver.solve_extremal = herglotz.solve_extremal = recorded
@@ -68,6 +83,12 @@ def _lost(before, after):
             if b["converged"] and not after.get(key, b)["converged"]]
 
 
+def _sides(records):
+    """The factored matrices of side m*M and of a larger side."""
+    sides = [(s, r["m"] * r["M"]) for r in records for s in r.get("sides", [])]
+    return (sum(s == mM for s, mM in sides), sum(s > mM for s, mM in sides))
+
+
 if __name__ == "__main__":
     records = []
     for path in sys.argv[1:3]:
@@ -77,4 +98,8 @@ if __name__ == "__main__":
     for (test, k), M in lost:
         print(f"no longer converges: {test}, call {k} (M={M})")
     print(f"{len(records[0])} and {len(records[1])} calls, {len(lost)} lost")
+    for name, r in zip(("before", "after"), records):
+        positions, augmented = _sides(r)
+        print(f"{name}: {positions} factored matrices of side m*M, "
+              f"{augmented} augmented")
     sys.exit(1 if lost else 0)

@@ -782,6 +782,23 @@ def test_one_argument_build_per_command(tmp_path, capsys, monkeypatch, L):
     assert [b for b in builds if b != "residual"] == ["command"]
 
 
+@pytest.mark.parametrize("text", [FREE_PARTICLE, M2_DELAYED],
+                         ids=["free-particle", "m2-delayed"])
+def test_simulate_builds_arguments_once(tmp_path, capsys, monkeypatch, text):
+    # the march and the admissibility defect read one build of L's node
+    # arguments; the march builds the midpoint arguments once more
+    builds = []
+    slot_args = herglotz.functional.slot_args
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs.get("mid", False))
+        return slot_args(*args, **kwargs)
+
+    monkeypatch.setattr(herglotz.functional, "slot_args", counted)
+    assert main(["simulate", write(tmp_path, "s.spec", text), "--M", "40"]) == 0
+    assert sorted(builds) == [False, True]
+
+
 @pytest.mark.parametrize("tau, grid", [("0.0", ["--h", "1e-320"]),
                                        ("1e308", ["--M", "40"]),
                                        ("1e308", ["--h", "1e-2"])],

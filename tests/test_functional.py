@@ -53,7 +53,7 @@ def test_simulate_nonfinite_reported():
 def test_admissibility_defect_small_on_simulated():
     p = make_problem("0.5*xd1^2 - 0.5*x1^2 - z")
     traj = fn.simulate_z(p, build(p, "cos(t)", h=1e-3))
-    assert fn.admissibility_defect(p, traj) <= 1e-8
+    assert fn.admissibility_defect(p, traj, fn.trajectory_args(p, traj)) <= 1e-8
 
 
 def test_psi_identity_when_z_free():

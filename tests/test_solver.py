@@ -220,7 +220,9 @@ def test_colored_jacobian_equals_dense(name):
         R, build = system.residual(U)
         assert np.array_equal(R, marching.residual(U)[0])
         dense = oracles.dense_jacobian(system, U, R, 1e-7)
-        colored = _matrix(system, system.jacobian(U, R, build))
+        colored = _matrix(system, system.jacobian(U, R, build, False))
+        held = _matrix(system, system.jacobian(U, R, build, True))
+        assert np.array_equal(colored, held)
         assert colored.shape == dense.shape
         assert np.max(np.abs(colored - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert not np.any(dense[~inside])
@@ -234,10 +236,14 @@ def _matrix(system, J):
     return A
 
 
-def _dense_triplets(system, U, R0, build):
-    """The dense oracle as a Newton matrix: the identity on the augmented
-    unknowns, so that the step's U part solves the oracle alone."""
-    J = oracles.dense_jacobian(system, U, R0, sv._FD_STEP)
+def _dense_triplets(system, U, R0, build, held):
+    """The dense oracle as a Newton matrix: held, that of the condition map
+    at the build's z and psi; else that of R, with the identity on the
+    augmented unknowns, so that the step's U part solves the oracle alone."""
+    J = oracles.dense_jacobian(system, U, R0, sv._FD_STEP,
+                               hold=build[2:] if held else None)
+    if held:
+        return (*np.nonzero(J), J[np.nonzero(J)])
     rows, cols = np.nonzero(J)
     aug = np.arange(system.n_unknowns, system.n_augmented)
     return (np.r_[rows, aug], np.r_[cols, aug], np.r_[J[rows, cols], np.ones(aug.size)])
@@ -356,9 +362,9 @@ def test_solve_takes_psi_from_last_residual(monkeypatch, L, tau):
 def test_one_series_build_per_residual_and_jacobian(monkeypatch, table, name, M):
     # the kept iterate's build travels with it and a rejected trial's is
     # dropped, so neither the next Jacobian nor the end of the solve builds
-    # the series at U again
+    # the series at U again; the Jacobian builds only its perturbed series
     L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
-    counts = {"series": 0, "residuals": 0, "jacobians": 0}
+    counts = {"series": 0, "residuals": 0, "perturbed": 0}
     series, residual, jacobian = (tr.build_series, sv._System.residual,
                                   sv._System.jacobian)
 
@@ -370,16 +376,17 @@ def test_one_series_build_per_residual_and_jacobian(monkeypatch, table, name, M)
         counts["residuals"] += np.ndim(U) == 1
         return residual(self, U, z, psi)
 
-    def counted_jacobian(self, U, R0, build):
-        counts["jacobians"] += 1
-        return jacobian(self, U, R0, build)
+    def counted_jacobian(self, U, R0, build, held):
+        # the augmented matrix perturbs U both ways for its step maps
+        counts["perturbed"] += 1 if held or self.z_free else 2
+        return jacobian(self, U, R0, build, held)
 
     monkeypatch.setattr(tr, "build_series", counted_series)
     monkeypatch.setattr(sv._System, "residual", counted_residual)
     monkeypatch.setattr(sv._System, "jacobian", counted_jacobian)
     res = solve_extremal(make_problem(L, **kw), SolveOptions(M=M, h=None))
     assert res.converged
-    assert counts["series"] == counts["residuals"] + counts["jacobians"]
+    assert counts["series"] == counts["residuals"] + counts["perturbed"]
 
 
 @pytest.mark.parametrize("name", ["delayed", "cross-delay", "m2-cross"])
@@ -451,13 +458,14 @@ def test_condensed_jacobian_equals_dense(name):
     # (continuity) only their position pattern
     inside = np.zeros((system.n_res, system.n_unknowns), dtype=bool)
     inside[system.pattern] = True
-    inside[np.unique(system.node_pattern[0])] = True
+    inside[np.unique(system.augmented.node_pattern[0])] = True
     local = np.zeros_like(inside)
     local[system.pattern] = True
     for U in points:
         R, build = system.residual(U)
-        dense = oracles.dense_jacobian(system, U, R, 1e-7)
-        A = _matrix(system, system.jacobian(U, R, build))
+        # central: a forward oracle shares the step maps' truncation error
+        dense = oracles.dense_jacobian(system, U, R, 1e-7, central=True)
+        A = _matrix(system, system.jacobian(U, R, build, False))
         J = A[:nu, :nu] - A[:nu, nu:] @ np.linalg.solve(A[nu:, nu:], A[nu:, :nu])
         err = np.abs(J - dense)
         assert np.max(err) <= 1e-6 * np.max(np.abs(dense))
@@ -470,7 +478,7 @@ def test_condensed_jacobian_equals_dense(name):
 def test_condensed_local_patterns(name):
     # every local derivative, probed densely, lies inside its derived pattern
     system, points = _z_coupled_system(name)
-    p, grid = system.p, system.grid
+    p, grid, aug = system.p, system.grid, system.augmented
     M, nu, nr = grid.M, system.n_unknowns, system.n_res
 
     def series(U):
@@ -489,17 +497,18 @@ def test_condensed_local_patterns(name):
         F_z = _probe(lambda w: system.residual(at_U(U, w), w, psi)[0], z)
         F_psi = _probe(lambda w: system.residual(at_U(U, w), z, w)[0], psi)
         for probe in (F_z, F_psi):
-            assert _outside(system.node_pattern, (nr, M + 1), probe) == 0
+            assert _outside(aug.node_pattern, (nr, M + 1), probe) == 0
         C = _probe(lambda V: fn.rk4_steps(p, stage(series(V)), z), U)
-        assert _outside(system.step_pattern, (M, nu), C) == 0
+        assert _outside(aug.step_pattern, (M, nu), C) == 0
         G_U = _probe(lambda V: fn.eval_on_nodes(p, grid, series(V), z, "z"), U)
-        assert _outside(system.g_pattern, (M + 1, nu), G_U) == 0
+        assert _outside(aug.g_pattern, (M + 1, nu), G_U) == 0
 
 
 # Pattern tightness at M = 200.  The tests above only check that every
 # probed nonzero lies inside its pattern; these counts catch a reach that
 # widens.  Per z-free fixture (colors, pattern entries); per z-coupled one
-# (colors, pattern entries, node colors, step, g and node pattern entries).
+# (augmented colors, pattern entries, node colors, step, g and node pattern
+# entries, then the colors of the held matrix, the condition rows' alone).
 TIGHTNESS = {
     ("free", "oscillator"): (9, 1784),
     ("free", "delayed"): (9, 1784),
@@ -511,13 +520,13 @@ TIGHTNESS = {
     ("free", "short-first-block"): (9, 1784),
     ("free", "short-first-block-cross"): (21, 2132),
     ("free", "tau0-delayed-slot"): (9, 1784),
-    ("coupled", "oscillator"): (9, 1784, 5, 1586, 1002, 1000),
-    ("coupled", "delayed"): (20, 1784, 11, 2781, 1002, 1745),
-    ("coupled", "z-delayed-partial"): (20, 1784, 11, 2781, 752, 1745),
-    ("coupled", "n2"): (31, 3316, 20, 4152, 1790, 3093),
-    ("coupled", "m2"): (74, 17888, 11, 5562, 2004, 3490),
-    ("coupled", "short-first-block"): (19, 1784, 17, 1741, 102, 1095),
-    ("coupled", "z-squared"): (20, 1784, 11, 2781, 0, 1745),
+    ("coupled", "oscillator"): (9, 1784, 5, 1586, 1002, 1000, 9),
+    ("coupled", "delayed"): (20, 1784, 11, 2781, 1002, 1745, 9),
+    ("coupled", "z-delayed-partial"): (20, 1784, 11, 2781, 752, 1745, 9),
+    ("coupled", "n2"): (31, 3316, 20, 4152, 1790, 3093, 17),
+    ("coupled", "m2"): (74, 17888, 11, 5562, 2004, 3490, 74),
+    ("coupled", "short-first-block"): (19, 1784, 17, 1741, 102, 1095, 9),
+    ("coupled", "z-squared"): (20, 1784, 11, 2781, 0, 1745, 9),
 }
 
 
@@ -528,21 +537,42 @@ def test_pattern_tightness(table, name):
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
     counts = (system.n_colors, system.pattern[0].size)
     if not system.z_free:
-        counts += (system.n_node_colors, system.step_pattern[0].size,
-                   system.g_pattern[0].size, system.node_pattern[0].size)
+        aug = system.augmented
+        counts = (aug.n_colors, system.pattern[0].size, aug.n_node_colors,
+                  aug.step_pattern[0].size, aug.g_pattern[0].size,
+                  aug.node_pattern[0].size, system.n_colors)
     assert counts == TIGHTNESS[table, name]
 
 
-@pytest.mark.parametrize("name", sorted(Z_COUPLED))
+# A z-coupled L whose held steps stop contracting after the first: its solve
+# factors the held matrix, then the augmented one.
+HELD_STALLS = ("0.5*xd1^2 - 0.5*x1^2 - 0.3*z*x1", {"tau": 0.25})
+
+
+def _factored_sides(monkeypatch, p, opts):
+    """The solve of p and the side of every matrix it factored."""
+    sides, factor = [], sv._factor
+
+    def counted(J, size, n):
+        sides.append(size)
+        return factor(J, size, n)
+
+    monkeypatch.setattr(sv, "_factor", counted)
+    return solve_extremal(p, opts), sides
+
+
+@pytest.mark.parametrize("name", sorted(Z_COUPLED) + ["held-stalls"])
 def test_condensed_solve_matches_dense_solve(monkeypatch, name):
-    # n = 2 Newton iterations converge linearly with either Jacobian (their
-    # rounding noise is amplified by h^-4) and stall near 1e-7, so that solve
-    # stops at 1e-6, where the iterates agree to about 5e-9
+    # the n = 2 residual's rounding noise is amplified by h^-4, so its solve
+    # stalls near 1e-7 on either matrix and stops at 1e-6, where the iterates
+    # agree to about 5e-9.  The held steps contract to the end, except that
+    # held-stalls takes the augmented matrix after its first
     tol_r, tol_x = (1e-6, 1e-8) if name == "n2" else (1e-9, 1e-10)
-    L, kw = Z_COUPLED[name]
+    L, kw = HELD_STALLS if name == "held-stalls" else Z_COUPLED[name]
     p = make_problem(L, **kw)
     opts = SolveOptions(M=120, h=None, tol_r=tol_r)
-    condensed = solve_extremal(p, opts)
+    condensed, sides = _factored_sides(monkeypatch, p, opts)
+    assert (max(sides) > 120 * p.m) == (name == "held-stalls")
     dense = _dense_solve(monkeypatch, p, opts)
     assert condensed.converged and dense.converged
     assert len(condensed.iterations) == len(dense.iterations)
@@ -602,15 +632,17 @@ def test_one_summand_build_per_residual(monkeypatch):
 
 
 @pytest.mark.parametrize("table, name, residual, jacobian", [
-    ("coupled", "delayed", 2, 3), ("coupled", "oscillator", 2, 3),
+    ("coupled", "delayed", 2, 5), ("coupled", "oscillator", 2, 5),
     ("free", "delayed", 1, 1), ("free", "n2-cross", 1, 1),
 ])
 def test_one_argument_build_per_series(monkeypatch, table, name, residual,
                                        jacobian):
     # a residual builds L's node arguments once, and a z-coupled one its
     # midpoint arguments once for the march; the Jacobian reuses the
-    # residual's and builds the batched series and its arguments once, plus
-    # the midpoint arguments of both series for the RK4 step maps
+    # residual's and builds the batched series and its arguments once.  The
+    # augmented matrix builds a second batched series, at U - delta, and its
+    # arguments, plus the midpoint arguments of all three series for the
+    # central RK4 step maps
     L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
     system = sv._System(make_problem(L, **kw), tr.align_grid(
         0.0, 1.0, kw.get("tau", 0.0), n=kw.get("n", 1), M=200))
@@ -631,8 +663,11 @@ def test_one_argument_build_per_series(monkeypatch, table, name, residual,
     monkeypatch.setattr(tr, "build_series", counted_series)
     R, build = system.residual(U)
     assert counts == {"args": residual, "series": 1}
-    system.jacobian(U, R, build)
-    assert counts == {"args": residual + jacobian, "series": 2}
+    system.jacobian(U, R, build, True)
+    assert counts == {"args": residual + 1, "series": 2}
+    system.jacobian(U, R, build, False)
+    assert counts == {"args": residual + 1 + jacobian,
+                      "series": 3 if system.z_free else 4}
 
 
 @pytest.mark.parametrize("M", [9, 10])
@@ -657,7 +692,7 @@ def test_dense_fallback_step_equals_splu_step(monkeypatch, L):
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
     U = system.pack(system.initial_positions())
     R, build = system.residual(U)
-    J = system.jacobian(U, R, build)
+    J = system.jacobian(U, R, build, False)
     splu_solve = sv._factor(J, system.n_augmented, R.size)
     monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
     dense_solve = sv._factor(J, system.n_augmented, R.size)
@@ -677,9 +712,9 @@ def test_chord_steps_reuse_one_matrix(monkeypatch):
     matrices = []
     jacobian = sv._System.jacobian
 
-    def counted(self, U, R, build):
+    def counted(self, U, R, build, held):
         matrices.append(U)
-        return jacobian(self, U, R, build)
+        return jacobian(self, U, R, build, held)
 
     monkeypatch.setattr(sv._System, "jacobian", counted)
     res = solve_extremal(p, SolveOptions(M=200, h=None))
@@ -693,7 +728,8 @@ def test_chord_steps_reuse_one_matrix(monkeypatch):
 
 
 def test_budget_of_two_keeps_the_mutable_spec_converged(tmp_path, capsys):
-    # with a budget of 2 both steps are Newton steps, as before chord steps
+    # with a budget of 2 the z-coupled solve takes one chord step on the held
+    # matrix, then the Newton step that the budget's last step always is
     spec = write(tmp_path, "mutable.spec", MUTABLE)
     assert main(["solve", spec, "--M", "40", "--max-iters", "2"]) == 0
     assert "converged: True" in capsys.readouterr().out
@@ -705,7 +741,78 @@ def test_budget_of_one_is_one_newton_step():
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=100))
     U = system.pack(system.initial_positions())
     R, build = system.residual(U)
-    U1 = U + sv._factor(system.jacobian(U, R, build), system.n_augmented, R.size)(R)
+    U1 = U + sv._factor(system.jacobian(U, R, build, False), system.n_augmented,
+                        R.size)(R)
     assert [lam for _, _, lam in res.iterations] == [1.0, 1.0]
     assert res.iterations[-1][1] == sv._sup(system.residual(U1)[0])
     assert np.array_equal(system.pack(res.trajectory.x[:, 0]), U1)
+
+
+# the held matrix: z and psi held while the positions move
+
+@pytest.mark.parametrize("name", ["oscillator", "delayed"])
+def test_z_coupled_solve_factors_the_held_matrix_alone(monkeypatch, name):
+    # weak couplings contract on F_U, side m*M, to the end
+    L, kw = Z_COUPLED[name]
+    p = make_problem(L, **kw)
+    res, sides = _factored_sides(monkeypatch, p, SolveOptions(M=200, h=None))
+    assert res.converged
+    assert sides == [p.m * 200]
+    assert [lam for _, _, lam in res.iterations] == [1.0] * len(res.iterations)
+
+
+def test_stalled_held_steps_build_the_augmented_matrix(monkeypatch):
+    L, kw = HELD_STALLS
+    p = make_problem(L, **kw)
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
+    res, sides = _factored_sides(monkeypatch, p,
+                                 SolveOptions(M=200, h=None, tol_r=1e-8))
+    assert res.converged
+    assert sides == [system.n_unknowns, system.n_augmented]
+
+
+def test_extremal_start_factors_nothing(monkeypatch):
+    # x = 1 with z = 0 solves 0.5*xd1^2 + 0.5*z*xd1 exactly
+    res, sides = _factored_sides(monkeypatch, make_problem("0.5*xd1^2 + 0.5*z*xd1"),
+                                 SolveOptions(M=200, h=None))
+    assert res.converged and len(res.iterations) == 1
+    assert sides == []
+
+
+def test_z_coupled_budget_of_one_takes_the_augmented_newton_step(monkeypatch):
+    L, kw = Z_COUPLED["oscillator"]
+    p = make_problem(L, **kw)
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
+    res, sides = _factored_sides(monkeypatch, p,
+                                 SolveOptions(M=200, h=None, max_iters=1))
+    assert len(res.iterations) == 2
+    assert sides == [system.n_augmented]
+
+
+def test_singular_held_matrix_falls_back_to_the_augmented_one(monkeypatch):
+    # xd1*x1 is a total derivative, so with z and psi held the Euler-Lagrange
+    # rows read the positions only through psi' x1, and psi' = 0.13 psi xd1
+    # vanishes at the constant start: F_U is singular, and the augmented
+    # matrix takes the step
+    p = make_problem("xd1*x1 - 0.13*z*xd1", tau=0.25)
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
+    res, sides = _factored_sides(monkeypatch, p,
+                                 SolveOptions(M=200, h=None, max_iters=2))
+    assert sides == [system.n_unknowns, system.n_augmented, system.n_augmented]
+    assert res.iterations[1][1] < 0.1 * res.iterations[0][1]
+
+
+def test_fresh_augmented_newton_steps_converge_on_n2():
+    # the step maps' second derivative grows like 1/h through the xd^2
+    # terms: with their central difference, Newton steps on a fresh
+    # augmented matrix take the n = 2 residual from 1.7e-2 to under 1e-5,
+    # where a forward difference left them near 2e-2
+    system, (U, _) = _z_coupled_system("n2")
+    R, build = system.residual(U)
+    norms = [sv._sup(R)]
+    for _ in range(3):
+        J = system.jacobian(U, R, build, False)
+        U = U + sv._factor(J, system.n_augmented, R.size)(R)
+        R, build = system.residual(U)
+        norms.append(sv._sup(R))
+    assert min(norms) <= 1e-5 < norms[0]
