@@ -26,9 +26,7 @@ along every extremal, and E + int_t^min(t+tau, b) D is then constant for
 autonomous L.  D jumps at a + tau, where the history meets the trajectory.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +55,7 @@ def _masked_sup(vals, flags):
     return float(np.max(keep)) if keep.size else 0.0
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     grid: tr.Grid
     el1: np.ndarray        # (m, junction+1) on nodes 0..M-p
     el2: np.ndarray        # (m, p+1) on nodes M-p..M

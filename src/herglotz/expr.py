@@ -13,10 +13,9 @@ function names ``sin cos exp log sqrt tanh``.  The AST is closed under
 differentiation: derivatives only ever contain the grammar above.
 """
 
-from __future__ import annotations
-
+import operator
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,32 +26,42 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 _NUMPY_FN = {name: getattr(np, name) for name in FUNCTIONS}
 
 
-@dataclass(frozen=True)
-class Num:
+# Nodes are named tuples, which compare by their items alone: these make a
+# node equal only to a node of its own kind.
+def _node_eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _node_ne(self, other):
+    return not _node_eq(self, other)
+
+
+class Num(NamedTuple):
     value: float
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Neg(NamedTuple):
+    arg: object  # an Expr
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+    left: object  # an Expr
+    right: object  # an Expr
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
-    arg: "Expr"
+    arg: object  # an Expr
+    __eq__, __ne__, __hash__ = _node_eq, _node_ne, tuple.__hash__
 
 
 Expr = Num | Var | Neg | BinOp | Call
@@ -178,10 +187,26 @@ def evaluate(e: Expr, binding) -> float:
     """Evaluate in IEEE double precision.  NaN/Inf propagate (division by
     zero, overflow); log/sqrt of a negative argument raise DomainError."""
     with np.errstate(all="ignore"):
-        return float(_eval(e, binding))
+        return float(_eval(e, binding, None))
 
 
-def _eval(e, binding):
+def evaluate_points(e: Expr, binding) -> np.ndarray:
+    """Evaluate at many points in one pass: ``binding`` maps every variable
+    to an array, the arrays broadcast to the points' shape, and each result
+    entry is what ``evaluate`` gives at its point, NaN where it raises
+    DomainError.  Powers are taken point by point with the scalar power of
+    ``evaluate``, since numpy's array power can differ from it in the last
+    bit."""
+    shape = np.broadcast_shapes(*map(np.shape, binding.values()))
+    domain = np.zeros(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        out = np.broadcast_to(_eval(e, binding, domain), shape)
+    return np.where(domain, np.nan, out)
+
+
+def _eval(e, binding, domain):
+    # domain is None for a scalar evaluation, which raises DomainError;
+    # otherwise it marks the points where one would be raised
     if isinstance(e, Num):
         return np.float64(e.value)
     if isinstance(e, Var):
@@ -190,10 +215,10 @@ def _eval(e, binding):
         except KeyError:
             raise UnboundVariable(e.name) from None
     if isinstance(e, Neg):
-        return -_eval(e.arg, binding)
+        return -_eval(e.arg, binding, domain)
     if isinstance(e, BinOp):
-        a = _eval(e.left, binding)
-        b = _eval(e.right, binding)
+        a = _eval(e.left, binding, domain)
+        b = _eval(e.right, binding, domain)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -202,12 +227,17 @@ def _eval(e, binding):
             return a * b
         if e.op == "/":
             return a / b
-        return a ** b
-    arg = _eval(e.arg, binding)
-    if e.fn == "log" and arg < 0:
-        raise DomainError(f"log of negative argument {float(arg)!r}")
-    if e.fn == "sqrt" and arg < 0:
-        raise DomainError(f"sqrt of negative argument {float(arg)!r}")
+        if domain is None:
+            return a ** b
+        a, b = np.broadcast_arrays(a, b)
+        return np.fromiter(map(operator.pow, a.ravel(), b.ravel()), float,
+                           a.size).reshape(a.shape)
+    arg = _eval(e.arg, binding, domain)
+    if e.fn in ("log", "sqrt"):
+        if domain is not None:
+            domain |= arg < 0
+        elif arg < 0:
+            raise DomainError(f"{e.fn} of negative argument {float(arg)!r}")
     return _NUMPY_FN[e.fn](arg)
 
 

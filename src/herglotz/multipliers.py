@@ -11,9 +11,7 @@ the costates, the Euler-Lagrange rows (k = 0) and the transversality values
 itself, because the delayed term switches off at b - tau.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +20,7 @@ from . import problem as pb
 from . import trajectory as tr
 
 
-@dataclass(frozen=True)
-class MultiplierSet:
+class MultiplierSet(NamedTuple):
     psi: np.ndarray  # (M+1,)
     phi: np.ndarray  # (n, m, M+1)
 

@@ -18,9 +18,7 @@ the delayed argument is the history with z frozen at gamma, as in the
 invariance check.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +33,7 @@ from .errors import DegenerateFamily, ValidationError
 _GEN_VARS_OK = {"s", "t", "z"}
 
 
-@dataclass(frozen=True)
-class InvarianceFamily:
+class InvarianceFamily(NamedTuple):
     Tmap: ex.Expr
     Xmap: tuple  # m component expressions
     Zmap: ex.Expr
@@ -89,8 +86,7 @@ def make_family(p: pb.ProblemSpec, Tmap, Xmaps, Zmap, xi=0.0) -> InvarianceFamil
     return InvarianceFamily(Tmap=Tmap, Xmap=Xmaps, Zmap=Zmap, xi=float(xi))
 
 
-@dataclass(frozen=True)
-class GeneratorSeries:
+class GeneratorSeries(NamedTuple):
     T: np.ndarray  # (M+1,)
     X: np.ndarray  # (n, m, M+1): X_0 .. X_{n-1}
     Z: np.ndarray  # (M+1,)

@@ -10,10 +10,6 @@ Slot naming convention (flat variable names for the expression engine):
   e.g. ``tau_xd1`` for the delayed first derivative of component 1.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import expr as ex
@@ -47,15 +43,51 @@ def arg_names(n: int, m: int) -> list[str]:
     return ["t"] + cur + tau + ["z"]
 
 
-@dataclass(frozen=True)
-class LagrangianSpec:
+class _Record:
+    """The base of the two records that keep the callables compiled from
+    their expressions.  The fields, the subclass's ``__slots__``, are set
+    once at construction; a record compares and prints by its fields alone,
+    and refuses assignment."""
+
+    __slots__ = ("_compiled",)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_compiled", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # the fields hold dicts
+
+    def __reduce__(self):  # a copy or an unpickled record starts a new cache
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class LagrangianSpec(_Record):
     """L plus its symbolic partial derivative w.r.t. every argument slot."""
 
-    n: int
-    m: int
-    body: ex.Expr
-    partials: dict  # keyed by slot name ('t', 'z', x-slots, tau_ slots)
-    _compiled: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("n", "m", "body", "partials")
+
+    def __init__(self, n: int, m: int, body: ex.Expr, partials: dict):
+        # partials are keyed by slot name ('t', 'z', x-slots, tau_ slots)
+        super().__init__(n, m, body, partials)
 
     @property
     def args(self):
@@ -89,16 +121,14 @@ def make_lagrangian(n: int, m: int, body) -> LagrangianSpec:
     return LagrangianSpec(n=n, m=m, body=body, partials=partials)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    a: float
-    b: float
-    tau: float
-    gamma: float
-    lagrangian: LagrangianSpec
-    history: tuple  # m expressions of t
-    history_derivs: tuple  # [j][k] = k-th symbolic derivative, k = 0..n+1
-    _compiled: dict = field(default_factory=dict, repr=False, compare=False)
+class ProblemSpec(_Record):
+    __slots__ = ("a", "b", "tau", "gamma", "lagrangian", "history", "history_derivs")
+
+    def __init__(self, a: float, b: float, tau: float, gamma: float,
+                 lagrangian: LagrangianSpec, history: tuple, history_derivs: tuple):
+        # history: m expressions of t; history_derivs[j][k] = the k-th
+        # symbolic derivative of history[j], k = 0..n+1
+        super().__init__(a, b, tau, gamma, lagrangian, history, history_derivs)
 
     @property
     def n(self):
@@ -218,32 +248,36 @@ def _fd_samples(lag, a, b, rng, h=1e-6):
     over every slot.  A point where L or a value is non-finite or raises is
     redrawn, within 40 * _FD_POINTS draws in all.  A slot L does not read gets
     the row (slot, t, 0, 0) without an evaluation, so the work scales with
-    the slots L reads, not with n and m."""
+    the slots L reads, not with n and m.
+
+    The points are drawn in batches of as many as are still missing, which
+    draws them as one point at a time would.  Each expression is evaluated
+    once per batch, on all its points: L on the points and on their shifts
+    down and up in each slot it reads, each partial it reads on the points."""
     names, free = lag.args, ex.free_variables(lag.body)
+    read = [i for i, name in enumerate(names) if name in free]
     samples = []
     attempts = 0
     while len(samples) < _FD_POINTS and attempts < 40 * _FD_POINTS:
-        attempts += 1
-        # one array draw gives the same values as one scalar draw per slot
-        binding = dict(zip(names, rng.uniform(0.6, 1.4, len(names)).tolist()))
-        binding["t"] = rng.uniform(a, b)
-        try:
-            if not np.isfinite(ex.evaluate(lag.body, binding)):
-                raise ArithmeticError
-            sample = []
-            for name in names:
-                if name not in free:
-                    sample.append((name, binding["t"], 0.0, 0.0))
-                    continue
-                sym = ex.evaluate(lag.partials[name], binding)
-                lo, hi = dict(binding), dict(binding)
-                lo[name] -= h
-                hi[name] += h
-                fd = (ex.evaluate(lag.body, hi) - ex.evaluate(lag.body, lo)) / (2 * h)
-                if not (np.isfinite(sym) and np.isfinite(fd)):
-                    raise ArithmeticError
-                sample.append((name, binding["t"], sym, fd))
-        except Exception:
-            continue
-        samples.append(sample)
+        k = min(_FD_POINTS - len(samples), 40 * _FD_POINTS - attempts)
+        attempts += k
+        points = np.empty((k, len(names)))
+        for point in points:
+            # one array draw gives the same values as one scalar draw per slot
+            point[:] = rng.uniform(0.6, 1.4, len(names))
+            point[0] = rng.uniform(a, b)  # names[0] is t
+        shifted = np.repeat(points[None], 1 + 2 * len(read), axis=0)
+        for r, i in enumerate(read):
+            shifted[1 + 2 * r, :, i] -= h
+            shifted[2 + 2 * r, :, i] += h
+        body = ex.evaluate_points(lag.body, dict(zip(names, np.moveaxis(shifted, 2, 0))))
+        at = dict(zip(names, points.T))
+        # (symbolic, central difference) per point and slot; 0 where unread
+        rows = np.zeros((k, len(names), 2))
+        for r, i in enumerate(read):
+            rows[:, i, 0] = ex.evaluate_points(lag.partials[names[i]], at)
+            rows[:, i, 1] = (body[2 + 2 * r] - body[1 + 2 * r]) / (2 * h)
+        kept = np.isfinite(body[0]) & np.isfinite(rows).all(axis=(1, 2))
+        for t, point in zip(points[kept, 0].tolist(), rows[kept].tolist()):
+            samples.append([(name, t, sym, fd) for name, (sym, fd) in zip(names, point)])
     return samples

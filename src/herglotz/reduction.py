@@ -13,9 +13,7 @@ reduced form.  The reduced multipliers and Hamiltonian, which only the tests
 compare against, live in tests/oracles.py.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +34,7 @@ def z_name(j: int) -> str:
     return f"z{j}"
 
 
-@dataclass(frozen=True)
-class ReducedProblem:
+class ReducedProblem(NamedTuple):
     problem: pb.ProblemSpec
     N: int
     tau: float
@@ -98,8 +95,7 @@ def guinn_reduce(p: pb.ProblemSpec) -> ReducedProblem:
 # ---------------------------------------------------------------------------
 # change of variables
 
-@dataclass(frozen=True)
-class StackedTrajectory:
+class StackedTrajectory(NamedTuple):
     rp: ReducedProblem
     h: float
     P: int  # steps per delay interval
@@ -205,8 +201,7 @@ def simulate_reduced(rp: ReducedProblem, stacked: StackedTrajectory) -> np.ndarr
     return zr
 
 
-@dataclass(frozen=True)
-class EquivalenceDefects:
+class EquivalenceDefects(NamedTuple):
     objective: float  # |z_N(tau) - z(b)|
     coupling: float   # sup state mismatch at the coupling nodes
 

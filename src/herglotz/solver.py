@@ -65,11 +65,9 @@ nothing.  The damping, the contraction factor, the step tolerance and the
 difference step are module constants.
 """
 
-from __future__ import annotations
-
 import functools
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +86,7 @@ _FD_STEP = 1e-7  # relative difference step of the Jacobian
 _RHO = 0.5       # a chord step is kept when it cuts the sup residual by this
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(NamedTuple):
     M: int | None = None          # grid resolution; None = derive from h
     h: float | None = 1e-3
     max_iters: int = 25
@@ -109,19 +106,17 @@ class SolveOptions:
             raise ValidationError(problems)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     trajectory: tr.StateTrajectory
     multipliers: ml.MultiplierSet
     report: cd.ResidualReport
     # (step, residual, damping) per step; a chord step logs damping 1
-    iterations: list = field(default_factory=list)
+    iterations: tuple = ()
     converged: bool = False
     elapsed: float = 0.0
 
 
-@dataclass(frozen=True)
-class _RowBlock:
+class _RowBlock(NamedTuple):
     """A block of condition rows: ``copies`` rows per output node in
     ``nodes``, the copies outermost in the row order.  Its summands are
     differentiated on the node range ``span``; a block without a span reads
@@ -136,8 +131,7 @@ class _RowBlock:
     value: object
 
 
-@dataclass(frozen=True)
-class _Augmented:
+class _Augmented(NamedTuple):
     """The structure of the augmented Newton matrix: the joint coloring of
     the position columns over the condition rows, the RK4 steps of z and the
     dL/dz nodes; the step and g patterns; the node pattern of the z and psi
@@ -546,8 +540,10 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
     log = [(0, norm, _DAMPING)]
 
     def trial(U_try, keep):
-        # U_try, its residual, sup and build when keep(sup), else None
-        R_try, build_try = sys.residual(U_try)
+        # U_try, its residual, sup and build when keep(sup), else None; a
+        # trial that overflows has an infinite sup, so it warns of nothing
+        with np.errstate(all="ignore"):
+            R_try, build_try = sys.residual(U_try)
         norm_try = _sup(R_try)
         return (U_try, R_try, norm_try, build_try) if keep(norm_try) else None
 
@@ -616,7 +612,7 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
     converged = (sup_ok["el1"] <= opts.tol_r and sup_ok["el2"] <= opts.tol_r
                  and sup_ok["tc"] <= opts.tol_r)
     return SolveResult(trajectory=traj, multipliers=mult, report=report,
-                       iterations=log, converged=converged,
+                       iterations=tuple(log), converged=converged,
                        elapsed=time.perf_counter() - t0)
 
 

@@ -27,26 +27,22 @@ Unknown sections or keys are errors, never silently ignored.
     x1 = "1"
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
 _PROBLEM_KEYS = ("a", "b", "tau", "n", "m", "gamma")
 
 
-@dataclass(frozen=True)
-class FamilyContent:
+class FamilyContent(NamedTuple):
     T: str
     X: tuple
     Z: str
     xi: float
 
 
-@dataclass(frozen=True)
-class ProblemFileContent:
+class ProblemFileContent(NamedTuple):
     a: float
     b: float
     tau: float

@@ -5,9 +5,8 @@ The delay is always an exact number of grid steps (tau = p*h), so delayed
 lookups are index shifts and never interpolate across the delay coupling.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+import contextlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,10 +15,10 @@ from . import problem as pb
 from .errors import GridTooSmall, ValidationError
 
 _ALIGN_TOL = 1e-8
+_CSV_BLOCK = 1024  # rows per formatted string; a whole table's would be MBs
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     a: float
     b: float
     M: int  # number of steps; M+1 nodes
@@ -135,8 +134,7 @@ def midpoint_values(series, h):
 # ---------------------------------------------------------------------------
 # trajectories
 
-@dataclass(frozen=True)
-class StateTrajectory:
+class StateTrajectory(NamedTuple):
     grid: Grid
     x: np.ndarray  # (m, n+1, M+1)
     z: np.ndarray | None = None  # (M+1,)
@@ -150,7 +148,7 @@ class StateTrajectory:
         return self.x.shape[1] - 1
 
     def with_z(self, z):
-        return replace(self, z=np.asarray(z, dtype=float))
+        return self._replace(z=np.asarray(z, dtype=float))
 
 
 def build_series(pos, h, n):
@@ -206,9 +204,19 @@ def write_trajectory_csv(traj: StateTrajectory, path):
 
 def _write_csv(path, header, columns, footer=""):
     """A header line, one row of ``columns`` per node (17 significant
-    digits) and an optional footer line, to a path or an open text file."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), footer=footer, comments="")
+    digits) and an optional footer line, to a path or an open text file:
+    the bytes of np.savetxt with fmt="%.17g", its one ``%`` per row made
+    one per block of rows."""
+    table = np.column_stack(columns)
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w")) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+        if footer:
+            fh.write(footer + "\n")
 
 
 def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:

@@ -2,13 +2,16 @@
 
     PYTHONPATH=src python tests/cli_digest.py 3 4 > digest.txt
 
-runs ``simulate --out``, ``solve --out --mult-out``, ``verify --out`` and
-``charge --out`` in-process on two sets of specs: the benchmark tasks that
-``perfbench/workloads.py`` seeds with each seed given on the command line,
-and the problem-file fixtures of ``tests/test_cli.py``.  A benchmark task
-runs the commands its workload runs (simulate for certify, solve for
-solve-delay, solve and charge for solve-zcoupled), a fixture every command
-that its sections allow; every trajectory CSV written is then verified.
+runs ``simulate --out``, ``solve --out --mult-out``, ``verify --out``,
+``charge --out``, ``check-derivs`` and ``reduce --out`` in-process on two
+sets of specs: the benchmark tasks that ``perfbench/workloads.py`` seeds
+with each seed given on the command line, and the problem-file fixtures of
+``tests/test_cli.py``.  A benchmark task runs the commands its workload runs
+(simulate for certify, solve for solve-delay, solve and charge for
+solve-zcoupled), a fixture every command that its sections allow; every
+trajectory CSV written is then verified, and every spec is audited by
+``check-derivs`` and reduced by ``reduce``, whose file prints the reduced
+expressions.
 
 Each line is the digest of one command over its exit code, its stdout and
 stderr (the temporary directory replaced by ``<tmp>``) and every file it
@@ -74,8 +77,11 @@ def digest_spec(label, text, commands, grid, tol=()):
                       [path("sol.csv"), path("mult.csv")]),
             "charge": (["charge", spec, *grid, *tol, "--out", path("charge.csv")],
                        [path("charge.csv")]),
+            "check-derivs": (["check-derivs", spec], []),
+            "reduce": (["reduce", spec, "--out", path("reduced.spec")],
+                       [path("reduced.spec")]),
         }
-        for command in commands:
+        for command in (*commands, "check-derivs", "reduce"):
             argv, outs = argvs[command]
             print(run(argv, outs, tmp), label, command)
         for csv in ("sim", "sol"):

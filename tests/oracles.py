@@ -36,6 +36,39 @@ def central_fd(e, binding, var, h=1e-6):
     return (ex.evaluate(e, hi) - ex.evaluate(e, lo)) / (2 * h)
 
 
+def fd_samples_by_scalar(lag, a, b, rng, points=10, h=1e-6):
+    """The finite-difference audit's samples taken one scalar evaluation at a
+    time: ``problem._fd_samples`` as it was before it evaluated whole batches
+    of points in one pass, which must keep its draws, redraws and values."""
+    names, free = lag.args, ex.free_variables(lag.body)
+    samples = []
+    attempts = 0
+    while len(samples) < points and attempts < 40 * points:
+        attempts += 1
+        binding = dict(zip(names, rng.uniform(0.6, 1.4, len(names)).tolist()))
+        binding["t"] = rng.uniform(a, b)
+        try:
+            if not np.isfinite(ex.evaluate(lag.body, binding)):
+                raise ArithmeticError
+            sample = []
+            for name in names:
+                if name not in free:
+                    sample.append((name, binding["t"], 0.0, 0.0))
+                    continue
+                sym = ex.evaluate(lag.partials[name], binding)
+                lo, hi = dict(binding), dict(binding)
+                lo[name] -= h
+                hi[name] += h
+                fd = (ex.evaluate(lag.body, hi) - ex.evaluate(lag.body, lo)) / (2 * h)
+                if not (np.isfinite(sym) and np.isfinite(fd)):
+                    raise ArithmeticError
+                sample.append((name, binding["t"], sym, fd))
+        except Exception:
+            continue
+        samples.append(sample)
+    return samples
+
+
 def partial_on_nodes(p, traj, which, shift=0):
     """Evaluate one symbolic partial along the trajectory with an optional
     forward index shift (values beyond b are zero)."""

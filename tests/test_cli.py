@@ -668,6 +668,19 @@ def test_grid_beyond_memory_exit_3(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_overflowing_line_search_trial_warns_of_nothing(tmp_path):
+    # the line search tries steps whose z overflows: their residual's sup is
+    # infinite, so they are refused without numpy warnings on stderr
+    spec = write(tmp_path, "overflow.spec",
+                 OSCILLATOR.split("[family]")[0].replace(
+                     "0.5*xd1^2 - 0.5*x1^2 - z", "xd1*x1 - 0.28*z^2"))
+    proc = _run_python("import sys\nfrom herglotz.cli import main\n"
+                       f"sys.exit(main(['solve', {spec!r}, '--M', '200']))\n", tmp_path)
+    assert proc.returncode == 4
+    assert proc.stderr == ""
+    assert "converged: False" in proc.stdout
+
+
 MUTABLE = DELAYED.replace('"0.5*xd1^2 + 0.25*tau_x1^2 - z"',
                           '"0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*x1 - z"')
 MUTABLE += '\n[candidate]\nx1 = "1 + 0.5*sin(t)"\n'

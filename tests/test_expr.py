@@ -264,3 +264,39 @@ def assert_only_grammar(e):
     assert isinstance(e, ex.BinOp) and e.op in "+-*/^"
     assert_only_grammar(e.left)
     assert_only_grammar(e.right)
+
+
+def test_evaluate_points_is_evaluate_at_each_point():
+    # a power is the scalar one bit for bit, and a point where evaluate
+    # raises DomainError is NaN even when a power of 1 hides its log
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 3.0, (3, 40))
+    y = rng.uniform(-3.0, 3.0, 40)
+    for src in ("x^y + exp(x)/y", "sqrt(x)*y^2.5 - log(y)", "1^log(x) + sin(y)", "2.5"):
+        e = ex.parse_expression(src)
+        got = ex.evaluate_points(e, {"x": x, "y": y})
+        assert got.shape == x.shape
+        for i, j in np.ndindex(x.shape):
+            try:
+                want = ex.evaluate(e, {"x": x[i, j], "y": y[j]})
+            except DomainError:
+                want = np.nan
+            assert got[i, j] == want or np.isnan(got[i, j]) and np.isnan(want)
+
+
+def test_node_kinds_never_compare_equal():
+    # nodes are tuples, yet a node equals only a node of its own kind
+    items = {1: [("x",), (ex.Num(1.0),)], 2: [("sin", ex.Var("x"))]}
+    kinds = {1: (ex.Num, ex.Var, ex.Neg), 2: (ex.Call,)}
+    for arity, cases in items.items():
+        for args in cases:
+            nodes = [kind(*args) for kind in kinds[arity]]
+            for i, a in enumerate(nodes):
+                assert a != tuple(args) and not a == tuple(args)
+                assert tuple(args) != a
+                for j, b in enumerate(nodes):
+                    assert (a == b) is (i == j) and (a != b) is (i != j)
+    assert ex.BinOp("+", ex.Num(1.0), ex.Var("x")) != ("+", ex.Num(1.0), ex.Var("x"))
+    e = ex.parse_expression("x*sin(y) - 2")
+    assert e == ex.parse_expression("x*sin(y) - 2") and hash(e) == hash(ex.parse_expression("x*sin(y) - 2"))
+    assert e != ex.parse_expression("x*sin(y) - 3")

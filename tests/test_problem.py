@@ -6,6 +6,7 @@ from herglotz import problem as pb
 from herglotz.errors import OutOfHistoryRange, ValidationError
 
 from conftest import make_problem
+from oracles import fd_samples_by_scalar
 
 
 def test_build_valid_oscillator():
@@ -127,20 +128,21 @@ def test_check_derivatives_rows():
 def test_build_work_does_not_grow_with_unread_slots(monkeypatch):
     # L reads xd1, tau_x1 and z: the partials and the finite-difference
     # audit of every other slot cost no evaluation, so n = 20 costs what
-    # n = 1 does
-    evaluate, calls = ex.evaluate, []
+    # n = 1 does, in passes and in points evaluated
+    evaluate_points, calls = ex.evaluate_points, []
 
     def counted(e, binding):
-        calls.append(e)
-        return evaluate(e, binding)
+        out = evaluate_points(e, binding)
+        calls.append(out.size)
+        return out
 
-    monkeypatch.setattr(ex, "evaluate", counted)
+    monkeypatch.setattr(ex, "evaluate_points", counted)
     counts = []
     for n in (1, 20):
         calls.clear()
         p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25, n=n)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(list(calls))
+    assert counts[0] == counts[1] != []
     unread = set(p.lagrangian.args) - {"xd1", "tau_x1", "z"}
     assert all(p.lagrangian.partials[s] == ex.Num(0.0) for s in unread)
     monkeypatch.undo()
@@ -152,3 +154,28 @@ def test_build_work_does_not_grow_with_unread_slots(monkeypatch):
     rng = np.random.default_rng(4242)
     [rng.uniform(0.6, 1.4) for _ in p.lagrangian.args]
     assert rows[0][1] == rng.uniform(p.a, p.b)
+
+
+@pytest.mark.parametrize("n, m, L", [
+    (1, 1, "0.5*xd1^2 - z"),
+    (1, 1, "0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*x1 - z"),
+    (2, 2, "0.5*xdd1^2 + 0.5*xdd2^2 + 0.3463*tau_x1*x2 + 0.2049*tau_xd2*xd1 - 0.7468*z"),
+    (1, 1, "exp(sin(t*xd1))^1.7/(x1 - 1) + tanh(tau_xd1)*z^3 - cos(x1)^2.5"),
+    # points redrawn: log/sqrt of a negative argument, a non-finite value
+    (1, 1, "xd1^2.5*sqrt(x1 - 1) - log(x1 - 1.1)*z"),
+    (1, 1, "1/(x1 - 1)^40 + xd1"),
+    # a log of a negative argument that a power of 1 or 0 would hide
+    (1, 1, "1^log(x1 - 1.2) + xd1^2"),
+    (1, 1, "x1^(x1 - x1)*log(x1 - 1) + xd1"),
+    # no point ever kept, and an L that reads no slot
+    (1, 1, "log(x1 - 3)"),
+    (1, 1, "1"),
+])
+def test_fd_audit_matches_one_scalar_evaluation_at_a_time(n, m, L):
+    # one pass per expression on a batch of points keeps the draws, the
+    # redraws and every value of the scalar audit, bit for bit
+    lag = pb.make_lagrangian(n, m, L)
+    for seed in (pb._AUDIT_SEED, pb._CHECK_SEED, 7):
+        want = fd_samples_by_scalar(lag, -0.5, 2.0, np.random.default_rng(seed))
+        got = pb._fd_samples(lag, -0.5, 2.0, np.random.default_rng(seed))
+        assert got == want
