@@ -2,10 +2,9 @@
 residuals, extremal solver, Noether charges, and the Guinn-style reduction."""
 
 from .conditions import ResidualReport, dbr_residual, full_report
-from .errors import (DegenerateFamily, DomainError, ExprSyntaxError, GridTooSmall,
-                     HerglotzError, NonFiniteLagrangian, OutOfHistoryRange,
-                     SingularJacobian, UnboundVariable, UnknownFunction,
-                     ValidationError, ZeroDelay)
+from .errors import (DomainError, ExprSyntaxError, GridTooSmall, HerglotzError,
+                     NonFiniteLagrangian, OutOfHistoryRange, SingularJacobian,
+                     UnboundVariable, UnknownFunction, ValidationError, ZeroDelay)
 from .expr import differentiate, evaluate, free_variables, parse_expression, simplify, substitute, unparse
 from .functional import admissibility_defect, simulate_z
 from .multipliers import MultiplierSet, compute_phi

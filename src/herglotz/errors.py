@@ -54,10 +54,6 @@ class NonFiniteLagrangian(HerglotzError):
         self.t = t
 
 
-class DegenerateFamily(HerglotzError):
-    """dT^s/dt vanished somewhere for the probe value of s."""
-
-
 class ZeroDelay(HerglotzError):
     """The reduction requires tau > 0; use the direct code paths instead."""
 

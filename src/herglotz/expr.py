@@ -306,10 +306,10 @@ def _diff(e, var):
 
 
 def _fold(fn, *args):
-    # fold constants only when the result is an ordinary finite float
+    # fold constants only when the result is an ordinary finite float (under
+    # the errstate of simplify)
     try:
-        with np.errstate(all="ignore"):
-            v = float(fn(*(np.float64(a) for a in args)))
+        v = float(fn(*(np.float64(a) for a in args)))
     except (DomainError, ValueError):
         return None
     return v if np.isfinite(v) else None
@@ -318,17 +318,22 @@ def _fold(fn, *args):
 def simplify(e: Expr) -> Expr:
     """Constant folding plus 0/1 identities. Not a CAS: equivalence of
     anything deeper is established numerically by the callers' tests."""
+    with np.errstate(all="ignore"):  # a fold that overflows is not taken
+        return _simplify(e)
+
+
+def _simplify(e):
     if isinstance(e, (Num, Var)):
         return e
     if isinstance(e, Neg):
-        a = simplify(e.arg)
+        a = _simplify(e.arg)
         if isinstance(a, Num):
             return Num(-a.value)
         if isinstance(a, Neg):
             return a.arg
         return Neg(a)
     if isinstance(e, Call):
-        a = simplify(e.arg)
+        a = _simplify(e.arg)
         if isinstance(a, Num):
             def apply(x):
                 if e.fn == "log" and x < 0:
@@ -340,8 +345,8 @@ def simplify(e: Expr) -> Expr:
             if v is not None:
                 return Num(v)
         return Call(e.fn, a)
-    a = simplify(e.left)
-    b = simplify(e.right)
+    a = _simplify(e.left)
+    b = _simplify(e.right)
     op = e.op
     if isinstance(a, Num) and isinstance(b, Num):
         v = _fold({"+": np.add, "-": np.subtract, "*": np.multiply,
@@ -357,7 +362,7 @@ def simplify(e: Expr) -> Expr:
         if _is_zero(b):
             return a
         if _is_zero(a):
-            return simplify(Neg(b))
+            return _simplify(Neg(b))
     elif op == "*":
         if _is_zero(a) or _is_zero(b):
             return Num(0.0)

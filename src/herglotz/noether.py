@@ -28,7 +28,7 @@ from . import functional as fn
 from . import multipliers as ml
 from . import problem as pb
 from . import trajectory as tr
-from .errors import DegenerateFamily, ValidationError
+from .errors import ValidationError
 
 _GEN_VARS_OK = {"s", "t", "z"}
 
@@ -125,80 +125,48 @@ def lift_generators(fam: InvarianceFamily, traj: tr.StateTrajectory) -> Generato
     return GeneratorSeries(T=T, X=X, Z=Z)
 
 
-def _family_series(fam, p, traj, s):
-    """T^s, X^s, Z^s evaluated along the trajectory extended over
-    [a - tau, b]; x below a comes from the history expressions and z is
-    frozen at gamma there."""
-    g = traj.grid
-    q = g.p
-    text = g.a + g.h * np.arange(-q, g.M + 1)
-    xe = np.empty((traj.m, g.M + q + 1))
-    for j in range(1, traj.m + 1):
-        if q:
-            xe[j - 1, :q] = fn.history_node_values(p, g, j, 0, np.arange(-q, 0))
-        xe[j - 1, q:] = traj.x[j - 1, 0]
-    ze = np.empty(g.M + q + 1)
-    ze[:q] = p.gamma
-    ze[q:] = traj.z
-    names = ["s", "t"] + [f"x{j}" for j in range(1, traj.m + 1)] + ["z"]
+def _invariance_rates(p: pb.ProblemSpec, traj: tr.StateTrajectory,
+                      fam: InvarianceFamily, args):
+    """The s-derivatives at s = 0 of the two invariance conditions
 
-    def run(e):
-        with np.errstate(all="ignore"):
-            out = ex.compile_expr(e, names)(np.float64(s), text, *xe, ze)
-        return np.broadcast_to(np.asarray(out, dtype=float), text.shape).copy()
+        (z(b)/(b - a) + xi s) dT^s/dt - z(b)/(b - a),
+        dZ^s/dt - dT^s/dt L(T^s, X^s_k, Z^s),
 
-    Ts = run(fam.Tmap)
-    Xs = np.stack([run(fam.Xmap[j]) for j in range(traj.m)])
-    Zs = run(fam.Zmap)
-    return Ts, Xs, Zs
-
-
-def _invariance_sides(fam, p, traj, s):
-    """The two Definition-style conditions evaluated at parameter value s;
-    both vanish identically at s=0."""
-    g = traj.grid
-    q, h, n = g.p, g.h, p.n
-    Ts, Xs, Zs = _family_series(fam, p, traj, s)
-    dTdt = tr.differentiate_values(Ts, h, 1)
-    if np.min(np.abs(dTdt)) < 1e-8:
-        raise DegenerateFamily(
-            f"dT^s/dt vanishes on the grid for s={s!r}")
-    # chain derivatives d^k X^s / d(T^s)^k via the quotient recursion
-    chain = np.empty((n + 1, traj.m, Ts.shape[0]))
-    chain[0] = Xs
-    for k in range(1, n + 1):
-        chain[k] = tr.differentiate_values(chain[k - 1], h, 1) / dTdt
-    zslice = slice(q, None)
-    dZdt = tr.differentiate_values(Zs[zslice], h, 1)
-
-    zb_avg = traj.z[-1] / (g.b - g.a)
-    cond1 = (zb_avg + fam.xi * s) * dTdt[zslice] - zb_avg
-
-    # extended index i covers time a + (i - p)h, so the delayed slot on
-    # [a, b] is the leading M+1 entries
-    series = np.swapaxes(chain, 0, 1)
-    args = fn.ordered_args(Ts[zslice], series[..., zslice],
-                           series[..., :g.M + 1]) + [Zs[zslice]]
+    per node of [a, b], at the node arguments ``args`` along traj.  X^s_k is
+    the k-th derivative of X^s with respect to T^s, whose s-derivative at
+    s = 0 is X_k = X_{k-1}' - x^(k) T' (X_0 .. X_{n-1} by
+    ``lift_generators``).  A delayed slot below a reads the generators
+    prolonged along the history (``_history_generators``)."""
+    gen = lift_generators(fam, traj)
+    g, n, z = traj.grid, p.n, traj.z
+    reads = ex.free_variables(p.lagrangian.body)
     with np.errstate(all="ignore"):
-        lvals = p.lagrangian.compiled("body")(*args)
-    lvals = np.broadcast_to(np.asarray(lvals, dtype=float), dZdt.shape)
-    cond2 = dZdt - dTdt[zslice] * lvals
-    return cond1, cond2
+        dT = tr.differentiate_values(gen.T, g.h, 1)
+        top = tr.differentiate_values(gen.X[n - 1], g.h, 1) - traj.x[:, n, :] * dT
+        X = np.concatenate([gen.X, top[None]])  # (n+1, m, M+1)
+        Xd = X
+        if cd.has_comb(p):
+            hist = np.swapaxes(_history_generators(fam, p, g), 0, 1)
+            Xd = np.concatenate([hist[..., :g.p], X[..., :g.M + 1 - g.p]], axis=-1)
+        dL = 0.0
+        for name, V in [("t", gen.T), ("z", gen.Z)] + [
+                (slot(j + 1, k), S[k, j]) for k, j in np.ndindex(n + 1, p.m)
+                for slot, S in ((pb.slot_name, X), (pb.delayed_slot_name, Xd))]:
+            if name in reads:
+                dL = dL + fn.eval_args(p, args, z, name) * V
+        c1 = z[-1] / (g.b - g.a) * dT + fam.xi
+        c2 = (tr.differentiate_values(gen.Z, g.h, 1)
+              - dT * fn.eval_args(p, args, z, "body") - dL)
+    return c1, c2
 
 
 def invariance_defect(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                      fam: InvarianceFamily, ds: float = 1e-3):
-    """First-order defects of the two invariance conditions: the central
-    s-difference of each condition at +/-ds, sup over the nodes of [a, b]."""
-    if not 0.0 < ds <= 1e-2:
-        raise ValidationError(f"ds must lie in (0, 1e-2], got {ds!r}")
-    if traj.z is None:
-        raise ValidationError("trajectory has no z series; simulate it first")
-    c1p, c2p = _invariance_sides(fam, p, traj, +ds)
-    c1m, c2m = _invariance_sides(fam, p, traj, -ds)
-    d1 = float(np.max(np.abs((c1p - c1m) / (2 * ds))))
-    d2 = float(np.max(np.abs((c2p - c2m) / (2 * ds))))
-    return d1, d2
+                      fam: InvarianceFamily, args):
+    """First-order defects of the two invariance conditions at the node
+    arguments ``args`` along traj: the sup over the nodes of [a, b] of each
+    of ``_invariance_rates``."""
+    c1, c2 = _invariance_rates(p, traj, fam, args)
+    return float(np.max(np.abs(c1))), float(np.max(np.abs(c2)))
 
 
 def noether_charge(p: pb.ProblemSpec, traj: tr.StateTrajectory,
@@ -220,10 +188,12 @@ def _charge(p, traj, mult, gen, args):
 
 
 def _history_generators(fam, p, grid):
-    """X_r, r = 0..n, along the history on the nodes of [a - tau, a] with z
-    frozen at gamma: shape (m, n+1, p+1), by symbolic t-derivatives."""
+    """X_r, r = 0..n, prolonged along the history on the nodes of
+    [a - tau, a] with z frozen at gamma: shape (m, n+1, p+1), by the
+    symbolic recursion X_r = d/dt X_{r-1} - mu^(r) d/dt T."""
     along = {f"x{j}": p.history[j - 1] for j in range(1, p.m + 1)}
     along["z"] = ex.Num(p.gamma)
+    dT = ex.differentiate(ex.substitute(_gen_expr(fam.Tmap), along), "t")
     t = grid.a + grid.h * np.arange(-grid.p, 1)
     out = np.empty((p.m, p.n + 1, t.size))
     for j in range(p.m):
@@ -232,7 +202,8 @@ def _history_generators(fam, p, grid):
             with np.errstate(all="ignore"):
                 out[j, r] = np.broadcast_to(np.asarray(
                     ex.compile_expr(e, ["t"])(t), dtype=float), t.shape)
-            e = ex.differentiate(e, "t")
+            e = ex.simplify(ex.BinOp("-", ex.differentiate(e, "t"), ex.BinOp(
+                "*", p.history_derivs[j][r + 1], dT)))
     return out
 
 

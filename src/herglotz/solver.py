@@ -624,8 +624,9 @@ def _sup(v):
 def _factor(J, size, n):
     """The Newton matrix J, COO triplets of a size x size matrix, factored
     once: returns solve(R), the first n entries of the solution d of
-    J d = [-R, 0, ...] for an R of n entries.  Its exact zeros are dropped
-    and it is factored by scipy's splu (COLAMD ordering).  numpy has no
+    J d = [-R, 0, ...] for an R of n entries.  Its exact zeros are dropped;
+    a row or column left empty, or a non-finite entry, makes J singular.
+    Otherwise it is factored by scipy's splu (COLAMD ordering).  numpy has no
     reusable LU, so without scipy the dense LU of the same matrix gives once
     the n columns of J^-1 that such a right-hand side reaches, and each solve
     is a product with their first n rows."""
@@ -634,6 +635,9 @@ def _factor(J, size, n):
         raise SingularJacobian()
     nz = vals != 0.0
     rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    if not (np.bincount(rows, minlength=size).all()
+            and np.bincount(cols, minlength=size).all()):
+        raise SingularJacobian()
     try:
         try:  # imported here: a module-level import would cost every command
             from scipy.sparse.linalg import splu

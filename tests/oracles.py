@@ -23,7 +23,8 @@ import numpy as np
 from herglotz import expr as ex
 from herglotz import problem as pb
 from herglotz import reduction as rd
-from herglotz.functional import integral_to_b, march_z, stage_args, trajectory_args
+from herglotz.functional import (history_node_values, integral_to_b, march_z, ordered_args,
+                                 stage_args, trajectory_args)
 from herglotz.multipliers import alternating_sum, summand_terms
 from herglotz.trajectory import StateTrajectory, build_series, differentiate_values
 
@@ -243,6 +244,44 @@ def first_order_delayed_comb(p, traj, psi):
                 past[i] = pb.history_derivative(p, 1, k + 1, grid.a + (i - q) * grid.h)
         D += psi * partial_on_nodes(p, traj, pb.delayed_slot_name(1, k)) * past
     return D
+
+
+def finite_s_invariance(p, traj, fam, ds=1e-3):
+    """The two invariance conditions of ``fam`` evaluated at s = +/-ds and
+    differenced, (c(ds) - c(-ds)) / (2 ds) per node of [a, b]: the reference
+    for the first-order rates of ``noether._invariance_rates``.  The family
+    is evaluated on the grid extended below a (x from the history, z frozen
+    at gamma), and d^k X^s / d(T^s)^k by the quotient recursion of stencils,
+    which cross the kink at a: the two agree away from a + k tau and
+    b - tau."""
+    g = traj.grid
+    q, h = g.p, g.h
+    t = g.a + h * np.arange(-q, g.M + 1)
+    xe = [np.concatenate([history_node_values(p, g, j, 0, np.arange(-q, 0)),
+                          traj.x[j - 1, 0]]) for j in range(1, p.m + 1)]
+    ze = np.concatenate([np.full(q, p.gamma), traj.z])
+    names = ["s", "t"] + [f"x{j}" for j in range(1, p.m + 1)] + ["z"]
+    now = slice(q, None)
+
+    def sides(s):
+        def run(e):
+            with np.errstate(all="ignore"):
+                out = ex.compile_expr(e, names)(np.float64(s), t, *xe, ze)
+            return np.broadcast_to(np.asarray(out, dtype=float), t.shape)
+
+        T, Z = run(fam.Tmap), run(fam.Zmap)
+        dT = differentiate_values(T, h, 1)
+        chain = [np.stack([run(e) for e in fam.Xmap])]
+        for _ in range(p.n):
+            chain.append(differentiate_values(chain[-1], h, 1) / dT)
+        series = np.stack(chain, axis=1)  # (m, n+1, q+M+1)
+        args = ordered_args(T[now], series[..., now], series[..., :g.M + 1])
+        with np.errstate(all="ignore"):
+            L = p.lagrangian.compiled("body")(*args, Z[now])
+        c1 = (traj.z[-1] / (g.b - g.a) + fam.xi * s) * dT[now]
+        return c1, differentiate_values(Z[now], h, 1) - dT[now] * L
+
+    return tuple((hi - lo) / (2 * ds) for hi, lo in zip(sides(ds), sides(-ds)))
 
 
 def dense_jacobian(system, U, R0, fd_step, chunk=256, central=False, hold=None):

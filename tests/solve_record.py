@@ -2,16 +2,19 @@
 
     PYTHONPATH=src:tests python -m pytest -q -p solve_record --solve-record=solves.json
 
-For each call it writes the test that made it, M, m, n, tau, the converged
-flag, the step count, the final residual and the side of every matrix the
-solve factored to the JSON file (a list, in call order).  It loads only
-when named with ``-p`` and changes no test's outcome.  A solver change keeps
-every solve that converges:
+For each call it writes the test that made it, m, n, tau and the side of
+every matrix the solve factored to the JSON file (a list, in call order),
+then M, the converged flag, the step count and the final residual of its
+result, or the name of the exception it raised in their place.  It loads
+only when named with ``-p`` and changes no test's outcome.  A solver change
+keeps every solve that converges:
 
     python tests/solve_record.py before.json after.json
 
 lists the calls (the k-th of a test) that converged in the first record and
-not in the second, and exits 1 if there is one.  Beside it, it counts the
+not in the second, and exits 1 if there is one.  It also lists the calls
+that raised in one record and returned in the other, apart from those that
+lost their convergence.  Beside it, it counts the
 factored matrices of each record by side: m*M (the positions alone: a
 z-free L's Newton matrix, or the held one of a z-coupled L) or larger (the
 augmented matrix of a z-coupled L).
@@ -43,18 +46,22 @@ def pytest_load_initial_conftests(early_config, parser, args):
             sides.append(size)
             return factor(J, size, n)
 
+        record = {
+            "test": os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0],
+            "m": p.m, "n": p.n, "tau": p.tau, "sides": sides}
+        records.append(record)
         solver._factor = counted
         try:
             result = solve(p, opts)
+        except Exception as err:
+            record.update(M=getattr(opts, "M", None), converged=False,
+                          raised=type(err).__name__)
+            raise
         finally:
             solver._factor = factor
-        records.append({
-            "test": os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0],
-            "M": result.trajectory.grid.M, "m": p.m, "n": p.n, "tau": p.tau,
-            "converged": result.converged,
-            "steps": len(result.iterations) - 1,
-            "residual": result.iterations[-1][1],
-            "sides": sides})
+        record.update(M=result.trajectory.grid.M, converged=result.converged,
+                      steps=len(result.iterations) - 1,
+                      residual=result.iterations[-1][1])
         return result
 
     solver.solve_extremal = herglotz.solve_extremal = recorded
@@ -83,6 +90,21 @@ def _lost(before, after):
             if b["converged"] and not after.get(key, b)["converged"]]
 
 
+def _raise_changes(before, after):
+    """Calls of tests in both records that raised in one and returned in the
+    other, other than those ``_lost`` lists: (key, before, after), each side
+    the exception's name or "result"."""
+    after = dict(_keyed(after))
+    changes = []
+    for key, b in _keyed(before):
+        a = after.get(key, b)
+        was, now = b.get("raised", "result"), a.get("raised", "result")
+        if (was == "result") != (now == "result") and not (
+                b["converged"] and not a["converged"]):
+            changes.append((key, was, now))
+    return changes
+
+
 def _sides(records):
     """The factored matrices of side m*M and of a larger side."""
     sides = [(s, r["m"] * r["M"]) for r in records for s in r.get("sides", [])]
@@ -97,6 +119,8 @@ if __name__ == "__main__":
     lost = _lost(*records)
     for (test, k), M in lost:
         print(f"no longer converges: {test}, call {k} (M={M})")
+    for (test, k), was, now in _raise_changes(*records):
+        print(f"{was} -> {now}: {test}, call {k}")
     print(f"{len(records[0])} and {len(records[1])} calls, {len(lost)} lost")
     for name, r in zip(("before", "after"), records):
         positions, augmented = _sides(r)

@@ -183,7 +183,8 @@ def _time_translation(p):
 
 def test_criterion_6_invariance_defect(delayed_solved):
     p, res = delayed_solved
-    d1, d2 = nt.invariance_defect(p, res.trajectory, _time_translation(p))
+    d1, d2 = nt.invariance_defect(p, res.trajectory, _time_translation(p),
+                                  fn.trajectory_args(p, res.trajectory))
     ok = max(d1, d2) <= 1e-6
     report("6 (defect)", ok, f"invariance defects {d1:.3e}, {d2:.3e} (tol 1e-6)")
     assert max(d1, d2) <= 1e-6

@@ -816,3 +816,47 @@ def test_fresh_augmented_newton_steps_converge_on_n2():
         R, build = system.residual(U)
         norms.append(sv._sup(R))
     assert min(norms) <= 1e-5 < norms[0]
+
+
+# the Newton loop's exits
+
+def test_line_search_without_decrease_ends_the_solve():
+    # no damping down to 1e-8 lowers the residual after the fifth step, so the
+    # solve stops there, unconverged, with budget left
+    p = make_problem("0.5*xd1^2 - 0.5*x1^2 - 0.67*x1*x1 - 0.31*z*x1",
+                     mu=("1 + 0.5*t",), tau=0.25)
+    res = solve_extremal(p, SolveOptions(M=80, h=None))
+    assert not res.converged
+    assert len(res.iterations) - 1 == 5
+    assert res.iterations[-1][2] < 1e-8
+
+
+def test_newton_step_below_the_step_tolerance_ends_the_solve():
+    # tol_r 1e-13 lies under the rounding floor at M = 2000: the third step
+    # moves U by less than _TOL_X and the solve stops short of the budget
+    p = make_problem("0.5*xd1^2 - 0.5*x1^2 - z")
+    res = solve_extremal(p, SolveOptions(M=2000, h=None, tol_r=1e-13))
+    assert len(res.iterations) - 1 == 3
+    assert res.iterations[-1][2] == 1.0
+    assert 1e-13 < res.iterations[-1][1] < 1e-8
+
+
+def test_non_finite_newton_matrix_is_singular():
+    # log(xd1) is NaN where the trial positions fall, so the matrix is too
+    p = make_problem("0.5*xd1^2 - 0.31*tanh(x1)*tau_xd1 - 0.08*log(xd1)*t"
+                     " + 0.69*tau_xd1^4", mu=("exp(-t)",), tau=0.25)
+    with np.errstate(all="ignore"), pytest.raises(SingularJacobian):
+        solve_extremal(p, SolveOptions(M=40, h=None))
+
+
+def test_empty_row_or_column_is_singular_before_either_backend(monkeypatch):
+    # a 3 x 3 matrix whose second row and third column hold exact zeros
+    J = (np.array([0, 0, 1, 2, 2]), np.array([0, 1, 2, 0, 1]),
+         np.array([1.0, 2.0, 0.0, 3.0, 4.0]))
+    def reached(*args):
+        raise AssertionError("a backend was handed the matrix")
+
+    monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
+    monkeypatch.setattr(np.linalg, "solve", reached)
+    with pytest.raises(SingularJacobian):
+        sv._factor(J, 3, 3)
