@@ -133,18 +133,13 @@ def cmd_verify(args):
 def _write_residual_csv(report, path):
     """Rows t,block,r1..rm: el1 from a, el2 from b - tau, then dbr in the
     first residual column; a '# sup' footer holds the four norms."""
-    grid = report.grid
-    t = grid.nodes()
+    t = report.grid.nodes()
     m = report.el1.shape[0]
-    cells = ",%.17g" * m
-    with open(path, "w") as fh:
-        fh.write("t,block," + ",".join(f"r{j + 1}" for j in range(m)) + "\n")
-        for name, start, vals in (("el1", 0, report.el1),
-                                  ("el2", grid.junction, report.el2)):
-            np.savetxt(fh, np.column_stack([t[start:start + vals.shape[-1]], vals.T]),
-                       fmt=f"%.17g,{name}" + cells)
-        np.savetxt(fh, np.column_stack([t, report.dbr]),
-                   fmt="%.17g,dbr,%.17g" + "," * (m - 1), comments="",
+    blocks = [[t[start:start + vals.shape[-1]], name, *vals]
+              for name, start, vals in (("el1", 0, report.el1),
+                                        ("el2", report.grid.junction, report.el2))]
+    blocks.append([t, "dbr", report.dbr] + [""] * (m - 1))
+    tr.write_table(path, ["t", "block"] + [f"r{j + 1}" for j in range(m)], blocks,
                    footer="# sup " + " ".join(f"{k}={_fmt(v)}"
                                               for k, v in report.norms.items()))
 
@@ -188,13 +183,14 @@ def cmd_charge(args):
         return EXIT_NO_CONVERGENCE
     traj = result.trajectory
     slots = fn.trajectory_args(p, traj)  # L's node arguments, built once
-    d1, d2 = nt.invariance_defect(p, traj, fam, slots)
-    charge = nt.noether_charge(p, traj, result.multipliers, fam, slots)
+    gen = nt.lift_generators(p, fam, traj)  # one lift for the defect and the charge
+    d1, d2 = nt.invariance_defect(p, traj, gen, slots)
+    charge = nt.noether_charge(p, traj, result.multipliers, gen, slots)
     total = nt.drift(charge)
     interior = nt.drift(charge, mask=result.report.dbr_flags)
     if args.out:
-        tr._write_csv(args.out, ["t", "charge"], [traj.grid.nodes(), charge],
-                      footer=f"# drift {_fmt(total)}")
+        tr.write_table(args.out, ["t", "charge"], [[traj.grid.nodes(), charge]],
+                       footer=f"# drift {_fmt(total)}")
         print(f"wrote {args.out}")
     print(f"invariance defect: condition1 {_fmt(d1)}, condition2 {_fmt(d2)}")
     print(f"charge drift: {_fmt(total)} (unflagged {_fmt(interior)})")

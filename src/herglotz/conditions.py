@@ -195,7 +195,7 @@ def comb_series(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     return comb_terms(p, traj, mult, args, *delayed_rates(p, traj.grid, traj.x))
 
 
-def comb_integral(vals, left, grid, point=0.0):
+def comb_integral(vals, left, grid, point):
     """int_t^min(t + tau, b) of a comb series per node: the trapezoid rule,
     split at a + tau with ``left`` the left limit there, plus a point mass
     at a + tau for the nodes t < a + tau."""

@@ -110,4 +110,4 @@ def write_multiplier_csv(grid, mult: MultiplierSet, path):
                              for j in range(1, m + 1)]
     cols = [grid.nodes(), mult.psi] + [mult.phi[k, j]
                                        for k in range(n) for j in range(m)]
-    tr._write_csv(path, header, cols)
+    tr.write_table(path, header, [cols])

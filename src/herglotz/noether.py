@@ -90,6 +90,8 @@ class GeneratorSeries(NamedTuple):
     T: np.ndarray  # (M+1,)
     X: np.ndarray  # (n, m, M+1): X_0 .. X_{n-1}
     Z: np.ndarray  # (M+1,)
+    xi: float  # the family's rate in the first invariance condition
+    hist: np.ndarray | None  # (m, n+1, p+1) when L's comb is on, else None
 
 
 def _gen_expr(e):
@@ -107,9 +109,12 @@ def _along(e, traj):
                            (traj.grid.M + 1,)).copy()
 
 
-def lift_generators(fam: InvarianceFamily, traj: tr.StateTrajectory) -> GeneratorSeries:
+def lift_generators(p: pb.ProblemSpec, fam: InvarianceFamily,
+                    traj: tr.StateTrajectory) -> GeneratorSeries:
     """T, X_0, Z from the symbolic s-derivative at s=0, then the X_k
-    recursion along the trajectory."""
+    recursion along the trajectory.  When L's comb is on
+    (``cd.has_comb``), also X_0 .. X_n prolonged along the history
+    (``_history_generators``), which a delayed slot below a reads."""
     if traj.z is None:
         raise ValidationError("trajectory has no z series; simulate it first")
     n, m = traj.n, traj.m
@@ -122,11 +127,12 @@ def lift_generators(fam: InvarianceFamily, traj: tr.StateTrajectory) -> Generato
     dT = tr.differentiate_values(T, h, 1)
     for k in range(1, n):
         X[k] = tr.differentiate_values(X[k - 1], h, 1) - traj.x[:, k, :] * dT
-    return GeneratorSeries(T=T, X=X, Z=Z)
+    hist = _history_generators(fam, p, traj.grid) if cd.has_comb(p) else None
+    return GeneratorSeries(T=T, X=X, Z=Z, xi=fam.xi, hist=hist)
 
 
 def _invariance_rates(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                      fam: InvarianceFamily, args):
+                      gen: GeneratorSeries, args):
     """The s-derivatives at s = 0 of the two invariance conditions
 
         (z(b)/(b - a) + xi s) dT^s/dt - z(b)/(b - a),
@@ -134,10 +140,9 @@ def _invariance_rates(p: pb.ProblemSpec, traj: tr.StateTrajectory,
 
     per node of [a, b], at the node arguments ``args`` along traj.  X^s_k is
     the k-th derivative of X^s with respect to T^s, whose s-derivative at
-    s = 0 is X_k = X_{k-1}' - x^(k) T' (X_0 .. X_{n-1} by
-    ``lift_generators``).  A delayed slot below a reads the generators
-    prolonged along the history (``_history_generators``)."""
-    gen = lift_generators(fam, traj)
+    s = 0 is X_k = X_{k-1}' - x^(k) T' (X_0 .. X_{n-1} of the lifted
+    generators ``gen``).  A delayed slot below a reads their prolongation
+    along the history."""
     g, n, z = traj.grid, p.n, traj.z
     reads = ex.free_variables(p.lagrangian.body)
     with np.errstate(all="ignore"):
@@ -145,8 +150,8 @@ def _invariance_rates(p: pb.ProblemSpec, traj: tr.StateTrajectory,
         top = tr.differentiate_values(gen.X[n - 1], g.h, 1) - traj.x[:, n, :] * dT
         X = np.concatenate([gen.X, top[None]])  # (n+1, m, M+1)
         Xd = X
-        if cd.has_comb(p):
-            hist = np.swapaxes(_history_generators(fam, p, g), 0, 1)
+        if gen.hist is not None:
+            hist = np.swapaxes(gen.hist, 0, 1)
             Xd = np.concatenate([hist[..., :g.p], X[..., :g.M + 1 - g.p]], axis=-1)
         dL = 0.0
         for name, V in [("t", gen.T), ("z", gen.Z)] + [
@@ -154,32 +159,28 @@ def _invariance_rates(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 for slot, S in ((pb.slot_name, X), (pb.delayed_slot_name, Xd))]:
             if name in reads:
                 dL = dL + fn.eval_args(p, args, z, name) * V
-        c1 = z[-1] / (g.b - g.a) * dT + fam.xi
+        c1 = z[-1] / (g.b - g.a) * dT + gen.xi
         c2 = (tr.differentiate_values(gen.Z, g.h, 1)
               - dT * fn.eval_args(p, args, z, "body") - dL)
     return c1, c2
 
 
 def invariance_defect(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                      fam: InvarianceFamily, args):
-    """First-order defects of the two invariance conditions at the node
-    arguments ``args`` along traj: the sup over the nodes of [a, b] of each
-    of ``_invariance_rates``."""
-    c1, c2 = _invariance_rates(p, traj, fam, args)
+                      gen: GeneratorSeries, args):
+    """First-order defects of the two invariance conditions, for the
+    generators ``gen`` lifted along traj, at the node arguments ``args``: the
+    sup over the nodes of [a, b] of each of ``_invariance_rates``."""
+    c1, c2 = _invariance_rates(p, traj, gen, args)
     return float(np.max(np.abs(c1))), float(np.max(np.abs(c2)))
 
 
 def noether_charge(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                   mult: ml.MultiplierSet, fam: InvarianceFamily,
+                   mult: ml.MultiplierSet, gen: GeneratorSeries,
                    args) -> np.ndarray:
-    """The pointwise charge C per node, at the node arguments ``args`` of
-    ``fn.slot_args`` along traj; constant along extremals when tau = 0 or L
-    reads no ``tau_`` slot (see ``noether_charge_delayed``)."""
-    return _charge(p, traj, mult, lift_generators(fam, traj), args)
-
-
-def _charge(p, traj, mult, gen, args):
-    """C from the lifted generators and the node arguments along traj."""
+    """The pointwise charge C per node, for the generators ``gen`` lifted
+    along traj, at the node arguments ``args`` of ``fn.slot_args``; constant
+    along extremals when tau = 0 or L reads no ``tau_`` slot (see
+    ``noether_charge_delayed``)."""
     inner = cd.dbr_inner(p, traj, mult, args)
     C = mult.psi * gen.Z - inner * gen.T
     for k in range(1, p.n + 1):
@@ -215,9 +216,9 @@ def noether_charge_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     under ``fam``; equal to ``noether_charge`` when tau = 0 or L reads no
     ``tau_`` slot.  With tau > 0 the T generator must be a constant, the
     only time shift a constant delay admits."""
-    gen = lift_generators(fam, traj)
-    C = _charge(p, traj, mult, gen, args)
-    if not cd.has_comb(p):
+    gen = lift_generators(p, fam, traj)
+    C = noether_charge(p, traj, mult, gen, args)
+    if gen.hist is None:
         return C
     gT = _gen_expr(fam.Tmap)
     if ex.free_variables(gT):
@@ -229,7 +230,7 @@ def noether_charge_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     X = np.swapaxes(gen.X, 0, 1)  # (m, n, M+1): X_0 .. X_{n-1}
     top = ml.blockwise_derivative(X[:, -1:, :], g.h, g.junction)
     rates_hist, rates = cd.delayed_rates(p, g, traj.x)
-    hist = _history_generators(fam, p, g) - T * rates_hist
+    hist = gen.hist - T * rates_hist
     cur = np.concatenate([X, top], axis=1) - T * rates
     G, G_left = cd.comb_terms(p, traj, mult, args, hist, cur)
     point = -T * cd.breakpoint_jump(p, traj, mult, args)

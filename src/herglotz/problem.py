@@ -16,6 +16,7 @@ from . import expr as ex
 from .errors import OutOfHistoryRange, ValidationError
 
 _FD_POINTS = 10  # evaluation points of a finite-difference audit of L's partials
+_FD_STEP = 1e-6  # the audit's central-difference step in each slot
 _FD_RELTOL = 1e-6
 _AUDIT_SEED = 12345  # the points of build_problem's audit
 _CHECK_SEED = 4242  # the points of check_derivatives
@@ -242,7 +243,7 @@ def check_derivatives(p: ProblemSpec):
             for sample in samples for name, t, sym, fd in sample]
 
 
-def _fd_samples(lag, a, b, rng, h=1e-6):
+def _fd_samples(lag, a, b, rng):
     """Up to ``_FD_POINTS`` random evaluation points (slots in [0.6, 1.4], t in
     [a, b]), each a list of (slot, t, symbolic partial, central difference)
     over every slot.  A point where L or a value is non-finite or raises is
@@ -268,15 +269,15 @@ def _fd_samples(lag, a, b, rng, h=1e-6):
             point[0] = rng.uniform(a, b)  # names[0] is t
         shifted = np.repeat(points[None], 1 + 2 * len(read), axis=0)
         for r, i in enumerate(read):
-            shifted[1 + 2 * r, :, i] -= h
-            shifted[2 + 2 * r, :, i] += h
+            shifted[1 + 2 * r, :, i] -= _FD_STEP
+            shifted[2 + 2 * r, :, i] += _FD_STEP
         body = ex.evaluate_points(lag.body, dict(zip(names, np.moveaxis(shifted, 2, 0))))
         at = dict(zip(names, points.T))
         # (symbolic, central difference) per point and slot; 0 where unread
         rows = np.zeros((k, len(names), 2))
         for r, i in enumerate(read):
             rows[:, i, 0] = ex.evaluate_points(lag.partials[names[i]], at)
-            rows[:, i, 1] = (body[2 + 2 * r] - body[1 + 2 * r]) / (2 * h)
+            rows[:, i, 1] = (body[2 + 2 * r] - body[1 + 2 * r]) / (2 * _FD_STEP)
         kept = np.isfinite(body[0]) & np.isfinite(rows).all(axis=(1, 2))
         for t, point in zip(points[kept, 0].tolist(), rows[kept].tolist()):
             samples.append([(name, t, sym, fd) for name, (sym, fd) in zip(names, point)])

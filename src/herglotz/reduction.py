@@ -252,8 +252,5 @@ def write_reduced_file(rp: ReducedProblem, path):
             name = state_name(k, 0, jc, rp.m)
             lines.append(f'{name} = "{ex.unparse(rp.stacked_history[jc - 1][k])}"')
     text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with tr.open_text(path, "w") as fh:
+        fh.write(text)

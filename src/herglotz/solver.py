@@ -237,18 +237,16 @@ class _System:
                           n_node_colors, _panel_rows(M, grid.h))
 
     def initial_positions(self):
-        """Taylor extension of the history from a."""
-        p, grid = self.p, self.grid
-        t = grid.nodes() - grid.a
-        pos = np.zeros((p.m, grid.M + 1))
-        for j in range(1, p.m + 1):
-            acc = np.zeros_like(t)
-            fact = 1.0
-            for k in range(p.n):
-                if k:
-                    fact *= k
-                acc += pb.history_derivative(p, j, k, p.a) * t ** k / fact
-            pos[j - 1] = acc
+        """Taylor extension of the history from a, its coefficients the
+        history's derivatives at a held in ``pinned`` and ``mu_at_a``."""
+        t = self.grid.nodes() - self.grid.a
+        mu = np.concatenate([self.pinned, self.mu_at_a], axis=1)  # (m, n)
+        pos = np.zeros((self.p.m, self.grid.M + 1))
+        fact = 1.0
+        for k in range(self.p.n):
+            if k:
+                fact *= k
+            pos += mu[:, k:k + 1] * t ** k / fact
         return pos
 
     def pack(self, positions):

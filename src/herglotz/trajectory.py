@@ -195,26 +195,34 @@ def write_trajectory_csv(traj: StateTrajectory, path):
     digits, '.' decimal separator)."""
     if traj.z is None:
         raise ValidationError("trajectory has no z series; simulate it first")
-    cols = trajectory_columns(traj.n, traj.m)
-    t = traj.grid.nodes()
-    rows = [t] + [traj.x[j, k] for j in range(traj.m) for k in range(traj.n + 1)]
-    rows.append(traj.z)
-    _write_csv(path, cols, rows)
+    cols = [traj.grid.nodes()] + [traj.x[j, k] for j in range(traj.m)
+                                  for k in range(traj.n + 1)]
+    write_table(path, trajectory_columns(traj.n, traj.m), [cols + [traj.z]])
 
 
-def _write_csv(path, header, columns, footer=""):
-    """A header line, one row of ``columns`` per node (17 significant
-    digits) and an optional footer line, to a path or an open text file:
-    the bytes of np.savetxt with fmt="%.17g", its one ``%`` per row made
-    one per block of rows."""
-    table = np.column_stack(columns)
-    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with (contextlib.nullcontext(path) if hasattr(path, "write")
-          else open(path, "w")) as fh:
+def open_text(path, mode="r"):
+    """An open text file as it is, or the file that ``path`` names opened in
+    ``mode``; as a context manager, it closes only a file it opened."""
+    if hasattr(path, "read" if mode == "r" else "write"):
+        return contextlib.nullcontext(path)
+    return open(path, mode)
+
+
+def write_table(path, header, blocks, footer=""):
+    """A header line, the rows of each block in turn and an optional footer
+    line, to a path or an open text file.  A block is a list of columns: an
+    array gives one cell per row with 17 significant digits, a str the same
+    cell, as it is, on every row.  A block's rows are formatted by one
+    ``%`` per ``_CSV_BLOCK`` of them."""
+    with open_text(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+        for block in blocks:
+            table = np.column_stack([c for c in block if not isinstance(c, str)])
+            fmt = ",".join(c.replace("%", "%%") if isinstance(c, str) else "%.17g"
+                           for c in block) + "\n"
+            for start in range(0, len(table), _CSV_BLOCK):
+                rows = table[start:start + _CSV_BLOCK]
+                fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))
         if footer:
             fh.write(footer + "\n")
 
@@ -222,11 +230,8 @@ def _write_csv(path, header, columns, footer=""):
 def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
     """Rebuild a trajectory from the CSV produced by write_trajectory_csv; its
     t column must be a uniform grid on the problem's [a, b]."""
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    with open_text(path) as fh:
+        text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     expected = trajectory_columns(p.n, p.m)
     header = lines[0].split(",") if lines else []

@@ -14,6 +14,9 @@ library's summands and the stacked slot arrays of ``reduction``; what they
 check is the reduced view itself.  ``rk4_loop`` is the z march one RK4 step
 at a time, the reference for the affine step map, and ``from_positions``
 builds a trajectory from position samples as a solve builds its series.
+``savetxt_residual_csv`` is the residual CSV of ``verify --out`` as
+``np.savetxt`` writes it, the reference for the bytes of the one table
+writer.
 """
 
 from dataclasses import dataclass
@@ -427,3 +430,23 @@ def reduced_hamiltonian(rp, stacked, mults):
         lv[stacked.live_steps(j) + 1:] = 0.0
         H += mults.psi[j - 1] * lv
     return H
+
+
+def savetxt_residual_csv(report, fh):
+    """The residual CSV of ``verify --out`` written to the open text file
+    ``fh`` by ``np.savetxt``, one call per block: rows t,el1,r1..rm from a,
+    t,el2,r1..rm from b - tau, t,dbr,r1 with m - 1 empty cells, and the
+    '# sup' footer of the four norms."""
+    grid = report.grid
+    t = grid.nodes()
+    m = report.el1.shape[0]
+    cells = ",%.17g" * m
+    fh.write("t,block," + ",".join(f"r{j + 1}" for j in range(m)) + "\n")
+    for name, start, vals in (("el1", 0, report.el1),
+                              ("el2", grid.junction, report.el2)):
+        np.savetxt(fh, np.column_stack([t[start:start + vals.shape[-1]], vals.T]),
+                   fmt=f"%.17g,{name}" + cells)
+    np.savetxt(fh, np.column_stack([t, report.dbr]),
+               fmt="%.17g,dbr,%.17g" + "," * (m - 1), comments="",
+               footer="# sup " + " ".join(f"{k}={v:.17g}"
+                                          for k, v in report.norms.items()))

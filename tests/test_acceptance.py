@@ -181,9 +181,13 @@ def _time_translation(p):
     return nt.make_family(p, "t + s", ["x1"], "z", xi=0.0)
 
 
+def _time_lift(p, traj):
+    return nt.lift_generators(p, _time_translation(p), traj)
+
+
 def test_criterion_6_invariance_defect(delayed_solved):
     p, res = delayed_solved
-    d1, d2 = nt.invariance_defect(p, res.trajectory, _time_translation(p),
+    d1, d2 = nt.invariance_defect(p, res.trajectory, _time_lift(p, res.trajectory),
                                   fn.trajectory_args(p, res.trajectory))
     ok = max(d1, d2) <= 1e-6
     report("6 (defect)", ok, f"invariance defects {d1:.3e}, {d2:.3e} (tol 1e-6)")
@@ -220,7 +224,8 @@ def test_criterion_6_conserved_counterparts(delayed_solved):
     mults = map_multipliers(rp, res.trajectory, res.multipliers)
     H = reduced_hamiltonian(rp, stacked, mults)
     h_drift = float(np.max(H) - np.min(H))
-    C = nt.noether_charge(p, res.trajectory, res.multipliers, _time_translation(p),
+    C = nt.noether_charge(p, res.trajectory, res.multipliers,
+                          _time_lift(p, res.trajectory),
                           fn.trajectory_args(p, res.trajectory))
     endpoint = abs(float(C[-1] - C[0]))
     ok = h_drift <= 1e-5 and endpoint <= 1e-5
@@ -239,7 +244,7 @@ def test_criterion_6_perturbed_non_extremal(delayed_solved):
     pert = fn.simulate_z(p, from_positions(p, g, pos))
     args = fn.trajectory_args(p, pert)
     mult = ml.compute_phi(p, pert, fn.psi_values(p, g, args, pert.z), args)
-    C = nt.noether_charge(p, pert, mult, _time_translation(p), args)
+    C = nt.noether_charge(p, pert, mult, _time_lift(p, pert), args)
     drift = nt.drift(C, res.report.dbr_flags)
     # the comb-corrected checks of criteria 4 and 6 fail here too
     _, dbr_delayed = cd.full_report(p, pert, mult, args).dbr_delayed_norms
@@ -289,8 +294,8 @@ def test_criterion_7_special_case_equivalences():
         cd.dbr_residual(pd, trajd, multd, argsd)
         - first_order_delayed_dbr(pd, trajd, psid)))))
     fam = nt.make_family(pd, "t + s", ["x1 + 0.5*s*x1"], "z + s*t")
-    gen = nt.lift_generators(fam, trajd)
-    C = nt.noether_charge(pd, trajd, multd, fam, argsd)
+    gen = nt.lift_generators(pd, fam, trajd)
+    C = nt.noether_charge(pd, trajd, multd, gen, argsd)
     ref5 = first_order_delayed_charge(pd, trajd, psid, gen.T, gen.X[0, 0], gen.Z)
     worst = max(worst, float(np.max(np.abs(C - ref5))))
 

@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import subprocess
@@ -10,7 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import herglotz
+from herglotz import cli
 from herglotz.cli import main
+
+from conftest import make_problem
+from oracles import savetxt_residual_csv
 
 FREE_PARTICLE = """
 [problem]
@@ -848,3 +853,52 @@ def test_grid_overflow_exit_2(tmp_path, capsys, tau, grid):
     text = re.sub(r"^tau = .*$", f"tau = {tau}", DELAYED, flags=re.M)
     assert main(["solve", write(tmp_path, "big.spec", text), *grid]) == 2
     assert capsys.readouterr().err.startswith("validation error:")
+
+
+@pytest.mark.parametrize("L, mu, tau, M", [
+    ("0.5*xd1^2 - 0.5*x1^2 - z", ("1",), 0.0, 40),
+    ("0.5*xd1^2 + 0.25*tau_x1^2 - z", ("1",), 0.25, 40),
+    ("0.5*xd1^2 + 0.5*xd2^2 + 0.1*x1*x2 - z", ("1", "2 - t"), 0.0, 40),
+    ("0.5*xd1^2 + 0.5*xd2^2 + 0.25*tau_x1*x2 - z", ("1", "2 - t"), 0.25, 1200),
+], ids=["m1-tau0", "m1-delayed", "m2-tau0", "m2-delayed-multiblock"])
+def test_residual_csv_keeps_the_savetxt_bytes(tmp_path, L, mu, tau, M):
+    # the residual CSV, with NaN, +-inf and -0.0 planted in every block, is
+    # the np.savetxt writer's bytes, to a path and to an open file alike;
+    # M = 1200 spans more than one formatted run of rows
+    p = make_problem(L, mu=mu, tau=tau, m=len(mu))
+    fn, grid = herglotz.functional, herglotz.align_grid(p.a, p.b, p.tau, n=p.n, M=M)
+    traj = fn.simulate_z(p, herglotz.from_expressions(p, grid, ["1 + t^2", "2 - t"][:p.m]))
+    args = fn.trajectory_args(p, traj)
+    mult = herglotz.compute_phi(p, traj, fn.psi_values(p, grid, args, traj.z), args)
+    report = herglotz.full_report(p, traj, mult, args)
+    el1, el2, dbr = report.el1.copy(), report.el2.copy(), report.dbr.copy()
+    el1[0, 1], el1[-1, 2], el1[0, 3] = np.nan, np.inf, -0.0
+    el2[-1, 0], dbr[1], dbr[2], dbr[-1] = -np.inf, -0.0, np.nan, np.inf
+    report = report._replace(el1=el1, el2=el2, dbr=dbr)
+    want = io.StringIO()
+    savetxt_residual_csv(report, want)
+    path = tmp_path / "res.csv"
+    cli._write_residual_csv(report, str(path))
+    assert path.read_bytes() == want.getvalue().encode()
+    buf = io.StringIO()
+    cli._write_residual_csv(report, buf)
+    assert buf.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("text, lifts", [
+    (DELAYED + '\n[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\n',
+     ["_history_generators", "lift_generators"]),
+    (OSCILLATOR, ["lift_generators"]),
+], ids=["comb", "no-comb"])
+def test_charge_lifts_its_family_once(tmp_path, capsys, monkeypatch, text, lifts):
+    # the invariance defect and the charge read one lift of the generators;
+    # with L's comb on, the lift prolongs them along the history once
+    calls = []
+    for name in ("lift_generators", "_history_generators"):
+        def counted(*args, _name=name, _f=getattr(herglotz.noether, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(herglotz.noether, name, counted)
+    assert main(["charge", write(tmp_path, "c.spec", text), "--M", "40"]) == 0
+    assert sorted(calls) == lifts

@@ -34,7 +34,7 @@ def test_lift_time_translation():
     p = make_problem("0.5*xd1^2 - z")
     traj, _, _ = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t + s", ["x1"], "z")
-    gen = nt.lift_generators(fam, traj)
+    gen = nt.lift_generators(p, fam, traj)
     assert np.all(gen.T == 1.0)
     assert np.all(gen.X == 0.0)
     assert np.all(gen.Z == 0.0)
@@ -44,7 +44,7 @@ def test_lift_scaling_family_n2():
     p = make_problem("0.5*xdd1^2 - z", mu=("1",), n=2)
     traj, _, _ = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t", ["exp(s)*x1"], "z")
-    gen = nt.lift_generators(fam, traj)
+    gen = nt.lift_generators(p, fam, traj)
     assert np.max(np.abs(gen.X[0] - traj.x[:, 0, :])) <= 1e-12
     # X_1 = d/dt X_0 - xd * d/dt(T) = d/dt x (stencil) since T = 0
     assert np.max(np.abs(gen.X[1] - traj.x[:, 1, :])) <= 1e-8
@@ -54,7 +54,7 @@ def test_lift_dilation_on_parabola():
     p = make_problem("0.5*xdd1^2 - z", mu=("t^2",), n=2)
     traj, _, _ = pipeline(p, "t^2")
     fam = nt.make_family(p, "t + s*t", ["x1"], "z")
-    gen = nt.lift_generators(fam, traj)
+    gen = nt.lift_generators(p, fam, traj)
     t = traj.grid.nodes()
     assert np.max(np.abs(gen.T - t)) <= 1e-12
     assert np.all(gen.X[0] == 0.0)
@@ -65,7 +65,8 @@ def test_defect_autonomous_time_translation():
     p = make_problem("0.5*xd1^2 - 0.5*x1^2 - z")
     traj, _, args = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t + s", ["x1"], "z", xi=0.0)
-    assert nt.invariance_defect(p, traj, fam, args) == (0.0, 0.0)
+    gen = nt.lift_generators(p, fam, traj)
+    assert nt.invariance_defect(p, traj, gen, args) == (0.0, 0.0)
 
 
 def test_defect_delayed_autonomous_time_translation_is_exactly_zero():
@@ -73,7 +74,8 @@ def test_defect_delayed_autonomous_time_translation_is_exactly_zero():
                      mu=("cos(t)",), tau=0.25, n=2)
     traj, _, args = pipeline(p, "1 + t^2")
     fam = nt.make_family(p, "t + s", ["x1"], "z", xi=0.0)
-    assert nt.invariance_defect(p, traj, fam, args) == (0.0, 0.0)
+    gen = nt.lift_generators(p, fam, traj)
+    assert nt.invariance_defect(p, traj, gen, args) == (0.0, 0.0)
 
 
 # delayed L, families whose T generator is not constant; L read a delayed
@@ -103,7 +105,8 @@ def test_first_order_rates_match_the_finite_s_difference(L, mu, tau, n, T, X, Z)
     w = 4 * (n + 1)
     for c in [*range(0, g.M + 1, g.p), g.junction]:
         away[max(c - w, 0):c + w + 1] = False
-    for new, ref in zip(nt._invariance_rates(p, traj, fam, args),
+    gen = nt.lift_generators(p, fam, traj)
+    for new, ref in zip(nt._invariance_rates(p, traj, gen, args),
                         finite_s_invariance(p, traj, fam)):
         assert np.max(np.abs(new - ref)[away]) <= 1e-4 * np.max(np.abs(ref[away]))
 
@@ -112,7 +115,7 @@ def test_defect_identity_family_exactly_zero():
     p = make_problem("0.5*xd1^2 - z")
     traj, _, args = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t", ["x1"], "z")
-    d1, d2 = nt.invariance_defect(p, traj, fam, args)
+    d1, d2 = nt.invariance_defect(p, traj, nt.lift_generators(p, fam, traj), args)
     assert d1 == 0.0 and d2 == 0.0
 
 
@@ -120,7 +123,7 @@ def test_defect_detects_explicit_time():
     p = make_problem("t + 0.5*xd1^2")
     traj, _, args = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t + s", ["x1"], "z", xi=0.0)
-    d1, d2 = nt.invariance_defect(p, traj, fam, args)
+    d1, d2 = nt.invariance_defect(p, traj, nt.lift_generators(p, fam, traj), args)
     assert d2 >= 0.5  # equals sup|dL/dt| = 1 to first order
     assert abs(d2 - 1.0) <= 1e-6
 
@@ -129,7 +132,7 @@ def test_defect_reads_xi():
     p = make_problem("0.5*xd1^2 - 0.5*x1^2 - z")
     traj, _, args = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t + s", ["x1"], "z", xi=0.3)
-    d1, _ = nt.invariance_defect(p, traj, fam, args)
+    d1, _ = nt.invariance_defect(p, traj, nt.lift_generators(p, fam, traj), args)
     assert abs(d1 - 0.3) <= 1e-9
 
 
@@ -138,7 +141,7 @@ def test_charge_zero_family():
     traj, mult, args = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t", ["x1 - s*x1 + s*x1"], "z")
     # T, X0, Z generators all vanish
-    C = nt.noether_charge(p, traj, mult, fam, args)
+    C = nt.noether_charge(p, traj, mult, nt.lift_generators(p, fam, traj), args)
     assert np.all(C == 0.0)
 
 
@@ -146,7 +149,7 @@ def test_charge_time_translation_equals_minus_inner():
     p = make_problem("0.5*xd1^2 - 0.5*x1^2 - z")
     traj, mult, args = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t + s", ["x1"], "z")
-    C = nt.noether_charge(p, traj, mult, fam, args)
+    C = nt.noether_charge(p, traj, mult, nt.lift_generators(p, fam, traj), args)
     inner = cd.dbr_inner(p, traj, mult, args)
     assert np.array_equal(C, -inner)
     assert abs(nt.drift(C) - nt.drift(inner)) <= 1e-8
@@ -156,8 +159,8 @@ def test_first_order_delayed_charge_equivalence():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z", tau=0.25)
     traj, mult, args = pipeline(p, "1 - 0.3*t^2")
     fam = nt.make_family(p, "t + s", ["0.5*s*x1 + x1"], "z + s*t")
-    gen = nt.lift_generators(fam, traj)
-    C = nt.noether_charge(p, traj, mult, fam, args)
+    gen = nt.lift_generators(p, fam, traj)
+    C = nt.noether_charge(p, traj, mult, gen, args)
     ref = first_order_delayed_charge(p, traj, mult.psi, gen.T, gen.X[0, 0], gen.Z)
     assert np.max(np.abs(C - ref)) <= 1e-10
 
@@ -176,7 +179,8 @@ def test_charge_drift_refines_at_order_two_or_better():
     for M in (125, 250):
         res = solve_extremal(p, SolveOptions(M=M, h=None))
         fam = nt.make_family(p, "t + s", ["x1"], "z")
-        C = nt.noether_charge(p, res.trajectory, res.multipliers, fam,
+        C = nt.noether_charge(p, res.trajectory, res.multipliers,
+                              nt.lift_generators(p, fam, res.trajectory),
                               fn.trajectory_args(p, res.trajectory))
         drifts.append(nt.drift(C, res.report.dbr_flags))
     assert drifts[1] <= drifts[0] / 3.5
@@ -187,7 +191,7 @@ def test_defect_z_dependent_family_on_delayed_problem():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25, gamma=0.5)
     traj, _, args = pipeline(p, "1")
     fam = nt.make_family(p, "t + s", ["x1 + s*t*x1"], "z + s*z")
-    d1, d2 = nt.invariance_defect(p, traj, fam, args)
+    d1, d2 = nt.invariance_defect(p, traj, nt.lift_generators(p, fam, traj), args)
     assert np.isfinite(d1) and np.isfinite(d2)
     assert d2 > 1e-3  # this family is not a symmetry of the fixture
 
@@ -203,9 +207,10 @@ def test_delayed_charge_shift_family():
     assert res.converged
     fam = nt.make_family(p, "t", ["x1 + s"], "z")
     args = fn.trajectory_args(p, res.trajectory)
-    d1, d2 = nt.invariance_defect(p, res.trajectory, fam, args)
+    gen = nt.lift_generators(p, fam, res.trajectory)
+    d1, d2 = nt.invariance_defect(p, res.trajectory, gen, args)
     assert max(d1, d2) <= 1e-8
-    C = nt.noether_charge(p, res.trajectory, res.multipliers, fam, args)
+    C = nt.noether_charge(p, res.trajectory, res.multipliers, gen, args)
     Cd = nt.noether_charge_delayed(p, res.trajectory, res.multipliers, fam, args)
     flags = res.report.dbr_flags
     assert np.max(np.abs(Cd - C)) >= 1e-2
@@ -217,7 +222,7 @@ def test_delayed_charge_is_pointwise_at_tau0():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z")
     traj, mult, args = pipeline(p, "cos(t)")
     fam = nt.make_family(p, "t + s*t", ["x1"], "z")
-    C = nt.noether_charge(p, traj, mult, fam, args)
+    C = nt.noether_charge(p, traj, mult, nt.lift_generators(p, fam, traj), args)
     assert np.array_equal(nt.noether_charge_delayed(p, traj, mult, fam, args), C)
 
 

@@ -61,7 +61,7 @@ def records():
         nt.InvarianceFamily(Tmap=herglotz.parse_expression("t + s"),
                             Xmap=(herglotz.parse_expression("x1"),),
                             Zmap=herglotz.parse_expression("z")),
-        nt.GeneratorSeries(T=arr, X=arr, Z=arr),
+        nt.GeneratorSeries(T=arr, X=arr, Z=arr, xi=0.0, hist=None),
         sv.SolveOptions(),
         sv.SolveResult(trajectory=traj, multipliers=mult, report=report),
         sv._RowBlock(name="tc", nodes=arr, copies=1, span=None, weighted=False,

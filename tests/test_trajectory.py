@@ -123,9 +123,20 @@ def test_csv_cells_are_shortest_17_digit_repr():
     vals = np.array([0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308,
                      123456789012345678.0, -2.5, np.nan, np.inf, -np.inf])
     buf = io.StringIO()
-    tr._write_csv(buf, ["a", "b"], [vals, vals[::-1]], footer="# end")
+    tr.write_table(buf, ["a", "b"], [[vals, vals[::-1]]], footer="# end")
     want = ["a,b"] + [f"{u:.17g},{v:.17g}" for u, v in zip(vals, vals[::-1])]
     assert buf.getvalue() == "\n".join(want + ["# end"]) + "\n"
+
+
+def test_write_table_str_cells_are_written_as_they_are():
+    # a str cell repeats on each row of its block, a '%' in it included,
+    # and blocks follow one another under the one header
+    buf = io.StringIO()
+    tr.write_table(buf, ["t", "tag", "v"],
+                   [[np.array([0.5, 1.0]), "100%", np.array([2.0, -0.0])],
+                    [np.array([3.0]), "%.17g%%s", ""]], footer="# 5% done")
+    assert buf.getvalue() == ("t,tag,v\n0.5,100%,2\n1,100%,-0\n"
+                              "3,%.17g%%s,\n# 5% done\n")
 
 
 def test_expression_build_derivative_consistency_tolerance():
