@@ -177,6 +177,7 @@ def cmd_charge(args):
                               "file or a separate family file)")
     fam = nt.make_family(p, fam_content.T, fam_content.X, fam_content.Z,
                          fam_content.xi)
+    nt.time_shift(p, fam)  # a delayed charge needs a constant T: check before solving
     result = sv.solve_extremal(p, opts)
     if not result.converged:
         _print_report(result)

@@ -19,11 +19,12 @@ every admissible trajectory satisfies
     dE/dt - psi dL/dt - [D(t) - D(t + tau)] = sum_j R_j x_j',
 
 R being the Euler-Lagrange residual (el1 on [a, b - tau], el2 on
-[b - tau, b]).  The pointwise ``dbr`` block is the left side without the
-comb term, so it vanishes along extremals only when L reads no ``tau_``
-slot or tau = 0; the ``dbr_delayed`` block keeps the comb term and vanishes
-along every extremal, and E + int_t^min(t+tau, b) D is then constant for
-autonomous L.  D jumps at a + tau, where the history meets the trajectory.
+[b - tau, b]).  The ``dbr`` block is the left side, so it vanishes along
+every extremal, and E + int_t^min(t+tau, b) D is then constant for
+autonomous L (minus the time-translation charge of ``noether``).  D is zero
+when tau = 0 or L reads no ``tau_`` slot (``has_comb``), and the block is
+then dE/dt - psi dL/dt bit for bit.  D jumps at a + tau, where the history
+meets the trajectory; its nodes are flagged when the comb is on.
 """
 
 from typing import NamedTuple
@@ -63,9 +64,7 @@ class ResidualReport(NamedTuple):
     dbr: np.ndarray        # (M+1,)
     el1_flags: np.ndarray  # per-node one-sided-stencil flags
     el2_flags: np.ndarray
-    dbr_flags: np.ndarray
-    dbr_delayed: np.ndarray        # (M+1,) dbr - [D(t) - D(t + tau)]
-    dbr_delayed_flags: np.ndarray  # dbr_flags plus the zone around a + tau
+    dbr_flags: np.ndarray  # with the zone around a + tau when the comb is on
 
     @property
     def norms(self):
@@ -82,14 +81,6 @@ class ResidualReport(NamedTuple):
                 "el2": _masked_sup(self.el2, self.el2_flags),
                 "tc": float(np.max(np.abs(self.tc))),
                 "dbr": _masked_sup(self.dbr, self.dbr_flags)}
-
-    @property
-    def dbr_delayed_norms(self):
-        """(sup, unflagged sup) of the delayed DuBois-Reymond block; it stays
-        out of ``norms`` so the printed and written reports keep their four
-        blocks."""
-        return (float(np.max(np.abs(self.dbr_delayed))),
-                _masked_sup(self.dbr_delayed, self.dbr_delayed_flags))
 
 
 def el_blocks(grid, terms):
@@ -120,12 +111,17 @@ def dbr_inner(p, traj, mult, args):
 
 def dbr_residual(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                  mult: ml.MultiplierSet, args) -> np.ndarray:
-    """d/dt(inner) - psi dL/dt per node; the time derivative honors the
-    junction split because phi switches its delayed term off at b - tau."""
+    """d/dt(inner) - psi dL/dt - [D(t) - D(t + tau)] per node, the comb
+    term only when ``has_comb``; the time derivative honors the junction
+    split because phi switches its delayed term off at b - tau."""
     grid = traj.grid
     dinner = ml.blockwise_derivative(dbr_inner(p, traj, mult, args), grid.h,
                                      grid.junction)
-    return dinner - mult.psi * fn.eval_args(p, args, traj.z, "t")
+    dbr = dinner - mult.psi * fn.eval_args(p, args, traj.z, "t")
+    if has_comb(p):
+        D, _ = comb_series(p, traj, mult, args)
+        dbr = dbr - (D - fn.ahead(D, grid.p))
+    return dbr
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ def comb_terms(p, traj, mult, args, hist, cur):
     grid, z, psi = traj.grid, traj.z, mult.psi
     q = grid.p
     left = fn.left_limit_args(p, grid, args) + [z[q]]
-    V = np.concatenate([hist[..., :q], cur[..., :grid.M + 1 - q]], axis=-1)
+    V = fn.behind(hist, cur, q)
     vals = np.zeros(grid.M + 1)
     vleft = 0.0
     with np.errstate(all="ignore"):
@@ -207,17 +203,6 @@ def comb_integral(vals, left, grid, point):
     return cum[np.minimum(np.arange(M + 1) + q, M)] - cum
 
 
-def dbr_inner_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                      mult: ml.MultiplierSet, args) -> np.ndarray:
-    """E(t) + int_t^min(t + tau, b) D(s) ds per node: constant along the
-    extremals of an autonomous L, delayed or not."""
-    inner = dbr_inner(p, traj, mult, args)
-    if not has_comb(p):
-        return inner
-    point = breakpoint_jump(p, traj, mult, args)
-    return inner + comb_integral(*comb_series(p, traj, mult, args), traj.grid, point)
-
-
 def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 mult: ml.MultiplierSet, args) -> ResidualReport:
     """Every block of the report at the node arguments ``args`` along traj."""
@@ -232,13 +217,8 @@ def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     dbr_flags = np.zeros(grid.M + 1, dtype=bool)
     dbr_flags[:grid.junction + 1] |= edge_flags(grid.junction + 1, w)
     dbr_flags[grid.junction:] |= edge_flags(grid.M - grid.junction + 1, w)
-    dbr_delayed = dbr
-    if has_comb(p):
-        D, _ = comb_series(p, traj, mult, args)
-        dbr_delayed = dbr - (D - fn.ahead(D, grid.p))
-    delayed_flags = dbr_flags.copy()
-    delayed_flags[max(grid.p - w, 0):grid.p + w + 1] = True
+    if has_comb(p):  # D jumps at a + tau
+        dbr_flags[max(grid.p - w, 0):grid.p + w + 1] = True
     return ResidualReport(grid=grid, el1=el1, el2=el2, tc=tc, dbr=dbr,
                           el1_flags=el1_flags, el2_flags=el2_flags,
-                          dbr_flags=dbr_flags, dbr_delayed=dbr_delayed,
-                          dbr_delayed_flags=delayed_flags)
+                          dbr_flags=dbr_flags)

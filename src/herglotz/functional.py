@@ -88,6 +88,13 @@ def ahead(values, q):
     return out
 
 
+def behind(hist, values, q):
+    """A node series q steps behind, values(t_i - tau), read below a from
+    ``hist``, its values on the nodes of [a - tau, a]."""
+    return np.concatenate([hist[..., :q], values[..., :values.shape[-1] - q]],
+                          axis=-1)
+
+
 def eval_args(p: pb.ProblemSpec, args, z, which="body"):
     """The Lagrangian body or one partial at the arguments ``args`` of
     ``slot_args`` and z, broadcast to the shape of all of them (a read-only

@@ -1,21 +1,23 @@
 """One-parameter symmetry families: generator lifting, first-order invariance
 check, and the conserved charge
 
-    C(t) = sum_k phi_k . X_{k-1} + psi Z - [sum_k phi_k . x^(k) + psi L] T.
+    C(t) = C_0(t) + int_t^min(t+tau, b) G,
+    C_0 = sum_k phi_k . X_{k-1} + psi Z - [sum_k phi_k . x^(k) + psi L] T.
 
 Generators may depend on (s, t, x_j, z) but not on derivatives of x.  The
 lifted series follow the recursion X_k = d/dt X_{k-1} - x^(k) d/dt T.
 
-C is conserved along extremals when tau = 0 or L reads no ``tau_`` slot.
-For a delayed L invariant under a family with a constant T generator,
+For an L invariant under a family with a constant T generator,
 
-    dC/dt = sum_j R_j (X_0j - T x_j') + G(t) - G(t + tau),
+    dC_0/dt = sum_j R_j (X_0j - T x_j') + G(t) - G(t + tau),
     G(s) = psi(s) sum_{j,r} dL/dx_tau_j^(r)(s) [X_r(s - tau) - T x_j^(r+1)(s - tau)],
 
-with R the Euler-Lagrange residual and G = 0 past b, so the conserved
-quantity is C + int_t^min(t+tau, b) G (``noether_charge_delayed``).  Below a
-the delayed argument is the history with z frozen at gamma, as in the
-invariance check.
+with R the Euler-Lagrange residual and G = 0 past b, so C is constant along
+extremals.  G is zero when tau = 0 or L reads no ``tau_`` slot
+(``conditions.has_comb``), and C is then the pointwise C_0 bit for bit, for
+any T generator; with the comb on, the T generator must be a constant
+(``time_shift``).  Below a the delayed argument is the history with z
+frozen at gamma, as in the invariance check.
 """
 
 from typing import NamedTuple
@@ -90,7 +92,7 @@ class GeneratorSeries(NamedTuple):
     T: np.ndarray  # (M+1,)
     X: np.ndarray  # (n, m, M+1): X_0 .. X_{n-1}
     Z: np.ndarray  # (M+1,)
-    xi: float  # the family's rate in the first invariance condition
+    fam: InvarianceFamily  # the family lifted, whose xi the defect reads
     hist: np.ndarray | None  # (m, n+1, p+1) when L's comb is on, else None
 
 
@@ -128,7 +130,7 @@ def lift_generators(p: pb.ProblemSpec, fam: InvarianceFamily,
     for k in range(1, n):
         X[k] = tr.differentiate_values(X[k - 1], h, 1) - traj.x[:, k, :] * dT
     hist = _history_generators(fam, p, traj.grid) if cd.has_comb(p) else None
-    return GeneratorSeries(T=T, X=X, Z=Z, xi=fam.xi, hist=hist)
+    return GeneratorSeries(T=T, X=X, Z=Z, fam=fam, hist=hist)
 
 
 def _invariance_rates(p: pb.ProblemSpec, traj: tr.StateTrajectory,
@@ -151,15 +153,14 @@ def _invariance_rates(p: pb.ProblemSpec, traj: tr.StateTrajectory,
         X = np.concatenate([gen.X, top[None]])  # (n+1, m, M+1)
         Xd = X
         if gen.hist is not None:
-            hist = np.swapaxes(gen.hist, 0, 1)
-            Xd = np.concatenate([hist[..., :g.p], X[..., :g.M + 1 - g.p]], axis=-1)
+            Xd = fn.behind(np.swapaxes(gen.hist, 0, 1), X, g.p)
         dL = 0.0
         for name, V in [("t", gen.T), ("z", gen.Z)] + [
                 (slot(j + 1, k), S[k, j]) for k, j in np.ndindex(n + 1, p.m)
                 for slot, S in ((pb.slot_name, X), (pb.delayed_slot_name, Xd))]:
             if name in reads:
                 dL = dL + fn.eval_args(p, args, z, name) * V
-        c1 = z[-1] / (g.b - g.a) * dT + gen.xi
+        c1 = z[-1] / (g.b - g.a) * dT + gen.fam.xi
         c2 = (tr.differentiate_values(gen.Z, g.h, 1)
               - dT * fn.eval_args(p, args, z, "body") - dL)
     return c1, c2
@@ -174,18 +175,45 @@ def invariance_defect(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     return float(np.max(np.abs(c1))), float(np.max(np.abs(c2)))
 
 
+def time_shift(p: pb.ProblemSpec, fam: InvarianceFamily):
+    """The T generator of ``fam``, a constant, when L's comb is on
+    (``cd.has_comb``), else None: the charge of a delayed L holds for a
+    time shift only, the one time map a constant delay admits.  Raises
+    ValidationError naming a T generator that is not a constant."""
+    if not cd.has_comb(p):
+        return None
+    gT = _gen_expr(fam.Tmap)
+    if ex.free_variables(gT):
+        raise ValidationError(
+            "the charge of an L that reads a tau_ slot needs a constant T "
+            f"generator, got {ex.unparse(gT)!r} depending on "
+            f"{sorted(ex.free_variables(gT))}")
+    return ex.evaluate(gT, {})
+
+
 def noether_charge(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                    mult: ml.MultiplierSet, gen: GeneratorSeries,
                    args) -> np.ndarray:
-    """The pointwise charge C per node, for the generators ``gen`` lifted
-    along traj, at the node arguments ``args`` of ``fn.slot_args``; constant
-    along extremals when tau = 0 or L reads no ``tau_`` slot (see
-    ``noether_charge_delayed``)."""
+    """The charge C per node, for the generators ``gen`` lifted along traj,
+    at the node arguments ``args`` of ``fn.slot_args``: constant along the
+    extremals of a problem invariant under the family.  The comb integral
+    is added when L's comb is on, which needs a constant T generator."""
     inner = cd.dbr_inner(p, traj, mult, args)
     C = mult.psi * gen.Z - inner * gen.T
     for k in range(1, p.n + 1):
         C = C + np.sum(mult.phi[k - 1] * gen.X[k - 1], axis=0)
-    return C
+    if gen.hist is None:
+        return C
+    T = time_shift(p, gen.fam)
+    g = traj.grid
+    X = np.swapaxes(gen.X, 0, 1)  # (m, n, M+1): X_0 .. X_{n-1}
+    top = ml.blockwise_derivative(X[:, -1:, :], g.h, g.junction)
+    rates_hist, rates = cd.delayed_rates(p, g, traj.x)
+    hist = gen.hist - T * rates_hist
+    cur = np.concatenate([X, top], axis=1) - T * rates
+    G, G_left = cd.comb_terms(p, traj, mult, args, hist, cur)
+    point = -T * cd.breakpoint_jump(p, traj, mult, args)
+    return C + cd.comb_integral(G, G_left, g, point)
 
 
 def _history_generators(fam, p, grid):
@@ -206,35 +234,6 @@ def _history_generators(fam, p, grid):
             e = ex.simplify(ex.BinOp("-", ex.differentiate(e, "t"), ex.BinOp(
                 "*", p.history_derivs[j][r + 1], dT)))
     return out
-
-
-def noether_charge_delayed(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                           mult: ml.MultiplierSet, fam: InvarianceFamily,
-                           args) -> np.ndarray:
-    """C + int_t^min(t+tau, b) G per node, at the node arguments ``args``
-    along traj, constant along the extremals of a delayed problem invariant
-    under ``fam``; equal to ``noether_charge`` when tau = 0 or L reads no
-    ``tau_`` slot.  With tau > 0 the T generator must be a constant, the
-    only time shift a constant delay admits."""
-    gen = lift_generators(p, fam, traj)
-    C = noether_charge(p, traj, mult, gen, args)
-    if gen.hist is None:
-        return C
-    gT = _gen_expr(fam.Tmap)
-    if ex.free_variables(gT):
-        raise ValidationError(
-            "the delayed charge needs a constant T generator, got "
-            f"{ex.unparse(gT)!r} depending on {sorted(ex.free_variables(gT))}")
-    T = ex.evaluate(gT, {})
-    g = traj.grid
-    X = np.swapaxes(gen.X, 0, 1)  # (m, n, M+1): X_0 .. X_{n-1}
-    top = ml.blockwise_derivative(X[:, -1:, :], g.h, g.junction)
-    rates_hist, rates = cd.delayed_rates(p, g, traj.x)
-    hist = gen.hist - T * rates_hist
-    cur = np.concatenate([X, top], axis=1) - T * rates
-    G, G_left = cd.comb_terms(p, traj, mult, args, hist, cur)
-    point = -T * cd.breakpoint_jump(p, traj, mult, args)
-    return C + cd.comb_integral(G, G_left, g, point)
 
 
 def drift(values, mask=None) -> float:

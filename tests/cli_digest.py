@@ -15,7 +15,9 @@ expressions.
 
 Each line is the digest of one command over its exit code, its stdout and
 stderr (the temporary directory replaced by ``<tmp>``) and every file it
-wrote, then the spec's label and the command.  Two checkouts print the
+wrote, then the spec's label and the command.  A command that raises, which
+the exit-code contract forbids, is digested over the exception and named on
+stderr, and the script then exits 1.  Two checkouts print the
 same lines exactly when their commands give the same bytes:
 
     PYTHONPATH=../other/src python tests/cli_digest.py 3 4 > other.txt
@@ -38,15 +40,20 @@ import test_cli  # noqa: E402
 import workloads  # noqa: E402
 
 
-def run(argv, outs, tmp):
+RAISED = []  # (label, command, exception) of every command that raised
+
+
+def run(argv, outs, tmp, label, command):
     """The sha256 of one in-process command: exit code, stdout, stderr and
-    the bytes of each file in ``outs``."""
+    the bytes of each file in ``outs``.  A raised exception is digested in
+    place of the exit code and recorded in ``RAISED``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
-        except Exception as err:  # a traceback is digested, not raised
+        except Exception as err:  # a traceback is digested, then reported
             code = f"{type(err).__name__}: {err}"
+            RAISED.append((label, command, code))
     digest = hashlib.sha256()
     for text in (str(code), stdout.getvalue(), stderr.getvalue()):
         digest.update(text.replace(tmp, "<tmp>").encode() + b"\0")
@@ -83,12 +90,13 @@ def digest_spec(label, text, commands, grid, tol=()):
         }
         for command in (*commands, "check-derivs", "reduce"):
             argv, outs = argvs[command]
-            print(run(argv, outs, tmp), label, command)
+            print(run(argv, outs, tmp, label, command), label, command)
         for csv in ("sim", "sol"):
             if os.path.exists(path(f"{csv}.csv")):
                 out = path(f"{csv}.res.csv")
+                command = f"verify {csv}"
                 print(run(["verify", spec, path(f"{csv}.csv"), "--out", out], [out],
-                          tmp), label, f"verify {csv}")
+                          tmp, label, command), label, command)
 
 
 WORKLOAD_COMMANDS = {"certify": ("simulate",), "solve": ("solve",),
@@ -113,3 +121,6 @@ def main_digest(seeds):
 
 if __name__ == "__main__":
     main_digest([int(s) for s in sys.argv[1:]])
+    for label, command, err in RAISED:
+        print(f"raised: {label} {command}: {err}", file=sys.stderr)
+    sys.exit(1 if RAISED else 0)

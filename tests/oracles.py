@@ -224,6 +224,64 @@ def first_order_delayed_charge(p, traj, psi, T, X0, Z):
     return phi1 * X0 + psi * Z - (phi1 * traj.x[0, 1] + psi * L) * T
 
 
+def _split_derivative(vals, grid):
+    """Stencil derivative of a node series split at b - tau."""
+    jn = grid.junction
+    out = np.empty(grid.M + 1)
+    out[:jn + 1] = differentiate_values(vals[:jn + 1], grid.h, 1)
+    if jn < grid.M:
+        out[jn + 1:] = differentiate_values(vals[jn:], grid.h, 1)[1:]
+    return out
+
+
+def first_order_comb_integral(p, traj, psi, T, X0, X_hist):
+    """int_t^min(t+tau, b) G per node for n = 1, m = 1 and a constant T,
+    written out: the part the delayed Noether charge adds to
+    ``first_order_delayed_charge``, with
+
+        G(s) = psi(s) [dL/dx_tau(s) V_0(s - tau) + dL/dxd_tau(s) V_1(s - tau)],
+        V_0 = X_0 - T x',  V_1 = X_0' - T x'',  G = 0 past b.
+
+    Along the trajectory X_0' and x'' are stencil derivatives split at
+    b - tau; along the history V_r reads ``X_hist`` = (X_0, X_0') on the
+    nodes of [a - tau, a] and mu^(r+1).  Each step is a trapezoid; the step
+    that ends at a + tau takes G's left limit there (the delayed slots at the
+    history's values at a) and adds the point mass -T psi [L(+) - L(-)] of
+    the jump of x' at a."""
+    assert p.n == 1 and p.m == 1
+    grid = traj.grid
+    q, M, h = grid.p, grid.M, grid.h
+    lag = p.lagrangian
+    x, xd = traj.x[0, 0], traj.x[0, 1]
+    V = (X0 - T * xd, _split_derivative(X0, grid) - T * _split_derivative(xd, grid))
+
+    def mu(k, i):  # mu^(k) at the history node a + (i - q) h
+        return pb.history_derivative(p, 1, k, grid.a + (i - q) * h)
+
+    past = [np.array([V[r][i - q] if i >= q else X_hist[r][i] - T * mu(r + 1, i)
+                      for i in range(M + 1)]) for r in range(2)]
+    G = psi * sum(partial_on_nodes(p, traj, pb.delayed_slot_name(1, r)) * past[r]
+                  for r in range(2))
+    G_left = point = 0.0
+    if q:
+        def at_a_plus_tau(tau_x, tau_xd):
+            return {"t": grid.a + q * h, "x1": x[q], "xd1": xd[q], "tau_x1": tau_x,
+                    "tau_xd1": tau_xd, "z": traj.z[q]}
+        left = at_a_plus_tau(mu(0, q), mu(1, q))
+        G_left = psi[q] * sum(ex.evaluate(lag.partials[pb.delayed_slot_name(1, r)], left)
+                              * (X_hist[r][q] - T * mu(r + 1, q)) for r in range(2))
+        right = at_a_plus_tau(x[0], xd[0])
+        point = -T * psi[q] * (ex.evaluate(lag.body, right) - ex.evaluate(lag.body, left))
+    out = np.zeros(M + 1)
+    for i in range(M + 1):
+        for k in range(i, min(i + q, M)):
+            if k + 1 == q:
+                out[i] += 0.5 * h * (G[k] + G_left) + point
+            else:
+                out[i] += 0.5 * h * (G[k] + G[k + 1])
+    return out
+
+
 def first_order_delayed_comb(p, traj, psi):
     """First-order comb series D(s) = psi(s) [dL/dx_tau(s) x'(s - tau)
     + dL/dxd_tau(s) x''(s - tau)], with x'' the stencil derivative of x'

@@ -400,6 +400,52 @@ def test_charge_csv(tmp_path, capsys):
     assert len(lines) == 103  # header + 101 nodes + drift line
 
 
+def delayed_with_family(T):
+    """The DELAYED spec, whose L reads tau_x1, with a family of T map T."""
+    return DELAYED + f'\n[family]\nT = "{T}"\nX1 = "x1"\nZ = "z"\n'
+
+
+def _unflagged(line):
+    return float(re.search(r"\(unflagged (\S+)\)", line).group(1))
+
+
+def test_solve_delayed_prints_the_comb_corrected_dbr(tmp_path, capsys):
+    # L reads tau_x1, so the printed dbr subtracts the comb term D(t) - D(t + tau)
+    # and vanishes on the extremal; the pointwise form leaves 0.136 here
+    spec = write(tmp_path, "delayed.spec", DELAYED)
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+    line = re.search(r"^sup dbr: .*$", capsys.readouterr().out, re.M).group(0)
+    assert main(["verify", spec, out]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert _unflagged(line) <= 1e-3
+
+
+def test_charge_delayed_time_translation_is_conserved(tmp_path, capsys):
+    # the charge adds int_t^min(t+tau, b) G; the pointwise one drifts 0.037 here
+    spec = write(tmp_path, "delayed.spec", delayed_with_family("t + s"))
+    assert main(["charge", spec, "--h", "1e-2"]) == 0
+    stdout = capsys.readouterr().out
+    assert "family invariant" in stdout
+    assert _unflagged(re.search(r"^charge drift: .*$", stdout, re.M).group(0)) <= 1e-3
+
+
+def test_charge_delayed_varying_time_generator_exit_2(tmp_path, capsys, monkeypatch):
+    # no theorem bounds the charge of a delayed L under a time map other than
+    # a shift: one stderr line names the T generator, before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("charge solved before it checked the family")
+
+    monkeypatch.setattr(herglotz.solver, "solve_extremal", no_solve)
+    spec = write(tmp_path, "delayed.spec", delayed_with_family("t + s*t^2"))
+    out = tmp_path / "charge.csv"
+    assert main(["charge", spec, "--h", "1e-2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+    assert "constant T generator, got 't^2" in err and "depending on ['t']" in err
+    assert not out.exists()
+
+
 def test_solve_with_exact_M(tmp_path, capsys):
     text = DELAYED.replace("tau = 0.5", "tau = 0.25")
     spec = write(tmp_path, "third.spec", text)

@@ -4,6 +4,7 @@ import pytest
 from herglotz import conditions as cd
 from herglotz import functional as fn
 from herglotz import multipliers as ml
+from herglotz import noether as nt
 from herglotz import trajectory as tr
 
 from conftest import make_problem, oscillator_closed_form_src, oscillator_problem
@@ -142,10 +143,15 @@ def test_first_order_delayed_el_equivalence():
 
 
 def test_first_order_delayed_dbr_equivalence():
+    # the pointwise first-order residual less the comb term D(t) - D(t + tau)
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
     traj, mult, args = pipeline(p, "1 - 0.3*t^2", M=200)
     dbr = cd.dbr_residual(p, traj, mult, args)
-    ref = first_order_delayed_dbr(p, traj, mult.psi)
+    D = first_order_delayed_comb(p, traj, mult.psi)
+    D_ahead = np.zeros_like(D)
+    D_ahead[:-traj.grid.p] = D[traj.grid.p:]
+    ref = first_order_delayed_dbr(p, traj, mult.psi) - (D - D_ahead)
+    assert np.max(np.abs(D - D_ahead)) >= 1e-2
     assert np.max(np.abs(dbr - ref)) <= 1e-10
 
 
@@ -188,22 +194,28 @@ def test_delayed_dbr_identity_off_extremal(L, n, src, M):
     rep = cd.full_report(p, traj, mult, args)
     R = np.concatenate([rep.el1, rep.el2[:, 1:]], axis=1)
     work = np.sum(R * traj.x[:, 1, :], axis=0)
-    keep = ~rep.dbr_delayed_flags
+    q, w = traj.grid.p, cd.flag_width(n)
+    assert rep.dbr_flags[q - w:q + w + 1].all()  # D jumps at a + tau
+    keep = ~rep.dbr_flags
     assert np.max(np.abs(work[keep])) >= 1e-2  # not an extremal
-    assert np.max(np.abs(rep.dbr_delayed - work)[keep]) <= 2e-9
+    assert np.max(np.abs(rep.dbr - work)[keep]) <= 2e-9
 
 
 @pytest.mark.parametrize("L, tau", [(CROSS_DELAY, 0.0),
                                     ("0.5*xd1^2 - 0.5*x1^2 - 0.2*z", 0.25)])
 def test_delayed_dbr_is_pointwise_without_comb(L, tau):
-    # tau = 0 or no tau_ slot: no comb term, so the delayed block and the
-    # corrected inner quantity are the pointwise ones bit for bit
+    # tau = 0 or no tau_ slot: no comb term, so the dbr block is the
+    # pointwise dE/dt - psi dL/dt bit for bit, and a + tau is not flagged
     p = make_problem(L, mu=("1 + 0.5*t",), tau=tau)
     traj, mult, args = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
     rep = cd.full_report(p, traj, mult, args)
-    assert np.array_equal(rep.dbr_delayed, rep.dbr)
+    g = traj.grid
     inner = cd.dbr_inner(p, traj, mult, args)
-    assert np.array_equal(cd.dbr_inner_delayed(p, traj, mult, args), inner)
+    pointwise = (ml.blockwise_derivative(inner, g.h, g.junction)
+                 - mult.psi * fn.eval_args(p, args, traj.z, "t"))
+    assert np.array_equal(rep.dbr, pointwise)
+    q, w = g.p, cd.flag_width(1)
+    assert q == 0 or not rep.dbr_flags[q - w:q + w + 1].any()
 
 
 def test_first_order_delayed_comb_equivalence():
@@ -222,7 +234,8 @@ def test_first_order_delayed_comb_equivalence():
 def test_delayed_inner_carries_the_breakpoint_jump():
     # the cross-delay L reads the top-order slot tau_xd1 and x' jumps at a,
     # so psi L jumps at a + tau; the point mass of D there keeps the
-    # corrected inner quantity level across a + tau
+    # corrected inner quantity E + int_t^min(t+tau, b) D, minus the
+    # time-translation charge, level across a + tau
     from herglotz.solver import SolveOptions, solve_extremal
     p = make_problem(CROSS_DELAY, mu=("1 + 0.5*t",), tau=0.25)
     res = solve_extremal(p, SolveOptions(M=200, h=None))
@@ -231,7 +244,8 @@ def test_delayed_inner_carries_the_breakpoint_jump():
     args = fn.trajectory_args(p, traj)
     q, w = traj.grid.p, cd.flag_width(p.n)
     jump = cd.breakpoint_jump(p, traj, mult, args)
-    inner = cd.dbr_inner_delayed(p, traj, mult, args)
+    gen = nt.lift_generators(p, nt.make_family(p, "t + s", ["x1"], "z"), traj)
+    inner = -nt.noether_charge(p, traj, mult, gen, args)
     step = np.mean(inner[q + w:q + 3 * w]) - np.mean(inner[q - 3 * w:q - w])
     assert abs(jump) >= 0.1
     assert abs(step) <= 1e-3

@@ -5,11 +5,13 @@ from herglotz import conditions as cd
 from herglotz import functional as fn
 from herglotz import multipliers as ml
 from herglotz import noether as nt
+from herglotz import problem as pb
 from herglotz import trajectory as tr
 from herglotz.errors import ValidationError
 
 from conftest import make_problem
-from oracles import finite_s_invariance, first_order_delayed_charge
+from oracles import (finite_s_invariance, first_order_comb_integral,
+                     first_order_delayed_charge)
 
 
 def pipeline(p, src, M=200):
@@ -155,14 +157,31 @@ def test_charge_time_translation_equals_minus_inner():
     assert abs(nt.drift(C) - nt.drift(inner)) <= 1e-8
 
 
+def history_rates(p, traj, scale):
+    """(X_0, X_0') on the nodes of [a - tau, a] for the generator X_0 =
+    scale * x1, read from the history."""
+    g = traj.grid
+    t = g.a + g.h * np.arange(-g.p, 1)
+    return [scale * np.array([pb.history_derivative(p, 1, k, ti) for ti in t])
+            for k in range(2)]
+
+
 def test_first_order_delayed_charge_equivalence():
-    p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z", tau=0.25)
+    # the family of acceptance criterion 7; with mu = 1 + 0.5 t the history
+    # rates are non-zero and x' jumps at a, from 0.5 to 0, so the comb
+    # integral carries a point mass at a + tau
+    p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z",
+                     mu=("1 + 0.5*t",), tau=0.25)
     traj, mult, args = pipeline(p, "1 - 0.3*t^2")
-    fam = nt.make_family(p, "t + s", ["0.5*s*x1 + x1"], "z + s*t")
+    assert abs(cd.breakpoint_jump(p, traj, mult, args)) >= 1e-2
+    fam = nt.make_family(p, "t + s", ["x1 + 0.5*s*x1"], "z + s*t")
     gen = nt.lift_generators(p, fam, traj)
     C = nt.noether_charge(p, traj, mult, gen, args)
-    ref = first_order_delayed_charge(p, traj, mult.psi, gen.T, gen.X[0, 0], gen.Z)
-    assert np.max(np.abs(C - ref)) <= 1e-10
+    pointwise = first_order_delayed_charge(p, traj, mult.psi, gen.T, gen.X[0, 0], gen.Z)
+    comb = first_order_comb_integral(p, traj, mult.psi, 1.0, gen.X[0, 0],
+                                     history_rates(p, traj, 0.5))
+    assert np.max(np.abs(comb)) >= 1e-2
+    assert np.max(np.abs(C - (pointwise + comb))) <= 1e-10
 
 
 def test_drift_masked():
@@ -210,20 +229,31 @@ def test_delayed_charge_shift_family():
     gen = nt.lift_generators(p, fam, res.trajectory)
     d1, d2 = nt.invariance_defect(p, res.trajectory, gen, args)
     assert max(d1, d2) <= 1e-8
-    C = nt.noether_charge(p, res.trajectory, res.multipliers, gen, args)
-    Cd = nt.noether_charge_delayed(p, res.trajectory, res.multipliers, fam, args)
+    traj, psi = res.trajectory, res.multipliers.psi
+    Cd = nt.noether_charge(p, traj, res.multipliers, gen, args)
+    C = first_order_delayed_charge(p, traj, psi, gen.T, gen.X[0, 0], gen.Z)
+    comb = first_order_comb_integral(p, traj, psi, 0.0, gen.X[0, 0],
+                                     [np.ones(traj.grid.p + 1), np.zeros(traj.grid.p + 1)])
     flags = res.report.dbr_flags
     assert np.max(np.abs(Cd - C)) >= 1e-2
-    assert nt.drift(C, flags) >= 1e-2
+    assert nt.drift(C, flags) >= 1e-2  # the pointwise charge drifts
     assert nt.drift(Cd, flags) <= 1e-5
+    assert np.max(np.abs(Cd - (C + comb))) <= 1e-10
 
 
 def test_delayed_charge_is_pointwise_at_tau0():
-    p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z")
-    traj, mult, args = pipeline(p, "cos(t)")
-    fam = nt.make_family(p, "t + s*t", ["x1"], "z")
-    C = nt.noether_charge(p, traj, mult, nt.lift_generators(p, fam, traj), args)
-    assert np.array_equal(nt.noether_charge_delayed(p, traj, mult, fam, args), C)
+    # tau = 0, or tau > 0 and no tau_ slot: the comb is off, the charge is
+    # the pointwise one bit for bit and any T generator is allowed
+    for L, tau in (("0.5*xd1^2 + 0.25*tau_x1^2 - z", 0.0),
+                   ("0.5*xd1^2 + 0.25*x1^2 - z", 0.25)):
+        p = make_problem(L, tau=tau)
+        traj, mult, args = pipeline(p, "cos(t)")
+        fam = nt.make_family(p, "t + s*t", ["x1 + s*t*x1"], "z + s*z")
+        gen = nt.lift_generators(p, fam, traj)
+        assert gen.hist is None and nt.time_shift(p, fam) is None
+        C = mult.psi * gen.Z - cd.dbr_inner(p, traj, mult, args) * gen.T
+        C = C + np.sum(mult.phi[0] * gen.X[0], axis=0)
+        assert np.array_equal(nt.noether_charge(p, traj, mult, gen, args), C)
 
 
 @pytest.mark.parametrize("Tmap", ["t + s*t", "t + s*x1", "t + s*z"])
@@ -231,5 +261,10 @@ def test_delayed_charge_rejects_varying_time_generator(Tmap):
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
     traj, mult, args = pipeline(p, "1")
     fam = nt.make_family(p, Tmap, ["x1"], "z")
-    with pytest.raises(ValidationError):
-        nt.noether_charge_delayed(p, traj, mult, fam, args)
+    gen = nt.lift_generators(p, fam, traj)  # the defect still reads the lift
+    assert all(np.isfinite(nt.invariance_defect(p, traj, gen, args)))
+    for charge in (lambda: nt.time_shift(p, fam),
+                   lambda: nt.noether_charge(p, traj, mult, gen, args)):
+        with pytest.raises(ValidationError, match="constant T generator"):
+            charge()
+    assert nt.time_shift(p, nt.make_family(p, "t + 2*s", ["x1"], "z")) == 2.0

@@ -50,18 +50,18 @@ def records():
     mult = ml.MultiplierSet(psi=np.ones(21), phi=np.zeros((1, 1, 21)))
     arr = np.zeros(3)
     report = cd.ResidualReport(grid=grid, el1=arr, el2=arr, tc=arr, dbr=arr,
-                               el1_flags=arr, el2_flags=arr, dbr_flags=arr,
-                               dbr_delayed=arr, dbr_delayed_flags=arr)
+                               el1_flags=arr, el2_flags=arr, dbr_flags=arr)
     rp = rd.guinn_reduce(p)
     fam = specfile.FamilyContent(T="t + s", X=("x1",), Z="z", xi=0.0)
+    inv = nt.InvarianceFamily(Tmap=herglotz.parse_expression("t + s"),
+                              Xmap=(herglotz.parse_expression("x1"),),
+                              Zmap=herglotz.parse_expression("z"))
     return [
         p, p.lagrangian, grid, traj, mult, report, rp,
         rd.StackedTrajectory(rp=rp, h=0.05, P=10, cut_steps=10, x=x, z=None),
         rd.EquivalenceDefects(objective=0.0, coupling=0.0),
-        nt.InvarianceFamily(Tmap=herglotz.parse_expression("t + s"),
-                            Xmap=(herglotz.parse_expression("x1"),),
-                            Zmap=herglotz.parse_expression("z")),
-        nt.GeneratorSeries(T=arr, X=arr, Z=arr, xi=0.0, hist=None),
+        inv,
+        nt.GeneratorSeries(T=arr, X=arr, Z=arr, fam=inv, hist=None),
         sv.SolveOptions(),
         sv.SolveResult(trajectory=traj, multipliers=mult, report=report),
         sv._RowBlock(name="tc", nodes=arr, copies=1, span=None, weighted=False,
