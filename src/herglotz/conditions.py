@@ -3,9 +3,10 @@ transversality values at b, and the DuBois-Reymond identity.
 
 The first Euler-Lagrange block lives on [a, b - tau] and carries both the
 current and the (index-shifted) delayed summand; the second block lives on
-[b - tau, b] where the delayed summand is null by convention.  Both, and the
-transversality values tc_k = -phi_k(b), come from the block rule of
-``multipliers.block_sums`` applied to one build of the summands.  Node
+[b - tau, b] where the delayed summand is null by convention.  Both come
+from the block rule of ``multipliers.block_sums`` applied to one build of
+the summands; the report reads the transversality values tc_k = -phi_k(b)
+off the costates, which the same rule gives.  Node
 ranges near a differentiated block's edges use one-sided stencils and are
 flagged; flagged entries stay in the report but are excluded from acceptance
 sup-norms.
@@ -139,12 +140,7 @@ def delayed_rates(p, grid, x):
     the nodes of [a - tau, a], shape (m, n+1, p+1), and x^(r+1) on [a, b],
     shape (m, n+1, M+1), whose top order is a stencil derivative of x^(n)
     taken blockwise at b - tau."""
-    q = grid.p
-    idx = np.arange(-q, 1)
-    hist = np.empty((p.m, p.n + 1, q + 1))
-    for j in range(1, p.m + 1):
-        for r in range(p.n + 1):
-            hist[j - 1, r] = fn.history_node_values(p, grid, j, r + 1, idx)
+    hist = fn.history_block(p, grid, range(1, p.n + 2), np.arange(-grid.p, 1))
     top = ml.blockwise_derivative(x[:, p.n:, :], grid.h, grid.junction)
     return hist, np.concatenate([x[:, 1:, :], top], axis=1)
 
@@ -162,11 +158,11 @@ def comb_terms(p, traj, mult, args, hist, cur):
     vals = np.zeros(grid.M + 1)
     vleft = 0.0
     with np.errstate(all="ignore"):
-        for j in range(1, p.m + 1):
-            for r in range(p.n + 1):
-                f = p.lagrangian.compiled(pb.delayed_slot_name(j, r))
-                vals = vals + f(*args, z) * V[j - 1, r]
-                vleft = vleft + f(*left) * hist[j - 1, r, q]
+        for name, v, v_left in zip(pb.slot_names(p.n, p.m)[1],
+                                   V.reshape(-1, grid.M + 1), hist[..., q].reshape(-1)):
+            f = p.lagrangian.compiled(name)
+            vals = vals + f(*args, z) * v
+            vleft = vleft + f(*left) * v_left
     return psi * vals, float(psi[q] * vleft)
 
 
@@ -209,7 +205,7 @@ def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
     grid = traj.grid
     terms = ml.weighted_terms(p, grid, args, traj.z, mult.psi, range(p.n + 1))
     el1, el2 = el_blocks(grid, terms)
-    tc = transversality_values(grid, terms)
+    tc = -mult.phi[..., -1]  # the condition phi_k(b) = 0
     dbr = dbr_residual(p, traj, mult, args)
     w = flag_width(p.n)
     el1_flags = edge_flags(el1.shape[-1], w)

@@ -9,8 +9,10 @@ cumulatively from b (an odd leftover interval closed with the 3-point rule,
 so psi stays fourth order).
 
 L's arguments along a derivative series are built once by ``slot_args``
-(``trajectory_args`` along a trajectory with z), in a layout known here
-only, and every evaluation along the series reads that build: the march,
+(``trajectory_args`` along a trajectory with z): the series and its copy
+one delay back, which reads the history below a from ``history_block``,
+put by ``ordered_args`` in the slot order that ``problem.slot_names``
+names.  Every evaluation along the series reads that build: the march,
 psi, and the summands, reports and charges of ``multipliers``,
 ``conditions`` and ``noether``, which take it from their caller.
 
@@ -28,38 +30,37 @@ from . import trajectory as tr
 from .errors import NonFiniteLagrangian, ValidationError
 
 
-def history_node_values(p: pb.ProblemSpec, grid: tr.Grid, j, k, idx):
-    """mu_j^(k) at the pre-interval nodes a + idx*h (idx negative)."""
+def history_block(p: pb.ProblemSpec, grid: tr.Grid, orders, idx):
+    """mu_j^(k) at the history nodes a + idx*h, idx in [-p, 0], for every
+    component j and each k in ``orders``: shape (m, len(orders), len(idx))."""
     t = grid.a + grid.h * np.asarray(idx, dtype=float)
-    out = p.history_fn(j, k)(t)
-    return np.broadcast_to(np.asarray(out, dtype=float), t.shape).copy()
+    return np.array([[np.broadcast_to(np.asarray(p.history_fn(j, k)(t), dtype=float),
+                                      t.shape) for k in orders]
+                     for j in range(1, p.m + 1)])
 
 
 def slot_args(p: pb.ProblemSpec, grid: tr.Grid, x, mid=False):
     """Value arrays of every Lagrangian argument except z, in the canonical
     order of problem.arg_names, on the nodes or, with ``mid``, at the
-    interval midpoints t_i + h/2.  A delayed slot is an index shift by the
-    delay offset, with the history expression answering below a."""
+    interval midpoints t_i + h/2.  The delayed series is x shifted by the
+    delay offset, with the history block answering below a."""
     h, q = grid.h, grid.p
     t = grid.nodes()
     off = 0.0
     if mid:
         x, t, off = tr.midpoint_values(x, h), t[:-1] + 0.5 * h, 0.5
     N = x.shape[-1]
-    args = [t] + [x[..., j, k, :] for j, k in np.ndindex(p.m, p.n + 1)]
-    for j, k in np.ndindex(p.m, p.n + 1):
-        out = np.empty(x.shape[:-3] + (N,))
-        if q:
-            out[..., :q] = history_node_values(p, grid, j + 1, k, np.arange(-q, 0) + off)
-        out[..., q:] = x[..., j, k, :N - q]
-        args.append(out)
-    return args
+    delayed = np.empty(x.shape)
+    if q:
+        delayed[..., :q] = history_block(p, grid, range(p.n + 1), np.arange(-q, 0) + off)
+    delayed[..., q:] = x[..., :N - q]
+    return ordered_args(t, x, delayed)
 
 
 def ordered_args(t, cur, delayed):
     """t and the slot values of the current and of the delayed series, each
     of shape (..., m, n+1, N), as L's arguments except z in the order of
-    problem.arg_names."""
+    problem.slot_names: the one place the arrays take that order."""
     return [t] + [S[..., j, k, :] for S in (cur, delayed)
                   for j, k in np.ndindex(cur.shape[-3:-1])]
 

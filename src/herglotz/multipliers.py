@@ -105,9 +105,7 @@ def compute_phi(p: pb.ProblemSpec, traj: tr.StateTrajectory,
 
 def write_multiplier_csv(grid, mult: MultiplierSet, path):
     """One row per node: t, psi, phi{k}_{j} (17 significant digits)."""
-    n, m = mult.phi.shape[0], mult.phi.shape[1]
+    n, m, N = mult.phi.shape
     header = ["t", "psi"] + [f"phi{k}_{j}" for k in range(1, n + 1)
                              for j in range(1, m + 1)]
-    cols = [grid.nodes(), mult.psi] + [mult.phi[k, j]
-                                       for k in range(n) for j in range(m)]
-    tr.write_table(path, header, [cols])
+    tr.write_table(path, header, [[grid.nodes(), mult.psi, *mult.phi.reshape(-1, N)]])

@@ -36,12 +36,18 @@ def delayed_slot_name(j: int, k: int) -> str:
     return "tau_" + slot_name(j, k)
 
 
+def slot_names(n: int, m: int) -> tuple[list[str], list[str]]:
+    """The current and the delayed slot names of L in the one slot order:
+    component j outer, derivative order k inner."""
+    cur = [slot_name(j, k) for j in range(1, m + 1) for k in range(n + 1)]
+    return cur, ["tau_" + name for name in cur]
+
+
 def arg_names(n: int, m: int) -> list[str]:
     """Canonical argument order used by every compiled Lagrangian callable:
-    t, current slots (j outer, k inner), delayed slots, z."""
-    cur = [slot_name(j, k) for j in range(1, m + 1) for k in range(n + 1)]
-    tau = [delayed_slot_name(j, k) for j in range(1, m + 1) for k in range(n + 1)]
-    return ["t"] + cur + tau + ["z"]
+    t, the current slots, the delayed slots, z."""
+    cur, tau = slot_names(n, m)
+    return ["t", *cur, *tau, "z"]
 
 
 class _Record:

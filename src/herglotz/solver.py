@@ -184,7 +184,7 @@ class _System:
         self.n_res = sum(b.copies * b.nodes.size for b in self.row_blocks)
         self.n_unknowns = m * M
         assert self.n_res == self.n_unknowns  # square by construction
-        cur, tau = _slot_sets(p)
+        cur, tau = map(set, pb.slot_names(n, m))
         partials = p.lagrangian.partials
         reads = {s: ex.free_variables(partials[s]) for s in cur | tau}
         g_reads = ex.free_variables(partials["z"])
@@ -211,7 +211,7 @@ class _System:
         their colorings and the panel rows."""
         p, grid = self.p, self.grid
         n, m, M, q = p.n, p.m, grid.M, grid.p
-        cur, tau = _slot_sets(p)
+        cur, tau = map(set, pb.slot_names(n, m))
         g_reads = ex.free_variables(p.lagrangian.partials["z"])
         delayed = bool(ex.free_variables(p.lagrangian.body) & tau)
         # the RK4 steps of z and the dL/dz nodes, one coloring with the
@@ -414,13 +414,6 @@ def _stencil_reach(b0, b1, passes):
     for _ in range(passes):
         lo, hi = lo[lo1], hi[hi1]
     return lo, hi
-
-
-def _slot_sets(p):
-    """The current and the delayed slot names of L."""
-    js, ks = range(1, p.m + 1), range(p.n + 1)
-    return ({pb.slot_name(j, k) for j in js for k in ks},
-            {pb.delayed_slot_name(j, k) for j in js for k in ks})
 
 
 def _reach(s0, s1, shift, lo, hi):

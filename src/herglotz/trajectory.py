@@ -195,9 +195,8 @@ def write_trajectory_csv(traj: StateTrajectory, path):
     digits, '.' decimal separator)."""
     if traj.z is None:
         raise ValidationError("trajectory has no z series; simulate it first")
-    cols = [traj.grid.nodes()] + [traj.x[j, k] for j in range(traj.m)
-                                  for k in range(traj.n + 1)]
-    write_table(path, trajectory_columns(traj.n, traj.m), [cols + [traj.z]])
+    cols = [traj.grid.nodes(), *traj.x.reshape(-1, traj.grid.M + 1), traj.z]
+    write_table(path, trajectory_columns(traj.n, traj.m), [cols])
 
 
 def open_text(path, mode="r"):
@@ -254,8 +253,6 @@ def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
                               f"value in data row {row + 1}")
     t = data[:, 0]
     M = len(t) - 1
-    if M < 7:
-        raise GridTooSmall("trajectory CSV has fewer than 8 nodes")
     scale = _ALIGN_TOL * max(1.0, abs(p.a), abs(p.b))
     if abs(t[0] - p.a) > scale or abs(t[-1] - p.b) > scale:
         raise ValidationError(
@@ -267,10 +264,5 @@ def read_trajectory_csv(p: pb.ProblemSpec, path) -> StateTrajectory:
         raise ValidationError(
             f"trajectory CSV t column is not the uniform grid from {float(t[0])!r} "
             f"to {float(t[-1])!r} with {M} steps (off by up to {off:.3g})")
-    x = np.empty((p.m, p.n + 1, M + 1))
-    col = 1
-    for j in range(p.m):
-        for k in range(p.n + 1):
-            x[j, k] = data[:, col]
-            col += 1
-    return StateTrajectory(grid=grid, x=x, z=data[:, col].copy())
+    x = data[:, 1:-1].T.copy().reshape(p.m, p.n + 1, M + 1)
+    return StateTrajectory(grid=grid, x=x, z=data[:, -1].copy())

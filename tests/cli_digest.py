@@ -18,9 +18,10 @@ stderr (the temporary directory replaced by ``<tmp>``) and every file it
 wrote, then the spec's label and the command.  A command that raises, which
 the exit-code contract forbids, is digested over the exception and named on
 stderr, and the script then exits 1.  Two checkouts print the
-same lines exactly when their commands give the same bytes:
+same lines exactly when their commands give the same bytes.  Each runs its
+own script, which imports that checkout's test fixtures and workloads:
 
-    PYTHONPATH=../other/src python tests/cli_digest.py 3 4 > other.txt
+    (cd ../other && PYTHONPATH=src python tests/cli_digest.py 3 4) > other.txt
     diff digest.txt other.txt
 """
 

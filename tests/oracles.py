@@ -26,8 +26,8 @@ import numpy as np
 from herglotz import expr as ex
 from herglotz import problem as pb
 from herglotz import reduction as rd
-from herglotz.functional import (history_node_values, integral_to_b, march_z, ordered_args,
-                                 stage_args, trajectory_args)
+from herglotz.functional import (integral_to_b, march_z, ordered_args, stage_args,
+                                 trajectory_args)
 from herglotz.multipliers import alternating_sum, summand_terms
 from herglotz.trajectory import StateTrajectory, build_series, differentiate_values
 
@@ -318,7 +318,7 @@ def finite_s_invariance(p, traj, fam, ds=1e-3):
     g = traj.grid
     q, h = g.p, g.h
     t = g.a + h * np.arange(-q, g.M + 1)
-    xe = [np.concatenate([history_node_values(p, g, j, 0, np.arange(-q, 0)),
+    xe = [np.concatenate([np.broadcast_to(p.history_fn(j, 0)(t[:q]), (q,)),
                           traj.x[j - 1, 0]]) for j in range(1, p.m + 1)]
     ze = np.concatenate([np.full(q, p.gamma), traj.z])
     names = ["s", "t"] + [f"x{j}" for j in range(1, p.m + 1)] + ["z"]

@@ -134,6 +134,16 @@ def test_simulate_missing_section_exits_2(tmp_path, capsys):
     assert "lagrangian" in err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", OSCILLATOR, "simulate needs a [candidate] section"),
+    ("solve", OSCILLATOR.replace("n = 1\n", "n = 1.5\n"),
+     "[problem] n: expected an integer, got '1.5'"),
+], ids=["simulate-without-candidate", "non-integer-order"])
+def test_spec_refused_exit_2(tmp_path, capsys, command, text, message):
+    assert main([command, write(tmp_path, "osc.spec", text), "--h", "1e-2"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_unknown_key_exits_2(tmp_path, capsys):
     spec = write(tmp_path, "extra.spec", FREE_PARTICLE + "\n[problem]\nzz = 1\n")
     assert main(["simulate", spec]) == 2
@@ -224,6 +234,19 @@ def test_verify_perturbed_raises_norms(tmp_path, capsys):
     assert grab(worse, "el1") >= 10 * max(grab(base, "el1"), 1e-8)
 
 
+def test_verify_x_at_a_off_the_history_exit_2(tmp_path, capsys):
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+    capsys.readouterr()
+    header, first, *rows = Path(out).read_text().splitlines()
+    cells = first.split(",")
+    cells[1] = "1.5"  # x1(a) = 1.5, mu1(a) = 1
+    text = "\n".join([header, ",".join(cells), *rows]) + "\n"
+    assert main(["verify", spec, write(tmp_path, "bad.csv", text)]) == 2
+    assert "does not match history value 1.0" in capsys.readouterr().err
+
+
 def test_verify_gamma_mismatch_exit_2(tmp_path, capsys):
     spec = write(tmp_path, "osc.spec", OSCILLATOR)
     out = str(tmp_path / "sol.csv")
@@ -306,15 +329,16 @@ def test_charge_separate_family_file(tmp_path, capsys):
     assert main(["charge", spec, fam, "--h", "1e-2"]) == 0
 
 
-@pytest.mark.parametrize("body, message", [
-    ('xi = abc\n', "xi: not a number"),
-    ('xi = 0.0\nxi = 0.5\n', "duplicate key 'xi'"),
-], ids=["non-numeric-xi", "duplicate-xi"])
-def test_charge_family_file_rejected_exit_2(tmp_path, capsys, body, message):
+@pytest.mark.parametrize("text, message", [
+    ('[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\nxi = abc\n', "xi: not a number"),
+    ('[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\nxi = 0.0\nxi = 0.5\n',
+     "duplicate key 'xi'"),
+    ('[candidate]\nx1 = "1"\n', "fam.spec has no [family] section"),
+], ids=["non-numeric-xi", "duplicate-xi", "no-family-section"])
+def test_charge_family_file_rejected_exit_2(tmp_path, capsys, text, message):
     no_family = OSCILLATOR.split("[family]")[0]
     spec = write(tmp_path, "osc.spec", no_family)
-    fam = write(tmp_path, "fam.spec", "[family]\nT = \"t + s\"\nX1 = \"x1\"\n"
-                                      "Z = \"z\"\n" + body)
+    fam = write(tmp_path, "fam.spec", text)
     assert main(["charge", spec, fam, "--h", "1e-2"]) == 2
     assert message in capsys.readouterr().err
 
@@ -323,6 +347,18 @@ def test_charge_requires_family(tmp_path, capsys):
     no_family = OSCILLATOR.split("[family]")[0]
     spec = write(tmp_path, "osc.spec", no_family)
     assert main(["charge", spec, "--h", "1e-2"]) == 2
+
+
+def test_charge_nonconvergence_exit_4(tmp_path, capsys):
+    # an unconverged solve prints its iterations and computes no charge
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    out = tmp_path / "charge.csv"
+    assert main(["charge", spec, "--h", "1e-2", "--max-iters", "1", "--tol", "1e-12",
+                 "--out", str(out)]) == 4
+    stdout = capsys.readouterr().out
+    assert "iterations: 1\n  iter   0  residual" in stdout
+    assert "converged: False" in stdout and "charge drift" not in stdout
+    assert not out.exists()
 
 
 def test_charge_flags_non_invariant_family(tmp_path, capsys):
@@ -430,6 +466,18 @@ def test_charge_delayed_time_translation_is_conserved(tmp_path, capsys):
     assert _unflagged(re.search(r"^charge drift: .*$", stdout, re.M).group(0)) <= 1e-3
 
 
+def test_charge_zcoupled_delayed_time_translation_is_conserved(tmp_path, capsys):
+    # z enters dL/dx and L reads tau_x1: the charge along the solved
+    # extremal, with its comb integral; unflagged drift 5.3e-6 at M = 400
+    family = '\n[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\n'
+    spec = _delayed_spec(tmp_path, "0.5*xd1^2 + 0.17*tau_x1^2 - 0.525*x1^2 - 0.1*z*x1",
+                         0.25, "1 + 0.05*t", family)
+    assert main(["charge", spec, "--M", "400", "--tol", "5e-8"]) == 0
+    stdout = capsys.readouterr().out
+    assert "invariance defect: condition1 0, condition2 0\n" in stdout
+    assert _unflagged(re.search(r"^charge drift: .*$", stdout, re.M).group(0)) <= 1e-5
+
+
 def test_charge_delayed_varying_time_generator_exit_2(tmp_path, capsys, monkeypatch):
     # no theorem bounds the charge of a delayed L under a time map other than
     # a shift: one stderr line names the T generator, before any solve
@@ -482,7 +530,7 @@ def test_solve_rejects_bad_step_exit_2(tmp_path, capsys, h):
 
 
 @pytest.mark.parametrize("kind", ["header-only", "non-numeric", "non-uniform",
-                                  "underscored-digits"])
+                                  "underscored-digits", "short"])
 def test_verify_rejects_malformed_csv_exit_2(tmp_path, capsys, kind):
     spec = write(tmp_path, "osc.spec", OSCILLATOR)
     out = str(tmp_path / "sol.csv")
@@ -496,11 +544,14 @@ def test_verify_rejects_malformed_csv_exit_2(tmp_path, capsys, kind):
         cells[3][1] = "abc"
     elif kind == "underscored-digits":  # Python's float() reads "1_0" as 10
         cells[3][1] = "1_0"
+    elif kind == "short":  # a uniform grid of M = 5 steps on [a, b]
+        cells = cells[::20]
     else:  # node 5 moved by 0.3 of the step h = 1e-2
         cells[5][0] = repr(float(cells[5][0]) + 3e-3)
     text = "\n".join([header] + [",".join(c) for c in cells]) + "\n"
     assert main(["verify", spec, write(tmp_path, "bad.csv", text)]) == 2
-    assert "trajectory CSV" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("M=5 too small" if kind == "short" else "trajectory CSV") in err
 
 
 def test_verify_non_uniform_grid_message_names_plain_numbers(tmp_path, capsys):
@@ -890,12 +941,14 @@ def test_simulate_builds_arguments_once(tmp_path, capsys, monkeypatch, text):
 
 @pytest.mark.parametrize("tau, grid", [("0.0", ["--h", "1e-320"]),
                                        ("1e308", ["--M", "40"]),
-                                       ("1e308", ["--h", "1e-2"])],
+                                       ("1e308", ["--h", "1e-2"]),
+                                       ("0.31830988618379067", ["--h", "1e-3"])],
                          ids=["step-count-overflow", "M-offset-overflow",
-                              "h-offset-overflow"])
+                              "h-offset-overflow", "unaligned-delay"])
 def test_grid_overflow_exit_2(tmp_path, capsys, tau, grid):
     # a step count or a delay offset beyond the floats is a validation error,
-    # not an OverflowError traceback
+    # not an OverflowError traceback; so is a delay that no grid near h
+    # makes a whole number of steps
     text = re.sub(r"^tau = .*$", f"tau = {tau}", DELAYED, flags=re.M)
     assert main(["solve", write(tmp_path, "big.spec", text), *grid]) == 2
     assert capsys.readouterr().err.startswith("validation error:")

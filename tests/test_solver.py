@@ -582,7 +582,8 @@ def test_condensed_solve_matches_dense_solve(monkeypatch, name):
 @pytest.mark.parametrize("table, name", sorted(
     [("free", k) for k in Z_FREE] + [("coupled", k) for k in Z_COUPLED]))
 def test_transversality_values_are_minus_phi_at_b(table, name):
-    # tc_k = -phi_k(b): both come from the same block sums
+    # tc_k = -phi_k(b): the solver's rows and the report's costates come
+    # from the same block sums
     L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
     p = make_problem(L, **kw)
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
@@ -591,8 +592,8 @@ def test_transversality_values_are_minus_phi_at_b(table, name):
     traj = fn.simulate_z(p, oracles.from_positions(p, system.grid, system.unpack(U)))
     args = fn.trajectory_args(p, traj)
     mult = ml.compute_phi(p, traj, fn.psi_values(p, traj.grid, args, traj.z), args)
-    assert np.array_equal(cd.full_report(p, traj, mult, args).tc,
-                          -mult.phi[..., -1])
+    terms = ml.weighted_terms(p, traj.grid, args, traj.z, mult.psi, range(p.n + 1))
+    assert np.array_equal(cd.transversality_values(traj.grid, terms), -mult.phi[..., -1])
 
 
 @pytest.mark.parametrize("delayed, plain", [

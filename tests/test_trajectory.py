@@ -104,6 +104,7 @@ def test_csv_roundtrip():
     tr.write_trajectory_csv(traj, buf)
     back = tr.read_trajectory_csv(p, io.StringIO(buf.getvalue()))
     assert np.array_equal(back.x, traj.x)
+    assert back.x.flags.c_contiguous  # its own array, not a strided view of the table
     assert np.array_equal(back.z, traj.z)
 
 
