@@ -111,11 +111,11 @@ def cmd_verify(args):
     traj = tr.read_trajectory_csv(p, args.trajectory)
     problems = []
     if abs(traj.z[0] - p.gamma) > 1e-9 * (1 + abs(p.gamma)):
-        problems.append(f"z(a)={traj.z[0]!r} does not match gamma={p.gamma!r}")
+        problems.append(f"z(a)={float(traj.z[0])!r} does not match gamma={p.gamma!r}")
     for j in range(1, p.m + 1):
         mu_a = pb.history_derivative(p, j, 0, p.a)
         if abs(traj.x[j - 1, 0, 0] - mu_a) > 1e-9 * (1 + abs(mu_a)):
-            problems.append(f"x{j}(a)={traj.x[j - 1, 0, 0]!r} does not match "
+            problems.append(f"x{j}(a)={float(traj.x[j - 1, 0, 0])!r} does not match "
                             f"history value {mu_a!r}")
     if problems:
         raise ValidationError(problems)

@@ -3,12 +3,12 @@ transversality values at b, and the DuBois-Reymond identity.
 
 The first Euler-Lagrange block lives on [a, b - tau] and carries both the
 current and the (index-shifted) delayed summand; the second block lives on
-[b - tau, b] where the delayed summand is null by convention.  Both come
-from the block rule of ``multipliers.block_sums`` applied to one build of
-the summands; the report reads the transversality values tc_k = -phi_k(b)
-off the costates, which the same rule gives.  Node
-ranges near a differentiated block's edges use one-sided stencils and are
-flagged; flagged entries stay in the report but are excluded from acceptance
+[b - tau, b] where the delayed summand is null by convention.  Both are the
+k = 0 sums of the backward pass ``multipliers.block_sums`` over one build of
+the summands; its orders k = 1..n at b are the transversality values
+tc_k = -phi_k(b), which the report reads off the costates.  Node ranges near
+a differentiated block's edges use one-sided stencils and are flagged;
+flagged entries stay in the report but are excluded from acceptance
 sup-norms.
 
 With E = sum_k phi_k . x^(k) + psi L (``dbr_inner``) and the comb series
@@ -84,19 +84,18 @@ class ResidualReport(NamedTuple):
                 "dbr": _masked_sup(self.dbr, self.dbr_flags)}
 
 
-def el_blocks(grid, terms):
-    """Euler-Lagrange residual arrays (el1, el2), batched like ``terms``, a
-    ``ml.weighted_terms`` build of the orders 0..n: the k = 0 block sums."""
-    return ml.block_sums(terms, 0, grid)
+def el_blocks(grid, sums):
+    """Euler-Lagrange residual arrays (el1, el2), batched like ``sums``, the
+    ``ml.block_sums`` of a build of the orders 0..n: their k = 0 slices."""
+    return sums[0][..., 0, :, :], sums[1][..., 0, :, :]
 
 
-def transversality_values(grid, terms):
+def transversality_values(grid, sums):
     """tc_k = -phi_k(b) for k = 1..n, shape (..., n, m): the value at b of
-    the order-k block sum of a ``ml.weighted_terms`` build of the orders
-    0..n, which holds the delayed summand at tau = 0 and only the current
-    one for tau > 0."""
-    return np.stack([ml.block_sums(terms, k, grid)[1][..., -1]
-                     for k in range(1, len(terms))], axis=-2)
+    the right block of ``sums``, the ``ml.block_sums`` of a build of the
+    orders 0..n, which holds the delayed summand at tau = 0 and only the
+    current one for tau > 0."""
+    return sums[1][..., 1:, :, -1]
 
 
 def dbr_inner(p, traj, mult, args):
@@ -203,8 +202,8 @@ def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 mult: ml.MultiplierSet, args) -> ResidualReport:
     """Every block of the report at the node arguments ``args`` along traj."""
     grid = traj.grid
-    terms = ml.weighted_terms(p, grid, args, traj.z, mult.psi, range(p.n + 1))
-    el1, el2 = el_blocks(grid, terms)
+    el1, el2 = el_blocks(grid, ml.block_sums(
+        ml.weighted_terms(p, grid, args, traj.z, mult.psi, range(p.n + 1)), grid))
     tc = -mult.phi[..., -1]  # the condition phi_k(b) = 0
     dbr = dbr_residual(p, traj, mult, args)
     w = flag_width(p.n)

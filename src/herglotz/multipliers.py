@@ -1,14 +1,21 @@
-"""Costate series phi_k, k = 1..n, from the closed-form sum
+"""Costate series phi_k, k = 1..n, from the paper's adjoint equations
 
-    phi_k(t) = sum_{l=0}^{n-k} (-1)^(l+1) d^l/dt^l [ psi(t) dL/dx^(l+k)(t)
-               + psi(t+tau) dL/dx_tau^(l+k)(t+tau) ]
+    phi_1' = -W_0,  phi_{k+1}' = -W_k - phi_k,  W_n + phi_n = 0,
 
-with the delayed term null once t + tau passes b.  The delayed factor is an
-index shift by the delay offset.  One block rule (``block_sums``) serves
-the costates, the Euler-Lagrange rows (k = 0) and the transversality values
-(-phi_k(b)): left of b - tau the weighted summands are differentiated on
-[a, b - tau], from there on the current ones on [b - tau, b], each block by
-itself, because the delayed term switches off at b - tau.
+W_r(t) = psi(t) dL/dx^(r)(t) + psi(t+tau) dL/dx_tau^(r)(t+tau) being the
+order-r weighted summand, with the delayed term null once t + tau passes b.
+The delayed factor is an index shift by the delay offset.  Read backwards
+the equations are Horner's rule for the sums S_k = -phi_k:
+
+    S_n = W_n,  S_k = W_k - S_{k+1}',
+
+and S_0 is the Euler-Lagrange residual.  One backward pass per block
+(``block_sums``) gives every order at once, one stencil pass per order
+below the top: the costates, the Euler-Lagrange rows (k = 0) and the
+transversality values (-phi_k(b)) all read it.  Left of b - tau the weighted summands are
+differentiated on [a, b - tau], from there on the current ones on
+[b - tau, b], each block by itself, because the delayed term switches off
+at b - tau.
 """
 
 from typing import NamedTuple
@@ -45,16 +52,6 @@ def weighted_terms(p, grid, args, z, psi, orders):
             for C, D in summand_terms(p, args, z, psi, orders)]
 
 
-def alternating_sum(terms, diff, sign=1):
-    """sign * sum_l (-1)^l diff(terms[l], l), added term by term with its own
-    sign so that exact zeros keep theirs."""
-    acc = 0.0
-    for l, term in enumerate(terms):
-        d = diff(term, l)
-        acc = acc + d if sign * (-1) ** l > 0 else acc - d
-    return acc
-
-
 def blockwise_derivative(vals, h, junction):
     """d/dt taken independently on the node ranges [0, junction] and
     [junction, M]; the junction node keeps the left-range value."""
@@ -67,18 +64,23 @@ def blockwise_derivative(vals, h, junction):
     return out
 
 
-def block_sums(terms, k, grid, sign=1):
-    """The alternating sum sign * sum_l (-1)^l d^l/dt^l of the summands of
-    order l + k from one ``weighted_terms`` build, as the pair (left, right)
-    of its blocks: left of b - tau, on the nodes 0..junction, it
+def block_sums(terms, grid):
+    """The sums S_k of a ``weighted_terms`` build of consecutive orders, the
+    lowest first, by one backward pass per block: S_n = W_n and
+    S_k = W_k - S_{k+1}', as the pair (left, right) of shape
+    (..., orders, m, nodes).  Left of b - tau, on the nodes 0..junction, it
     differentiates the weighted summands W; from b - tau on, the nodes
     junction..M, the current summands C, each block by itself.  At tau = 0
-    W spans the grid and ``right`` is the last node of ``left``."""
+    W spans the grid and ``right`` is the last node of ``left``.  Each
+    summand enters as 0.0 + W, so an exact zero is +0.0."""
     def block(side, nodes):
-        return alternating_sum(
-            [t[side][..., nodes] for t in terms[k:]],
-            lambda s, l: s if l == 0 else tr.differentiate_values(s, grid.h, l),
-            sign)
+        top = terms[-1][side][..., nodes]
+        S = np.empty(top.shape[:-2] + (len(terms),) + top.shape[-2:])
+        S[..., -1, :, :] = 0.0 + top
+        for k in range(len(terms) - 2, -1, -1):
+            S[..., k, :, :] = ((0.0 + terms[k][side][..., nodes])
+                               - tr.differentiate_values(S[..., k + 1, :, :], grid.h))
+        return S
 
     jn = grid.junction
     left = block(1, slice(jn + 1))
@@ -89,18 +91,13 @@ def block_sums(terms, k, grid, sign=1):
 
 def compute_phi(p: pb.ProblemSpec, traj: tr.StateTrajectory,
                 psi: np.ndarray, args) -> MultiplierSet:
-    """Evaluate the closed form for every k at the node arguments ``args``
-    of ``fn.slot_args`` along traj; no backward integration.  The node at
-    b - tau keeps the left block's value."""
-    grid = traj.grid
-    jn = grid.junction
-    terms = [None] + weighted_terms(p, grid, args, traj.z, psi, range(1, p.n + 1))
-    phi = np.zeros((p.n, p.m, grid.M + 1))
-    for k in range(1, p.n + 1):
-        left, right = block_sums(terms, k, grid, sign=-1)
-        phi[k - 1, :, :jn + 1] = left
-        phi[k - 1, :, jn + 1:] = right[..., 1:]
-    return MultiplierSet(psi=psi, phi=phi)
+    """phi_k = -S_k for k = 1..n from one ``block_sums`` pass over the
+    summands of the orders 1..n at the node arguments ``args`` of
+    ``fn.slot_args`` along traj.  The node at b - tau keeps the left
+    block's value."""
+    left, right = block_sums(
+        weighted_terms(p, traj.grid, args, traj.z, psi, range(1, p.n + 1)), traj.grid)
+    return MultiplierSet(psi=psi, phi=0.0 - np.concatenate([left, right[..., 1:]], axis=-1))
 
 
 def write_multiplier_csv(grid, mult: MultiplierSet, path):

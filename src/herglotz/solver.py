@@ -277,9 +277,11 @@ class _System:
 
     def _conditions(self, x, terms):
         """The condition rows at the series x from its ``ml.weighted_terms``
-        of the orders 0..n, block by block; the batch is that of both."""
-        el = cd.el_blocks(self.grid, terms)
-        tc = cd.transversality_values(self.grid, terms)
+        of the orders 0..n, block by block from one ``ml.block_sums`` pass;
+        the batch is that of both."""
+        sums = ml.block_sums(terms, self.grid)
+        el = cd.el_blocks(self.grid, sums)
+        tc = cd.transversality_values(self.grid, sums)
         batch = el[0].shape[:-2]
         rows = [b.value(x, el, tc) for b in self.row_blocks]
         return np.concatenate([np.broadcast_to(v, batch + v.shape[-2:])

@@ -3,7 +3,11 @@
 These deliberately bypass the library's summand builders: partials are
 evaluated directly from the Lagrangian's symbolic derivatives and the
 special-case formulas (no-delay, first-order) are written out term by term,
-so agreement with the main code paths is meaningful.
+so agreement with the main code paths is meaningful.  ``alternating_sum`` is
+the closed form sum_l (-1)^l d^l/dt^l of the costates and the
+Euler-Lagrange residual, term by term, against which the library's one
+backward pass (``multipliers.block_sums``) is checked and from which
+``compute_phi_history`` takes the costates of [a - tau, a].
 
 The optimal-control view of the delayed problem is here too, since only the
 tests compare against it: the inverse of the Guinn change of variables, the
@@ -28,8 +32,18 @@ from herglotz import problem as pb
 from herglotz import reduction as rd
 from herglotz.functional import (integral_to_b, march_z, ordered_args, stage_args,
                                  trajectory_args)
-from herglotz.multipliers import alternating_sum, summand_terms
+from herglotz.multipliers import summand_terms
 from herglotz.trajectory import StateTrajectory, build_series, differentiate_values
+
+
+def alternating_sum(terms, diff, sign=1):
+    """sign * sum_l (-1)^l diff(terms[l], l), added term by term with its own
+    sign so that exact zeros keep theirs."""
+    acc = 0.0
+    for l, term in enumerate(terms):
+        d = diff(term, l)
+        acc = acc + d if sign * (-1) ** l > 0 else acc - d
+    return acc
 
 
 def central_fd(e, binding, var, h=1e-6):

@@ -570,6 +570,38 @@ def test_verify_non_uniform_grid_message_names_plain_numbers(tmp_path, capsys):
     assert "np.float64" not in err
 
 
+def test_verify_values_at_a_message_names_plain_numbers(tmp_path, capsys):
+    # z(a) and x1(a) print as the CSV reader's floats, not numpy scalar reprs
+    spec = write(tmp_path, "osc.spec", OSCILLATOR)
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+    capsys.readouterr()
+    header, first, *rows = Path(out).read_text().splitlines()
+    cells = first.split(",")
+    names = header.split(",")
+    cells[names.index("z")] = "0.25"
+    cells[names.index("x1_d0")] = "1.5"
+    text = "\n".join([header, ",".join(cells), *rows]) + "\n"
+    assert main(["verify", spec, write(tmp_path, "bad.csv", text)]) == 2
+    err = capsys.readouterr().err
+    assert "z(a)=0.25 does not match gamma=0.0" in err
+    assert "x1(a)=1.5 does not match history value 1.0" in err
+    assert "np.float64" not in err
+
+
+def test_constant_rate_writes_no_negative_zero(tmp_path, capsys):
+    # every summand of L = 1 + 0*x1 is an exact zero; the costates are
+    # 0.0 - S and the sums start from 0.0 + W, so no cell reads -0
+    spec = write(tmp_path, "rate.spec", CONSTANT_RATE)
+    sol, mult, res = (str(tmp_path / f) for f in ("sol.csv", "mult.csv", "res.csv"))
+    assert main(["solve", spec, "--h", "1e-2", "--out", sol, "--mult-out", mult]) == 0
+    assert main(["verify", spec, sol, "--out", res]) == 0
+    for path in (sol, mult, res):
+        cells = [c for line in Path(path).read_text().splitlines()
+                 for c in line.split(",")]
+        assert not [c for c in cells if c.startswith("-") and float(c) == 0.0], path
+
+
 @pytest.mark.parametrize("column, value", [("x1_d0", "nan"), ("z", "inf")])
 def test_verify_rejects_non_finite_cell_exit_2(tmp_path, capsys, column, value):
     spec = write(tmp_path, "delayed.spec", DELAYED)

@@ -3,6 +3,8 @@ import pytest
 
 from herglotz import functional as fn
 from herglotz import multipliers as ml
+from herglotz import problem as pb
+from herglotz import solver as sv
 from herglotz import trajectory as tr
 
 import oracles
@@ -131,13 +133,96 @@ def test_multiplier_csv_columns():
     assert len(lines) == traj.grid.M + 2
 
 
+def _recurrence_problem(n, m, tau):
+    """An order-n, m-component L with current and delayed slots of the top
+    and lower orders, coupled across components and to z."""
+    cur, dl = pb.slot_name, pb.delayed_slot_name
+    parts = []
+    for j in range(1, m + 1):
+        i = j % m + 1
+        parts += [f"0.5*{cur(j, n)}^2", f"0.3*{cur(j, 0)}*{cur(i, n - 1)}",
+                  f"0.2*{dl(j, n)}*{cur(i, 1)}", f"0.1*{dl(j, 0)}^2"]
+    return make_problem(" + ".join(parts) + " - 0.1*z*x1", mu=("1 + 0.5*t",) * m,
+                        n=n, m=m, tau=tau)
+
+
+# relative to the largest closed-form term: the recurrence differentiates
+# the partial sums where the closed form differentiates each summand, so the
+# two round differently once a sum holds a derivative (n >= 2)
+RECURRENCE_RTOL = {2: 1e-13, 3: 1e-10}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("tau", [0.0, 0.25])
+def test_block_sums_match_the_closed_form(n, m, tau):
+    # S_k = sum_l (-1)^l d^l W_{l+k} on each block, the oracle's closed form
+    p = _recurrence_problem(n, m, tau)
+    g = tr.align_grid(p.a, p.b, p.tau, n=n, M=200)
+    traj = fn.simulate_z(p, tr.from_expressions(p, g, ["1 + 0.5*t + 0.3*sin(2*t)"] * m))
+    args = fn.trajectory_args(p, traj)
+    psi = fn.psi_values(p, g, args, traj.z)
+    terms = ml.weighted_terms(p, g, args, traj.z, psi, range(n + 1))
+    left, right = ml.block_sums(terms, g)
+    jn = g.junction
+    assert left.shape == (n + 1, m, jn + 1) and right.shape == (n + 1, m, g.M - jn + 1)
+    blocks = [(left, 1, slice(jn + 1))]
+    if tau:
+        blocks.append((right, 0, slice(jn, None)))
+    else:
+        assert np.array_equal(right, left[..., -1:])
+    for got, side, nodes in blocks:
+        for k in range(n + 1):
+            series = [s if l == 0 else tr.differentiate_values(s, g.h, l)
+                      for l, s in enumerate(t[side][..., nodes] for t in terms[k:])]
+            want = oracles.alternating_sum(series, lambda s, l: s)
+            if n == 1:
+                assert np.array_equal(got[k], want)
+                assert np.array_equal(np.signbit(got[k]), np.signbit(want))
+            else:
+                scale = max(np.max(np.abs(s)) for s in series)
+                assert np.max(np.abs(got[k] - want)) <= RECURRENCE_RTOL[n] * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tau", [0.0, 0.25])
+def test_one_residual_differentiates_n_times_per_block(monkeypatch, n, tau):
+    # the backward pass takes one stencil pass per order below n, on each
+    # block, for a plain and for a batched residual alike
+    p = _recurrence_problem(n, 1, tau)
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=n, M=200))
+    block_sums, differentiate = ml.block_sums, tr.differentiate_values
+    inside, passes = [], []
+
+    def counted_sums(*args):
+        inside.append(True)
+        try:
+            return block_sums(*args)
+        finally:
+            inside.pop()
+
+    def counted_differentiate(values, h, l=1):
+        if inside:
+            passes.append(l)
+        return differentiate(values, h, l)
+
+    monkeypatch.setattr(ml, "block_sums", counted_sums)
+    monkeypatch.setattr(tr, "differentiate_values", counted_differentiate)
+    U0 = system.pack(system.initial_positions())
+    for U in (U0, np.stack([U0, U0 + 1e-3])):
+        passes.clear()
+        system.residual(U)
+        assert passes == [1] * (n * (2 if tau else 1))
+
+
 def test_alternating_sum_signs_and_zeros():
+    # the oracle's closed form, which the backward pass is checked against
     a = [np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.array([4.0, 0.0])]
-    assert np.array_equal(ml.alternating_sum(a, lambda s, l: s), [3.0, 0.0])
-    assert np.array_equal(ml.alternating_sum(a[1:], lambda s, l: s, sign=-1),
+    assert np.array_equal(oracles.alternating_sum(a, lambda s, l: s), [3.0, 0.0])
+    assert np.array_equal(oracles.alternating_sum(a[1:], lambda s, l: s, sign=-1),
                           [2.0, 0.0])
     # each term carries its own sign, so an exact zero stays +0.0
-    assert not np.signbit(ml.alternating_sum(a, lambda s, l: s, sign=-1)[1])
+    assert not np.signbit(oracles.alternating_sum(a, lambda s, l: s, sign=-1)[1])
     # diff receives the summand index l
-    assert np.array_equal(ml.alternating_sum(a[1:], lambda s, l: s * 10 ** l),
+    assert np.array_equal(oracles.alternating_sum(a[1:], lambda s, l: s * 10 ** l),
                           [-38.0, 0.0])

@@ -592,8 +592,9 @@ def test_transversality_values_are_minus_phi_at_b(table, name):
     traj = fn.simulate_z(p, oracles.from_positions(p, system.grid, system.unpack(U)))
     args = fn.trajectory_args(p, traj)
     mult = ml.compute_phi(p, traj, fn.psi_values(p, traj.grid, args, traj.z), args)
-    terms = ml.weighted_terms(p, traj.grid, args, traj.z, mult.psi, range(p.n + 1))
-    assert np.array_equal(cd.transversality_values(traj.grid, terms), -mult.phi[..., -1])
+    sums = ml.block_sums(
+        ml.weighted_terms(p, traj.grid, args, traj.z, mult.psi, range(p.n + 1)), traj.grid)
+    assert np.array_equal(cd.transversality_values(traj.grid, sums), -mult.phi[..., -1])
 
 
 @pytest.mark.parametrize("delayed, plain", [
