@@ -7,7 +7,7 @@ from .errors import (DomainError, ExprSyntaxError, GridTooSmall, HerglotzError,
                      UnboundVariable, UnknownFunction, ValidationError, ZeroDelay)
 from .expr import differentiate, evaluate, free_variables, parse_expression, simplify, substitute, unparse
 from .functional import admissibility_defect, simulate_z
-from .multipliers import MultiplierSet, compute_phi
+from .multipliers import MultiplierSet, block_sums, compute_phi
 from .noether import InvarianceFamily, drift, invariance_defect, lift_generators, make_family, noether_charge
 from .problem import LagrangianSpec, ProblemSpec, build_problem, history_derivative, make_lagrangian
 from .reduction import (ReducedProblem, guinn_reduce, map_trajectory, simulate_reduced,

@@ -29,8 +29,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_NO_CONVERGENCE = 4
 
-_VALIDATION_ERRORS = (ValidationError, ExprSyntaxError, UnknownFunction,
-                      FileNotFoundError, IsADirectoryError, NotADirectoryError,
+# OSError: a path that is missing, a directory, unreadable or unwritable
+_VALIDATION_ERRORS = (ValidationError, ExprSyntaxError, UnknownFunction, OSError,
                       UnicodeDecodeError)
 _NUMERIC_ERRORS = (DomainError, NonFiniteLagrangian, UnboundVariable,
                    GridTooSmall, OutOfHistoryRange, SingularJacobian, ZeroDelay,
@@ -42,7 +42,7 @@ def _load(args):
     None for a command without them.  The grid is checked from the spec's
     a, b, tau and n and the solve options next, so that neither fails after
     L is differentiated and audited."""
-    with open(args.file) as fh:
+    with tr.open_text(args.file) as fh:
         raw = specfile.parse_problem_file(fh.read())
     grid = opts = None
     if "M" in vars(args):
@@ -121,8 +121,8 @@ def cmd_verify(args):
         raise ValidationError(problems)
     slots = fn.trajectory_args(p, traj)  # L's node arguments, built once
     psi = fn.psi_values(p, traj.grid, slots, traj.z)
-    mult = ml.compute_phi(p, traj, psi, slots)
-    report = cd.full_report(p, traj, mult, slots)
+    sums = ml.block_sums(p, traj.grid, slots, traj.z, psi)  # the one adjoint pass
+    report = cd.full_report(p, traj, ml.compute_phi(psi, sums), slots, sums)
     if args.out:
         _write_residual_csv(report, args.out)
         print(f"wrote {args.out}")
@@ -164,7 +164,7 @@ def cmd_charge(args):
     raw, p, _, opts = _load(args)
     fam_content = raw.family
     if args.family_file:
-        with open(args.family_file) as fh:
+        with tr.open_text(args.family_file) as fh:
             fam_sections = specfile.parse_sections(fh.read())
         if "family" not in fam_sections:
             raise ValidationError(f"{args.family_file} has no [family] section")

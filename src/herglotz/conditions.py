@@ -5,11 +5,11 @@ The first Euler-Lagrange block lives on [a, b - tau] and carries both the
 current and the (index-shifted) delayed summand; the second block lives on
 [b - tau, b] where the delayed summand is null by convention.  Both are the
 k = 0 sums of the backward pass ``multipliers.block_sums`` over one build of
-the summands; its orders k = 1..n at b are the transversality values
-tc_k = -phi_k(b), which the report reads off the costates.  Node ranges near
-a differentiated block's edges use one-sided stencils and are flagged;
-flagged entries stay in the report but are excluded from acceptance
-sup-norms.
+the summands, made once per trajectory and read by the costates too; its
+orders k = 1..n at b are the transversality values tc_k = -phi_k(b), which
+the report reads off the costates.  Node ranges near a differentiated
+block's edges use one-sided stencils and are flagged; flagged entries stay
+in the report but are excluded from acceptance sup-norms.
 
 With E = sum_k phi_k . x^(k) + psi L (``dbr_inner``) and the comb series
 
@@ -84,17 +84,17 @@ class ResidualReport(NamedTuple):
                 "dbr": _masked_sup(self.dbr, self.dbr_flags)}
 
 
-def el_blocks(grid, sums):
+def el_blocks(sums):
     """Euler-Lagrange residual arrays (el1, el2), batched like ``sums``, the
-    ``ml.block_sums`` of a build of the orders 0..n: their k = 0 slices."""
+    ``ml.block_sums`` of a trajectory: their k = 0 slices."""
     return sums[0][..., 0, :, :], sums[1][..., 0, :, :]
 
 
-def transversality_values(grid, sums):
+def transversality_values(sums):
     """tc_k = -phi_k(b) for k = 1..n, shape (..., n, m): the value at b of
-    the right block of ``sums``, the ``ml.block_sums`` of a build of the
-    orders 0..n, which holds the delayed summand at tau = 0 and only the
-    current one for tau > 0."""
+    the right block of ``sums``, the ``ml.block_sums`` of a trajectory,
+    which holds the delayed summand at tau = 0 and only the current one for
+    tau > 0."""
     return sums[1][..., 1:, :, -1]
 
 
@@ -199,11 +199,11 @@ def comb_integral(vals, left, grid, point):
 
 
 def full_report(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                mult: ml.MultiplierSet, args) -> ResidualReport:
-    """Every block of the report at the node arguments ``args`` along traj."""
+                mult: ml.MultiplierSet, args, sums) -> ResidualReport:
+    """Every block of the report at the node arguments ``args`` along traj;
+    el1 and el2 are read off ``sums``, the ``ml.block_sums`` of ``mult``."""
     grid = traj.grid
-    el1, el2 = el_blocks(grid, ml.block_sums(
-        ml.weighted_terms(p, grid, args, traj.z, mult.psi, range(p.n + 1)), grid))
+    el1, el2 = el_blocks(sums)
     tc = -mult.phi[..., -1]  # the condition phi_k(b) = 0
     dbr = dbr_residual(p, traj, mult, args)
     w = flag_width(p.n)

@@ -25,6 +25,10 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 _NUMPY_FN = {name: getattr(np, name) for name in FUNCTIONS}
 
+# compile_expr moves an operation this many nestings deep into a local of its
+# own, since CPython refuses source nested more than 200 parentheses deep
+_HOIST_DEPTH = 50
+
 
 # Nodes are named tuples, which compare by their items alone: these make a
 # node equal only to a node of its own kind.
@@ -457,16 +461,19 @@ def compile_expr(e: Expr, params):
     The compiled function follows IEEE semantics (NaN/Inf propagate, no
     DomainError); hot loops check finiteness at the consumer.  ``params``
     must cover every free variable of ``e``.  Constants are bound as
-    np.float64 so powers never fall back to Python's complex pow.
+    np.float64 so powers never fall back to Python's complex pow.  The
+    function is one return statement, less the operations nested
+    ``_HOIST_DEPTH`` deep, each assigned to a local first.
     """
     params = list(params)
     missing = free_variables(e) - set(params)
     if missing:
         raise UnboundVariable(sorted(missing)[0])
     names = {p: f"_a{i}" for i, p in enumerate(params)}
-    consts = []
-    body = _emit(e, names, consts)
-    src = f"def _f({', '.join(names[p] for p in params)}):\n    return {body}\n"
+    consts, lines = [], []
+    body = _emit(e, names, consts, lines)
+    src = (f"def _f({', '.join(names[p] for p in params)}):\n" + "".join(lines)
+           + f"    return {body}\n")
     ns = {f"_{fn}": _NUMPY_FN[fn] for fn in FUNCTIONS}
     for i, v in enumerate(consts):
         ns[f"_k{i}"] = np.float64(v)
@@ -474,15 +481,24 @@ def compile_expr(e: Expr, params):
     return ns["_f"]
 
 
-def _emit(e, names, consts):
+def _emit(e, names, consts, lines, depth=0):
+    """The source of e nested ``depth`` operations deep; an operation at
+    ``_HOIST_DEPTH`` is emitted as an assignment ``_t{i} = ...`` appended to
+    ``lines`` and read back by its name."""
     if isinstance(e, Num):
         consts.append(e.value)
         return f"_k{len(consts) - 1}"
     if isinstance(e, Var):
         return names[e.name]
+    if depth == _HOIST_DEPTH:
+        src = _emit(e, names, consts, lines)
+        lines.append(f"    _t{len(lines)} = {src}\n")
+        return f"_t{len(lines) - 1}"
+    depth += 1
     if isinstance(e, Neg):
-        return f"(-{_emit(e.arg, names, consts)})"
+        return f"(-{_emit(e.arg, names, consts, lines, depth)})"
     if isinstance(e, Call):
-        return f"_{e.fn}({_emit(e.arg, names, consts)})"
+        return f"_{e.fn}({_emit(e.arg, names, consts, lines, depth)})"
     op = "**" if e.op == "^" else e.op
-    return f"({_emit(e.left, names, consts)}{op}{_emit(e.right, names, consts)})"
+    return (f"({_emit(e.left, names, consts, lines, depth)}{op}"
+            f"{_emit(e.right, names, consts, lines, depth)})")

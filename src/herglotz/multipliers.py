@@ -10,9 +10,10 @@ the equations are Horner's rule for the sums S_k = -phi_k:
     S_n = W_n,  S_k = W_k - S_{k+1}',
 
 and S_0 is the Euler-Lagrange residual.  One backward pass per block
-(``block_sums``) gives every order at once, one stencil pass per order
-below the top: the costates, the Euler-Lagrange rows (k = 0) and the
-transversality values (-phi_k(b)) all read it.  Left of b - tau the weighted summands are
+(``block_sums``, the only code that builds the summands) gives every order
+at once, one stencil pass per order below the top, once per trajectory:
+the costates, the Euler-Lagrange rows (k = 0) and the transversality
+values (-phi_k(b)) all read it.  Left of b - tau the weighted summands are
 differentiated on [a, b - tau], from there on the current ones on
 [b - tau, b], each block by itself, because the delayed term switches off
 at b - tau.
@@ -32,24 +33,23 @@ class MultiplierSet(NamedTuple):
     phi: np.ndarray  # (n, m, M+1)
 
 
-def summand_terms(p, args, z, psi, orders):
-    """(C_r, D_r) per order r in ``orders`` (a list): psi(t) dL/dx_j^(r)(t)
-    and psi(t) dL/dx_tau_j^(r)(t), shape (..., m, M+1), at the node
-    arguments ``args`` of ``fn.slot_args``."""
+def summand_terms(p, args, z, psi):
+    """(C_r, D_r) per order r = 0..n: psi(t) dL/dx_j^(r)(t) and
+    psi(t) dL/dx_tau_j^(r)(t), shape (..., m, M+1), at the node arguments
+    ``args`` of ``fn.slot_args``."""
     *batch, N = np.broadcast_shapes(np.shape(psi), np.shape(z), *map(np.shape, args))
-    terms = [tuple(np.empty((*batch, p.m, N)) for _ in range(2)) for _ in orders]
-    for (C, D), r in zip(terms, orders):
+    terms = [tuple(np.empty((*batch, p.m, N)) for _ in range(2)) for _ in range(p.n + 1)]
+    for r, (C, D) in enumerate(terms):
         for j in range(1, p.m + 1):
             C[..., j - 1, :] = psi * fn.eval_args(p, args, z, pb.slot_name(j, r))
             D[..., j - 1, :] = psi * fn.eval_args(p, args, z, pb.delayed_slot_name(j, r))
     return terms
 
 
-def weighted_terms(p, grid, args, z, psi, orders):
-    """(C_r, W_r) per order: W_r adds psi(t+tau) dL/dx_tau^(r)(t+tau) to C_r,
-    the delayed summand being null once t + tau > b."""
-    return [(C, C + fn.ahead(D, grid.p))
-            for C, D in summand_terms(p, args, z, psi, orders)]
+def weighted_terms(p, grid, args, z, psi):
+    """(C_r, W_r) per order r = 0..n: W_r adds psi(t+tau) dL/dx_tau^(r)(t+tau)
+    to C_r, the delayed summand being null once t + tau > b."""
+    return [(C, C + fn.ahead(D, grid.p)) for C, D in summand_terms(p, args, z, psi)]
 
 
 def blockwise_derivative(vals, h, junction):
@@ -64,15 +64,17 @@ def blockwise_derivative(vals, h, junction):
     return out
 
 
-def block_sums(terms, grid):
-    """The sums S_k of a ``weighted_terms`` build of consecutive orders, the
-    lowest first, by one backward pass per block: S_n = W_n and
-    S_k = W_k - S_{k+1}', as the pair (left, right) of shape
-    (..., orders, m, nodes).  Left of b - tau, on the nodes 0..junction, it
+def block_sums(p, grid, args, z, psi):
+    """The sums S_k, k = 0..n, at the node arguments ``args`` of
+    ``fn.slot_args``, z and psi, by one backward pass per block: S_n = W_n
+    and S_k = W_k - S_{k+1}', as the pair (left, right) of shape
+    (..., n+1, m, nodes).  Left of b - tau, on the nodes 0..junction, it
     differentiates the weighted summands W; from b - tau on, the nodes
     junction..M, the current summands C, each block by itself.  At tau = 0
     W spans the grid and ``right`` is the last node of ``left``.  Each
     summand enters as 0.0 + W, so an exact zero is +0.0."""
+    terms = weighted_terms(p, grid, args, z, psi)
+
     def block(side, nodes):
         top = terms[-1][side][..., nodes]
         S = np.empty(top.shape[:-2] + (len(terms),) + top.shape[-2:])
@@ -89,15 +91,12 @@ def block_sums(terms, grid):
     return left, block(0, slice(jn, None))
 
 
-def compute_phi(p: pb.ProblemSpec, traj: tr.StateTrajectory,
-                psi: np.ndarray, args) -> MultiplierSet:
-    """phi_k = -S_k for k = 1..n from one ``block_sums`` pass over the
-    summands of the orders 1..n at the node arguments ``args`` of
-    ``fn.slot_args`` along traj.  The node at b - tau keeps the left
-    block's value."""
-    left, right = block_sums(
-        weighted_terms(p, traj.grid, args, traj.z, psi, range(1, p.n + 1)), traj.grid)
-    return MultiplierSet(psi=psi, phi=0.0 - np.concatenate([left, right[..., 1:]], axis=-1))
+def compute_phi(psi, sums) -> MultiplierSet:
+    """phi_k = -S_k for k = 1..n, read off ``sums``, the ``block_sums`` at
+    psi; the node at b - tau keeps the left block's value."""
+    left, right = sums
+    return MultiplierSet(psi=psi, phi=0.0 - np.concatenate(
+        [left[..., 1:, :, :], right[..., 1:, :, 1:]], axis=-1))
 
 
 def write_multiplier_csv(grid, mult: MultiplierSet, path):

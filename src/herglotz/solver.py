@@ -43,12 +43,12 @@ matrix is factored by scipy's splu after its exact zeros are dropped;
 without scipy the dense LU of the same matrix gives the columns of its
 inverse that a step reads.
 
-One residual builds the derivative series at U and L's arguments once and
-returns that build, with z and psi, next to R.  The iteration keeps it with
-the iterate: the Jacobian reads the kept iterate's build and that of its
-batched condition map for the step maps and dL/dz, and no trial puts
-anything back.  The returned trajectory, multipliers and report read the
-last iterate's build: its series, arguments, z and psi.
+One residual builds the derivative series at U, L's arguments and the block
+sums once and returns that build, with z and psi, next to R.  The iteration
+keeps it with the iterate: the Jacobian reads the kept iterate's build and
+that of its batched condition map for the step maps and dL/dz, and no trial
+puts anything back.  The returned trajectory, costates and report read the
+last iterate's build, its block sums the trajectory's one adjoint pass.
 
 Each matrix is factored once and the factor is kept: the next step is a
 chord step with it, kept when it cuts the sup residual by the factor _RHO.
@@ -263,25 +263,23 @@ class _System:
 
     def residual(self, U, z=None, psi=None):
         """R(U), batched over leading axes of U, and the build it read: the
-        derivative series x at U, its node arguments, z and psi.  Given z and
-        psi (node values, broadcast against the batch), they are held instead
-        of simulated: that is the condition map F(U, z, psi)."""
+        derivative series x at U, its node arguments, z, psi and their block
+        sums.  Given z and psi (node values, broadcast against the batch),
+        they are held instead of simulated: the condition map F(U, z, psi)."""
         p, grid = self.p, self.grid
         x = tr.build_series(self.unpack(np.asarray(U, dtype=float)), grid.h, p.n)
         args = fn.slot_args(p, grid, x)
         if z is None:  # a z-free L's psi and summands ignore z
             z = np.zeros(grid.M + 1) if self.z_free else fn.rk4_z(p, grid, x, args)
             psi = fn.psi_values(p, grid, args, z)
-        terms = ml.weighted_terms(p, grid, args, z, psi, range(p.n + 1))
-        return self._conditions(x, terms), (x, args, z, psi)
+        sums = ml.block_sums(p, grid, args, z, psi)
+        return self._conditions(x, sums), (x, args, z, psi, sums)
 
-    def _conditions(self, x, terms):
-        """The condition rows at the series x from its ``ml.weighted_terms``
-        of the orders 0..n, block by block from one ``ml.block_sums`` pass;
-        the batch is that of both."""
-        sums = ml.block_sums(terms, self.grid)
-        el = cd.el_blocks(self.grid, sums)
-        tc = cd.transversality_values(self.grid, sums)
+    def _conditions(self, x, sums):
+        """The condition rows at the series x, block by block from its
+        ``ml.block_sums``; the batch is that of both."""
+        el = cd.el_blocks(sums)
+        tc = cd.transversality_values(sums)
         batch = el[0].shape[:-2]
         rows = [b.value(x, el, tc) for b in self.row_blocks]
         return np.concatenate([np.broadcast_to(v, batch + v.shape[-2:])
@@ -304,15 +302,15 @@ class _System:
         held; the step maps C take a central one, since their second
         derivative in U grows like 1/h."""
         p, grid = self.p, self.grid
-        x, args, z, psi = build
+        x, args, z, psi, _ = build
         deltas = _FD_STEP * (1.0 + np.abs(U))
         if held or self.z_free:
             Rb, _ = self.residual(_colored(U, deltas, self.color, self.n_colors),
                                   z, psi)
             return (*self.pattern, _diff(self.pattern, self.color, Rb, R0, deltas))
         s = self.augmented
-        Rb, (xb, argsb, _, _) = self.residual(_colored(U, deltas, s.color, s.n_colors),
-                                              z, psi)
+        Rb, (xb, argsb, *_) = self.residual(_colored(U, deltas, s.color, s.n_colors),
+                                            z, psi)
         xm = tr.build_series(self.unpack(_colored(U, -deltas, s.color, s.n_colors)),
                              grid.h, p.n)
         dz = _FD_STEP * (1.0 + np.abs(z))
@@ -350,8 +348,7 @@ class _System:
         Pb = np.repeat(psi[np.newaxis, :], 2 * K, axis=0)
         Zb[color, nodes] += dz
         Pb[K + color, nodes] += dpsi
-        Fb = self._conditions(x, ml.weighted_terms(self.p, self.grid, args, Zb, Pb,
-                                                   range(self.p.n + 1)))
+        Fb = self._conditions(x, ml.block_sums(self.p, self.grid, args, Zb, Pb))
         return (_diff(s.node_pattern, color, Fb, R0, dz),
                 _diff(s.node_pattern, K + color, Fb, R0, dpsi))
 
@@ -594,13 +591,13 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
             break
 
     # the last residual's build at U; a z-free residual holds z = 0, so z is
-    # marched here on its arguments, but its psi reads t alone
-    x, args, z, psi = build
+    # marched here on its arguments, but its psi and its block sums read no z
+    x, args, z, psi, sums = build
     if sys.z_free:
         z = fn.rk4_z(p, grid, x, args)
     traj = fn.simulate_z(p, tr.StateTrajectory(grid, x), z)
-    mult = ml.compute_phi(p, traj, psi, args)
-    report = cd.full_report(p, traj, mult, args)
+    mult = ml.compute_phi(psi, sums)
+    report = cd.full_report(p, traj, mult, args, sums)
     sup_ok = report.norms_unflagged
     converged = (sup_ok["el1"] <= opts.tol_r and sup_ok["el2"] <= opts.tol_r
                  and sup_ok["tc"] <= opts.tol_r)

@@ -453,7 +453,7 @@ def compute_phi_history(p, traj, psi):
     # the t-argument shift makes this the delayed term's generator series
     # evaluated on [a, a + tau]
     S = [None] + [D for _, D in summand_terms(p, trajectory_args(p, traj),
-                                              traj.z, psi, range(1, p.n + 1))]
+                                              traj.z, psi)[1:]]
     phi = np.zeros((p.n, p.m, q + 1))
     for k in range(1, p.n + 1):
         phi[k - 1] = alternating_sum(

@@ -95,8 +95,8 @@ def test_criterion_3_transversality(oscillator_solved, quadratic_n2_solved_fine)
     traj = fn.simulate_z(p, tr.from_expressions(p, g, [src]))
     args = fn.trajectory_args(p, traj)
     psi = fn.psi_values(p, g, args, traj.z)
-    mult = ml.compute_phi(p, traj, psi, args)
-    tc = cd.full_report(p, traj, mult, args).tc
+    sums = ml.block_sums(p, g, args, traj.z, psi)
+    tc = cd.full_report(p, traj, ml.compute_phi(psi, sums), args, sums).tc
     err = abs(float(tc[0, 0]) - 0.1)
     ok = worst <= 1e-4 and err <= 1e-5
     report(3, ok, f"worst TC on converged fixtures {worst:.3e} (tol 1e-4); "
@@ -254,8 +254,10 @@ def test_criterion_6_perturbed_non_extremal(delayed_solved):
     pos[0] += 1e-2 * np.sin(np.pi * g.nodes())
     pert = fn.simulate_z(p, from_positions(p, g, pos))
     args = fn.trajectory_args(p, pert)
-    mult = ml.compute_phi(p, pert, fn.psi_values(p, g, args, pert.z), args)
-    rep = cd.full_report(p, pert, mult, args)
+    psi = fn.psi_values(p, g, args, pert.z)
+    sums = ml.block_sums(p, g, args, pert.z, psi)
+    mult = ml.compute_phi(psi, sums)
+    rep = cd.full_report(p, pert, mult, args, sums)
     C = nt.noether_charge(p, pert, mult, _time_lift(p, pert), args)
     drift = nt.drift(C, rep.dbr_flags)
     dbr = rep.norms_unflagged["dbr"]
@@ -277,8 +279,8 @@ def test_criterion_7_special_case_equivalences():
     traj = fn.simulate_z(p, tr.from_expressions(p, g, ["cos(t)"]))
     args = fn.trajectory_args(p, traj)
     psi = fn.psi_values(p, g, args, traj.z)
-    mult = ml.compute_phi(p, traj, psi, args)
-    rep = cd.full_report(p, traj, mult, args)
+    sums = ml.block_sums(p, g, args, traj.z, psi)
+    rep = cd.full_report(p, traj, ml.compute_phi(psi, sums), args, sums)
     el1 = rep.el1
     worst = max(worst, float(np.max(np.abs(el1 - delay_free_el(p, traj, psi)))))
     tc = rep.tc
@@ -290,8 +292,9 @@ def test_criterion_7_special_case_equivalences():
     trajd = fn.simulate_z(pd, tr.from_expressions(pd, gd, ["1 - 0.3*t^2"]))
     argsd = fn.trajectory_args(pd, trajd)
     psid = fn.psi_values(pd, gd, argsd, trajd.z)
-    multd = ml.compute_phi(pd, trajd, psid, argsd)
-    repd = cd.full_report(pd, trajd, multd, argsd)
+    sumsd = ml.block_sums(pd, gd, argsd, trajd.z, psid)
+    multd = ml.compute_phi(psid, sumsd)
+    repd = cd.full_report(pd, trajd, multd, argsd, sumsd)
     el1d, el2d = repd.el1, repd.el2
     ref1, ref2 = first_order_delayed_el(pd, trajd, psid)
     worst = max(worst, float(np.max(np.abs(el1d[0] - ref1))),

@@ -171,6 +171,24 @@ def test_solve_nonconvergence_exit_4(tmp_path, capsys):
     assert data.shape[0] == 101
 
 
+# 200 chained terms, then - z: one line of L's source would nest deeper
+# than the 200 parentheses that CPython compiles
+LONG_SUM = """
+[problem]
+a = 0.0
+b = 1.0
+tau = 0.0
+n = 1
+m = 1
+gamma = 0.0
+
+[lagrangian]
+L = "%s - z"
+
+[history]
+mu1 = "1"
+""" % " + ".join(["0.005*xd1^2 - 0.005*x1^2"] * 100)
+
 N2_DELAYED = """
 [problem]
 a = 0.0
@@ -186,6 +204,12 @@ L = "0.5*xdd1^2 + 0.3*tau_xd1^2 + 0.2*x1*tau_xdd1 - 0.1*z"
 [history]
 mu1 = "1 + 0.5*t"
 """
+
+
+def test_long_lagrangian_solves(tmp_path, capsys):
+    # the oscillator's L as a sum of 200 terms compiles, solves and converges
+    assert main(["solve", write(tmp_path, "long.spec", LONG_SUM), "--M", "40"]) == 0
+    assert capsys.readouterr().out.endswith("converged: True\n")
 
 
 def test_verify_roundtrip_matches_solve(tmp_path, capsys):
@@ -730,6 +754,33 @@ def test_path_under_a_file_exit_2(tmp_path, capsys, role):
     assert capsys.readouterr().err.startswith("validation error:")
 
 
+@pytest.mark.parametrize("role", ["spec", "family", "trajectory", "out"])
+def test_permission_denied_exit_2(tmp_path, capsys, monkeypatch, role):
+    # every file goes through one open; root reads and writes whatever the
+    # mode bits say, so the refusal is raised there
+    spec = write(tmp_path, "osc.spec", OSCILLATOR.split("[family]")[0])
+    family = write(tmp_path, "fam.txt", "[family]" + OSCILLATOR.split("[family]")[1])
+    sol, out = str(tmp_path / "sol.csv"), str(tmp_path / "out.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", sol]) == 0
+    capsys.readouterr()
+    argv, refused = {"spec": (["solve", spec, "--h", "1e-2"], spec),
+                     "family": (["charge", spec, family, "--h", "1e-2"], family),
+                     "trajectory": (["verify", spec, sol], sol),
+                     "out": (["solve", spec, "--h", "1e-2", "--out", out], out)}[role]
+    open_text = herglotz.trajectory.open_text
+
+    def refusing(path, mode="r"):
+        if path == refused:
+            raise PermissionError(13, "Permission denied", path)
+        return open_text(path, mode)
+
+    monkeypatch.setattr(herglotz.trajectory, "open_text", refusing)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "Permission denied" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["-1", "0"])
 def test_solve_rejects_max_iters_below_1_exit_2(tmp_path, capsys, value):
     spec = write(tmp_path, "osc.spec", OSCILLATOR)
@@ -954,6 +1005,51 @@ def test_one_argument_build_per_command(tmp_path, capsys, monkeypatch, L):
     assert [b for b in builds if b != "residual"] == ["command"]
 
 
+@pytest.mark.parametrize("L", [
+    "0.5*xd1^2 + 0.25*tau_x1^2 - 0.3*x1*tau_xd1 - 0.2*z",
+    "0.5*xd1^2 - 0.5*x1^2 - 0.2*z",
+    "0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*z*x1 - z",
+    None,
+], ids=["comb", "no-comb", "zcoupled", "n2"])
+def test_one_block_sums_build_per_command(tmp_path, capsys, monkeypatch, L):
+    # one adjoint pass per trajectory: a solve's costates and report read
+    # its last residual's block sums, and verify makes one pass for both
+    scope, calls = ["command"], []
+    solver, ml = herglotz.solver, herglotz.multipliers
+    block_sums = ml.block_sums
+
+    def within(name, f):
+        def scoped(*args, **kwargs):
+            scope.append(name)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                scope.pop()
+        return scoped
+
+    def counted(*args):
+        calls.append(scope[-1])
+        return block_sums(*args)
+
+    monkeypatch.setattr(ml, "block_sums", counted)
+    for name in ("residual", "jacobian"):
+        monkeypatch.setattr(solver._System, name,
+                            within(name, getattr(solver._System, name)))
+    family = '\n[family]\nT = "t + s"\nX1 = "x1"\nZ = "z"\n'
+    if L is None:
+        text = N2_DELAYED + family
+    else:
+        text = (DELAYED.replace("tau = 0.5", "tau = 0.25")
+                .replace('"0.5*xd1^2 + 0.25*tau_x1^2 - z"', f'"{L}"') + family)
+    spec, out = write(tmp_path, "spec.spec", text), str(tmp_path / "sol.csv")
+    for argv, outside in ((["solve", spec, "--M", "100", "--out", out], 0),
+                          (["verify", spec, out], 1),
+                          (["charge", spec, "--M", "100"], 0)):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls and calls.count("command") == outside
+
+
 @pytest.mark.parametrize("text", [FREE_PARTICLE, M2_DELAYED],
                          ids=["free-particle", "m2-delayed"])
 def test_simulate_builds_arguments_once(tmp_path, capsys, monkeypatch, text):
@@ -1000,8 +1096,9 @@ def test_residual_csv_keeps_the_savetxt_bytes(tmp_path, L, mu, tau, M):
     fn, grid = herglotz.functional, herglotz.align_grid(p.a, p.b, p.tau, n=p.n, M=M)
     traj = fn.simulate_z(p, herglotz.from_expressions(p, grid, ["1 + t^2", "2 - t"][:p.m]))
     args = fn.trajectory_args(p, traj)
-    mult = herglotz.compute_phi(p, traj, fn.psi_values(p, grid, args, traj.z), args)
-    report = herglotz.full_report(p, traj, mult, args)
+    psi = fn.psi_values(p, grid, args, traj.z)
+    sums = herglotz.block_sums(p, grid, args, traj.z, psi)
+    report = herglotz.full_report(p, traj, herglotz.compute_phi(psi, sums), args, sums)
     el1, el2, dbr = report.el1.copy(), report.el2.copy(), report.dbr.copy()
     el1[0, 1], el1[-1, 2], el1[0, 3] = np.nan, np.inf, -0.0
     el2[-1, 0], dbr[1], dbr[2], dbr[-1] = -np.inf, -0.0, np.nan, np.inf

@@ -13,10 +13,12 @@ from oracles import (delay_free_el, delay_free_tc, first_order_delayed_comb,
 
 
 def certify(p, traj):
-    """The multipliers along traj and L's node arguments there, built once."""
+    """The multipliers along traj, L's node arguments there and the block
+    sums the multipliers read, each built once."""
     args = fn.trajectory_args(p, traj)
     psi = fn.psi_values(p, traj.grid, args, traj.z)
-    return ml.compute_phi(p, traj, psi, args), args
+    sums = ml.block_sums(p, traj.grid, args, traj.z, psi)
+    return ml.compute_phi(psi, sums), args, sums
 
 
 def pipeline(p, src, h=1e-3, M=None):
@@ -27,8 +29,8 @@ def pipeline(p, src, h=1e-3, M=None):
 
 def test_el_zero_when_L_ignores_x():
     p = make_problem("-z")
-    traj, mult, args = pipeline(p, "sin(t)", M=100)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, "sin(t)", M=100)
+    rep = cd.full_report(p, traj, mult, args, sums)
     el1, el2 = rep.el1, rep.el2
     assert np.max(np.abs(el1)) <= 1e-12
     assert np.max(np.abs(el2)) <= 1e-12
@@ -36,15 +38,15 @@ def test_el_zero_when_L_ignores_x():
 
 def test_el_small_on_closed_form_extremal():
     p = oscillator_problem()
-    traj, mult, args = pipeline(p, oscillator_closed_form_src(), h=1e-3)
-    el1 = cd.full_report(p, traj, mult, args).el1
+    traj, mult, args, sums = pipeline(p, oscillator_closed_form_src(), h=1e-3)
+    el1 = cd.full_report(p, traj, mult, args, sums).el1
     assert np.max(np.abs(el1)) <= 5e-5
 
 
 def test_el_blocks_partition_at_junction():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
-    traj, mult, args = pipeline(p, "1", M=100)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, "1", M=100)
+    rep = cd.full_report(p, traj, mult, args, sums)
     assert rep.el1.shape == (1, traj.grid.junction + 1)
     assert rep.el2.shape == (1, traj.grid.p + 1)
     assert rep.dbr.shape == (traj.grid.M + 1,)
@@ -67,44 +69,44 @@ def test_el_perturbation_raises_norm():
 
 def test_tc_constant_extremal_n1():
     p = make_problem("0.5*xd1^2 - z")
-    traj, mult, args = pipeline(p, "1", M=100)
-    tc = cd.full_report(p, traj, mult, args).tc
+    traj, mult, args, sums = pipeline(p, "1", M=100)
+    tc = cd.full_report(p, traj, mult, args, sums).tc
     assert abs(tc[0, 0]) <= 1e-8
 
 
 def test_tc_zero_when_L_has_no_derivative_slots():
     p = make_problem("0.5*x1^2 - z")
-    traj, mult, args = pipeline(p, "cos(t)", M=100)
-    tc = cd.full_report(p, traj, mult, args).tc
+    traj, mult, args, sums = pipeline(p, "cos(t)", M=100)
+    tc = cd.full_report(p, traj, mult, args, sums).tc
     assert np.all(tc == 0.0)
 
 
 def test_tc_n2_reads_terminal_acceleration():
     # k=2 residual is psi(b)*xdd(b) = xdd(b); x = 0.05 t^2 has xdd = 0.1
     p = make_problem("0.5*xdd1^2 - z", mu=("0.05*t^2",), n=2)
-    traj, mult, args = pipeline(p, "0.05*t^2", h=1e-3)
-    tc = cd.full_report(p, traj, mult, args).tc
+    traj, mult, args, sums = pipeline(p, "0.05*t^2", h=1e-3)
+    tc = cd.full_report(p, traj, mult, args, sums).tc
     assert abs(tc[1, 0] - 0.1) <= 1e-6
 
 
 def test_dbr_explicit_time_only():
     p = make_problem("t + 0*x1")
-    traj, mult, args = pipeline(p, "sin(t)", M=100)
+    traj, mult, args, sums = pipeline(p, "sin(t)", M=100)
     dbr = cd.dbr_residual(p, traj, mult, args)
     assert np.max(np.abs(dbr)) <= 1e-10
 
 
 def test_dbr_small_on_closed_form_extremal():
     p = oscillator_problem()
-    traj, mult, args = pipeline(p, oscillator_closed_form_src(), h=1e-3)
+    traj, mult, args, sums = pipeline(p, oscillator_closed_form_src(), h=1e-3)
     dbr = cd.dbr_residual(p, traj, mult, args)
     assert np.max(np.abs(dbr)) <= 5e-5
 
 
 def test_report_norms_are_exact_sups():
     p = oscillator_problem()
-    traj, mult, args = pipeline(p, "1 - 0.2*t", M=100)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, "1 - 0.2*t", M=100)
+    rep = cd.full_report(p, traj, mult, args, sums)
     assert rep.norms["el1"] == np.max(np.abs(rep.el1))
     assert rep.norms["dbr"] == np.max(np.abs(rep.dbr))
     assert rep.norms_unflagged["el1"] <= rep.norms["el1"]
@@ -112,8 +114,8 @@ def test_report_norms_are_exact_sups():
 
 def test_flags_mark_one_sided_zones():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
-    traj, mult, args = pipeline(p, "1", M=100)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, "1", M=100)
+    rep = cd.full_report(p, traj, mult, args, sums)
     w = cd.flag_width(1)
     assert np.all(rep.el1_flags[:w]) and np.all(rep.el1_flags[-w:])
     assert not rep.el1_flags[w:-w].any()
@@ -122,8 +124,8 @@ def test_flags_mark_one_sided_zones():
 def test_delay_free_equivalence_tau0():
     # tau=0 residuals equal an independent delay-free implementation
     p = make_problem("0.5*xdd1^2 - 0.4*x1^2 - z", mu=("1",), n=2)
-    traj, mult, args = pipeline(p, "cos(t)", M=200)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, "cos(t)", M=200)
+    rep = cd.full_report(p, traj, mult, args, sums)
     el1 = rep.el1
     ref = delay_free_el(p, traj, mult.psi)
     assert np.max(np.abs(el1 - ref)) <= 1e-10
@@ -134,8 +136,8 @@ def test_delay_free_equivalence_tau0():
 
 def test_first_order_delayed_el_equivalence():
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - 0.1*x1*tau_xd1 - z", tau=0.25)
-    traj, mult, args = pipeline(p, "1 - 0.3*t^2", M=200)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, "1 - 0.3*t^2", M=200)
+    rep = cd.full_report(p, traj, mult, args, sums)
     el1, el2 = rep.el1, rep.el2
     ref1, ref2 = first_order_delayed_el(p, traj, mult.psi)
     assert np.max(np.abs(el1[0] - ref1)) <= 1e-10
@@ -145,7 +147,7 @@ def test_first_order_delayed_el_equivalence():
 def test_first_order_delayed_dbr_equivalence():
     # the pointwise first-order residual less the comb term D(t) - D(t + tau)
     p = make_problem("0.5*xd1^2 + 0.25*tau_x1^2 - z", tau=0.25)
-    traj, mult, args = pipeline(p, "1 - 0.3*t^2", M=200)
+    traj, mult, args, sums = pipeline(p, "1 - 0.3*t^2", M=200)
     dbr = cd.dbr_residual(p, traj, mult, args)
     D = first_order_delayed_comb(p, traj, mult.psi)
     D_ahead = np.zeros_like(D)
@@ -157,8 +159,8 @@ def test_first_order_delayed_dbr_equivalence():
 
 def test_multicomponent_dimensions():
     p = make_problem("0.5*xd1^2 + 0.5*xd2^2 - x1*x2 - z", mu=("1", "2"), m=2)
-    traj, mult, args = pipeline(p, "1", M=100)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, "1", M=100)
+    rep = cd.full_report(p, traj, mult, args, sums)
     assert rep.el1.shape[0] == 2
     assert rep.tc.shape == (1, 2)
 
@@ -190,8 +192,8 @@ def test_delayed_dbr_identity_off_extremal(L, n, src, M):
     # dE/dt - psi dL/dt - [D(t) - D(t + tau)] = sum_j R_j x_j' holds for every
     # admissible trajectory; the gap left is the stencils' O(h^4) error
     p = make_problem(L, mu=("1 + 0.5*t",), tau=0.25, n=n)
-    traj, mult, args = pipeline(p, src, M=M)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, src, M=M)
+    rep = cd.full_report(p, traj, mult, args, sums)
     R = np.concatenate([rep.el1, rep.el2[:, 1:]], axis=1)
     work = np.sum(R * traj.x[:, 1, :], axis=0)
     q, w = traj.grid.p, cd.flag_width(n)
@@ -207,8 +209,8 @@ def test_delayed_dbr_is_pointwise_without_comb(L, tau):
     # tau = 0 or no tau_ slot: no comb term, so the dbr block is the
     # pointwise dE/dt - psi dL/dt bit for bit, and a + tau is not flagged
     p = make_problem(L, mu=("1 + 0.5*t",), tau=tau)
-    traj, mult, args = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
-    rep = cd.full_report(p, traj, mult, args)
+    traj, mult, args, sums = pipeline(p, "1 - 0.4*t + 0.3*t^2", M=200)
+    rep = cd.full_report(p, traj, mult, args, sums)
     g = traj.grid
     inner = cd.dbr_inner(p, traj, mult, args)
     pointwise = (ml.blockwise_derivative(inner, g.h, g.junction)
@@ -221,7 +223,7 @@ def test_delayed_dbr_is_pointwise_without_comb(L, tau):
 def test_first_order_delayed_comb_equivalence():
     # the cross-delay L reads tau_xd1, so the x'' rate is exercised too
     p = make_problem(CROSS_DELAY, mu=("1 + 0.5*t",), tau=0.25)
-    traj, mult, args = pipeline(p, "1 - 0.4*t + 0.3*t^2 - 0.2*t^3", M=200)
+    traj, mult, args, sums = pipeline(p, "1 - 0.4*t + 0.3*t^2 - 0.2*t^3", M=200)
     D, left = cd.comb_series(p, traj, mult, args)
     assert np.max(np.abs(D - first_order_delayed_comb(p, traj, mult.psi))) <= 1e-10
     # left limit at a + tau reads the history at a: tau_x1 = mu(a) = 1 and

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -207,10 +209,24 @@ def test_substitute():
     assert ex.evaluate(out, {"u": 1.5}) == 3.0
 
 
+def deep_asts():
+    """A 300-term sum and a 300-deep negation chain, each nested deeper than
+    the 200 parentheses that CPython compiles in one expression."""
+    terms = [ex.BinOp("*", ex.Num((i % 7 - 3) * 0.125 + 0.001 * i),
+                      ex.BinOp("^", ex.Var("uvw"[i % 3]), ex.Num(2.0)))
+             for i in range(300)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = ex.BinOp("+", total, term)
+    chain = ex.Var("u")
+    for _ in range(300):
+        chain = ex.Neg(chain)
+    return [total, chain]
+
+
 def test_compile_matches_evaluate():
     rng = np.random.default_rng(23)
-    for _ in range(30):
-        e = random_ast(rng, 5)
+    for e in itertools.chain((random_ast(rng, 5) for _ in range(30)), deep_asts()):
         names = sorted(ex.free_variables(e)) or ["u"]
         fn = ex.compile_expr(e, names)
         b = {name: rng.uniform(0.4, 1.6) for name in names}

@@ -16,7 +16,7 @@ def pipeline(p, src, h=1e-3, M=None):
     traj = fn.simulate_z(p, tr.from_expressions(p, g, [src] * p.m))
     args = fn.trajectory_args(p, traj)
     psi = fn.psi_values(p, g, args, traj.z)
-    return traj, psi, ml.compute_phi(p, traj, psi, args)
+    return traj, psi, ml.compute_phi(psi, ml.block_sums(p, g, args, traj.z, psi))
 
 
 def test_phi_zero_on_constant_extremal():
@@ -45,7 +45,7 @@ def test_phi_top_order_identity():
     # the k=n sum has a single l=0 term: an exact algebraic identity
     p = make_problem("0.5*xdd1^2 + 0.2*tau_xdd1^2 - z", mu=("1",), n=2, tau=0.25)
     traj, psi, mult = pipeline(p, "1 + 0*t", M=200)
-    [(C, D)] = ml.summand_terms(p, fn.trajectory_args(p, traj), traj.z, psi, [2])
+    C, D = ml.summand_terms(p, fn.trajectory_args(p, traj), traj.z, psi)[2]
     direct = -(C + fn.ahead(D, traj.grid.p))
     assert np.array_equal(mult.phi[1], direct)
 
@@ -60,8 +60,7 @@ def test_phi_right_of_junction_differentiates_current_summands(M):
     traj, psi, mult = pipeline(p, "1 + 0.5*t + 0.3*t^2 + 0.1*sin(3*t)", M=M)
     g = traj.grid
     jn = g.junction
-    (C1, _), (C2, _) = ml.summand_terms(p, fn.trajectory_args(p, traj), traj.z, psi,
-                                         [1, 2])
+    _, (C1, _), (C2, _) = ml.summand_terms(p, fn.trajectory_args(p, traj), traj.z, psi)
     want = tr.differentiate_values(C2[..., jn:], g.h, 1) - C1[..., jn:]
     assert np.max(np.abs(mult.phi[0, :, jn + 1:] - want[..., 1:])) <= 1e-12
 
@@ -97,7 +96,7 @@ def test_phi_recursion_cross_check():
     p = make_problem("0.5*xdd1^2 - 0.5*x1^2 - z", mu=("1",), n=2)
     traj, psi, mult = pipeline(p, "cos(t)", M=400)
     g = traj.grid
-    [(_, W1)] = ml.weighted_terms(p, g, fn.trajectory_args(p, traj), traj.z, psi, [1])
+    _, W1 = ml.weighted_terms(p, g, fn.trajectory_args(p, traj), traj.z, psi)[1]
     lhs = mult.phi[0]
     rhs = -tr.differentiate_values(mult.phi[1], g.h, 1) - W1
     err = np.max(np.abs((lhs - rhs)[0, 8:-8]))
@@ -162,8 +161,8 @@ def test_block_sums_match_the_closed_form(n, m, tau):
     traj = fn.simulate_z(p, tr.from_expressions(p, g, ["1 + 0.5*t + 0.3*sin(2*t)"] * m))
     args = fn.trajectory_args(p, traj)
     psi = fn.psi_values(p, g, args, traj.z)
-    terms = ml.weighted_terms(p, g, args, traj.z, psi, range(n + 1))
-    left, right = ml.block_sums(terms, g)
+    terms = ml.weighted_terms(p, g, args, traj.z, psi)
+    left, right = ml.block_sums(p, g, args, traj.z, psi)
     jn = g.junction
     assert left.shape == (n + 1, m, jn + 1) and right.shape == (n + 1, m, g.M - jn + 1)
     blocks = [(left, 1, slice(jn + 1))]

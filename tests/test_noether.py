@@ -19,7 +19,7 @@ def pipeline(p, src, M=200):
     traj = fn.simulate_z(p, tr.from_expressions(p, g, [src] * p.m))
     args = fn.trajectory_args(p, traj)
     psi = fn.psi_values(p, g, args, traj.z)
-    return traj, ml.compute_phi(p, traj, psi, args), args
+    return traj, ml.compute_phi(psi, ml.block_sums(p, g, args, traj.z, psi)), args
 
 
 def test_family_identity_validation():

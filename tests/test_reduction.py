@@ -133,7 +133,7 @@ def test_hamiltonian_conservation_x_free_lagrangian():
     traj = admissible(p, "1 + 0.2*t", M=200)
     args = fn.trajectory_args(p, traj)
     psi = fn.psi_values(p, traj.grid, args, traj.z)
-    mult = ml.compute_phi(p, traj, psi, args)
+    mult = ml.compute_phi(psi, ml.block_sums(p, traj.grid, args, traj.z, psi))
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
     mults = oracles.map_multipliers(rp, traj, mult)
@@ -147,7 +147,7 @@ def test_hamiltonian_matches_delayed_reassembly():
     traj = admissible(p, "1 - 0.2*t^2", M=400)
     args = fn.trajectory_args(p, traj)
     psi = fn.psi_values(p, traj.grid, args, traj.z)
-    mult = ml.compute_phi(p, traj, psi, args)
+    mult = ml.compute_phi(psi, ml.block_sums(p, traj.grid, args, traj.z, psi))
     rp = rd.guinn_reduce(p)
     stacked = rd.map_trajectory(rp, traj)
     mults = oracles.map_multipliers(rp, traj, mult)

@@ -241,7 +241,7 @@ def _dense_triplets(system, U, R0, build, held):
     at the build's z and psi; else that of R, with the identity on the
     augmented unknowns, so that the step's U part solves the oracle alone."""
     J = oracles.dense_jacobian(system, U, R0, sv._FD_STEP,
-                               hold=build[2:] if held else None)
+                               hold=build[2:4] if held else None)
     if held:
         return (*np.nonzero(J), J[np.nonzero(J)])
     rows, cols = np.nonzero(J)
@@ -330,7 +330,8 @@ def test_solve_marches_z_once_per_residual(monkeypatch, L, tau, z_free):
 ], ids=["zcoupled", "z-free"])
 def test_solve_takes_psi_from_last_residual(monkeypatch, L, tau):
     # each unbatched residual integrates psi once, and the solve reuses the
-    # last one's psi; a z-free L's psi reads t alone, so it holds there too
+    # last one's psi and block sums; a z-free L's psi and summands read no z,
+    # so they hold there too
     p = make_problem(L, tau=tau)
     before, integrals = [], []
     residual, psi_values = sv._System.residual, fn.psi_values
@@ -352,8 +353,16 @@ def test_solve_takes_psi_from_last_residual(monkeypatch, L, tau):
     assert before == list(range(len(before)))
     assert len(integrals) == len(before)
     traj = res.trajectory
-    assert np.array_equal(res.multipliers.psi, fn.psi_values(
-        p, traj.grid, fn.trajectory_args(p, traj), traj.z))
+    args = fn.trajectory_args(p, traj)
+    psi = fn.psi_values(p, traj.grid, args, traj.z)
+    assert np.array_equal(res.multipliers.psi, psi)
+    # phi and the report read the last residual's block sums, a z-free one's
+    # taken at z = 0; a fresh pass on the returned trajectory gives their bits
+    sums = ml.block_sums(p, traj.grid, args, traj.z, psi)
+    mult = ml.compute_phi(psi, sums)
+    report = cd.full_report(p, traj, mult, args, sums)
+    for got, want in [(res.multipliers.phi, mult.phi), *zip(res.report[1:], report[1:])]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("table, name, M", [
@@ -491,7 +500,7 @@ def test_condensed_local_patterns(name):
         return np.broadcast_to(U, w.shape[:-1] + U.shape)
 
     for U in points:
-        _, (_, _, z, psi) = system.residual(U)
+        _, (_, _, z, psi, _) = system.residual(U)
         F_U = _probe(lambda V: system.residual(V, z, psi)[0], U)
         assert _outside(system.pattern, (nr, nu), F_U) == 0
         F_z = _probe(lambda w: system.residual(at_U(U, w), w, psi)[0], z)
@@ -591,10 +600,10 @@ def test_transversality_values_are_minus_phi_at_b(table, name):
     U = U0 + 1e-2 * np.random.default_rng(7).standard_normal(U0.shape)
     traj = fn.simulate_z(p, oracles.from_positions(p, system.grid, system.unpack(U)))
     args = fn.trajectory_args(p, traj)
-    mult = ml.compute_phi(p, traj, fn.psi_values(p, traj.grid, args, traj.z), args)
-    sums = ml.block_sums(
-        ml.weighted_terms(p, traj.grid, args, traj.z, mult.psi, range(p.n + 1)), traj.grid)
-    assert np.array_equal(cd.transversality_values(traj.grid, sums), -mult.phi[..., -1])
+    psi = fn.psi_values(p, traj.grid, args, traj.z)
+    sums = ml.block_sums(p, traj.grid, args, traj.z, psi)
+    mult = ml.compute_phi(psi, sums)
+    assert np.array_equal(cd.transversality_values(sums), -mult.phi[..., -1])
 
 
 @pytest.mark.parametrize("delayed, plain", [
