@@ -36,12 +36,12 @@ linearized RK4 steps z_{i+1} = Phi_i(z_i; positions near i), the g nodes
 and the panel recurrences of the integral psi = exp(integral_t^b g), each
 local, so the matrix stays sparse.  Every iterate re-simulates z and psi, so
 those rows have a zero right-hand side and the U part of the step is the
-step of the condensed Jacobian, the matrix's Schur complement.  Its step
-maps take a central difference, since their second derivative in U grows
-like 1/h, and its structure is built with the first augmented matrix.  A
-matrix is factored by scipy's splu after its exact zeros are dropped;
-without scipy the dense LU of the same matrix gives the columns of its
-inverse that a step reads.
+step of the condensed Jacobian, the matrix's Schur complement, whose
+structure is built with the first augmented matrix.  Its step maps' z
+derivative is exact; their U derivative is a central difference, as their
+second derivative in U grows like 1/h.  A matrix is factored by scipy's
+splu after its exact zeros are dropped; without scipy the dense LU of the
+same matrix gives the columns of its inverse that a step reads.
 
 One residual builds the derivative series at U, L's arguments and the block
 sums once and returns that build, with z and psi, next to R.  The iteration
@@ -297,10 +297,10 @@ class _System:
         dz_0 = 0, dz_{i+1} - a_i dz_i - C_i dU = 0 (the RK4 steps),
         dg_i - G_z,i dz_i - G_U,i dU = 0 (the g nodes) and the panel
         recurrences of ``fn.integral_to_b``; the condition rows become
-        F_U dU + F_z dz + (F_psi psi) dw.  Every block is a colored
-        difference of F, of the step maps or of dL/dz, the other inputs
-        held; the step maps C take a central one, since their second
-        derivative in U grows like 1/h."""
+        F_U dU + F_z dz + (F_psi psi) dw.  a_i is exact, 1 + delta_i of
+        ``fn.step_maps``; every other block is a colored difference of F,
+        of the step maps or of dL/dz, the other inputs held, a central one
+        for the step maps C, whose second derivative in U grows like 1/h."""
         p, grid = self.p, self.grid
         x, args, z, psi, _ = build
         deltas = _FD_STEP * (1.0 + np.abs(U))
@@ -315,13 +315,13 @@ class _System:
                              grid.h, p.n)
         dz = _FD_STEP * (1.0 + np.abs(z))
         F_z, F_psi = self._node_derivatives(x, args, z, psi, R0, dz)
-        stage = fn.stage_args(p, grid, x, args)
-        phi0 = fn.rk4_steps(p, stage, z)
-        a = (fn.rk4_steps(p, stage, z + dz) - phi0) / dz[:-1]
+        (_, delta), (phib, _), (phim, _) = (fn.step_maps(
+            p.lagrangian.compiled("body"), p.lagrangian.compiled("z"), grid.h, A,
+            fn.slot_args(p, grid, xs, mid=True), z[:-1])
+            for xs, A in ((x, args), (xb, argsb), (xm, fn.slot_args(p, grid, xm))))
         sr, sc = s.step_pattern
-        C = ((fn.rk4_steps(p, fn.stage_args(p, grid, xb, argsb), z)
-              - fn.rk4_steps(p, fn.stage_args(p, grid, xm, fn.slot_args(p, grid, xm)),
-                             z))[s.color[sc], sr] / (2.0 * deltas[sc]))
+        C = (np.broadcast_to(phib - phim, (Rb.shape[0], grid.M))[s.color[sc], sr]
+             / (2.0 * deltas[sc]))
         g0 = fn.eval_args(p, args, z, "z")
         G_z = (fn.eval_args(p, args, z + dz, "z") - g0) / dz
         G_U = _diff(s.g_pattern, s.color, fn.eval_args(p, argsb, z, "z"), g0, deltas)
@@ -332,7 +332,7 @@ class _System:
         pr, pc, pv = s.panels
         return _stack([(*self.pattern, _diff(self.pattern, s.color, Rb, R0, deltas)),
                        (nr, Z[nc], F_z), (nr, W[nc], F_psi * psi[nc]),
-                       (Z, Z, one), (Z[1:], Z[:-1], -a), (Z[1:][sr], sc, -C),
+                       (Z, Z, one), (Z[1:], Z[:-1], -1.0 - delta), (Z[1:][sr], sc, -C),
                        (G, G, one), (G, Z, -G_z), (G[gr], gc, -G_U),
                        (W[pr], G[0] + pc, pv)])
 

@@ -16,7 +16,8 @@ restricted to the stacked intervals with the costates of the history
 interval [a - tau, a], and the stacked Hamiltonian.  These read the
 library's summands and the stacked slot arrays of ``reduction``; what they
 check is the reduced view itself.  ``rk4_loop`` is the z march one RK4 step
-at a time, the reference for the affine step map, and ``from_positions``
+(``rk4_step``, the stages written out again) at a time, the reference for
+the Newton sweeps of ``functional.march_z``, and ``from_positions``
 builds a trajectory from position samples as a solve builds its series.
 ``savetxt_residual_csv`` is the residual CSV of ``verify --out`` as
 ``np.savetxt`` writes it, the reference for the bytes of the one table
@@ -30,8 +31,7 @@ import numpy as np
 from herglotz import expr as ex
 from herglotz import problem as pb
 from herglotz import reduction as rd
-from herglotz.functional import (integral_to_b, march_z, ordered_args, stage_args,
-                                 trajectory_args)
+from herglotz.functional import integral_to_b, ordered_args, slot_args, trajectory_args
 from herglotz.multipliers import summand_terms
 from herglotz.trajectory import StateTrajectory, build_series, differentiate_values
 
@@ -387,11 +387,31 @@ def _moved(U, cols, deltas):
     return Ub
 
 
+def rk4_step(L, t0, tm, t1, h, a0, am, a1, z0):
+    """One classical RK4 step of z' = L from z0 at t0 to t1 = t0 + h, with
+    the slot arguments a0, am, a1 at t0, the midpoint tm and t1."""
+    k1 = L(t0, *a0, z0)
+    k2 = L(tm, *am, z0 + 0.5 * h * k1)
+    k3 = L(tm, *am, z0 + 0.5 * h * k2)
+    k4 = L(t1, *a1, z0 + h * k3)
+    return z0 + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def rk4_loop(p, grid, x, args):
-    """The z march of ``functional.rk4_z`` one RK4 step at a time, for any
-    L; ``args`` are the node arguments of x."""
-    return march_z(p.lagrangian.compiled("body"), None, stage_args(p, grid, x, args),
-                   p.gamma, grid.M)
+    """The z march of ``functional.rk4_z`` one ``rk4_step`` at a time, for
+    any L; ``args`` are the node arguments of x.  Batch axes of x are
+    carried through."""
+    L, h = p.lagrangian.compiled("body"), grid.h
+    mid = slot_args(p, grid, x, mid=True)
+    z = np.empty(np.broadcast_shapes(*map(np.shape, args)))
+    z[..., 0] = p.gamma
+    with np.errstate(all="ignore"):
+        for i in range(grid.M):
+            z[..., i + 1] = rk4_step(
+                L, args[0][i], mid[0][i], args[0][i + 1], h,
+                [A[..., i] for A in args[1:]], [A[..., i] for A in mid[1:]],
+                [A[..., i + 1] for A in args[1:]], z[..., i])
+    return z
 
 
 # ---------------------------------------------------------------------------

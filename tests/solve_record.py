@@ -14,7 +14,8 @@ keeps every solve that converges:
 lists the calls (the k-th of a test) that converged in the first record and
 not in the second, and exits 1 if there is one.  It also lists the calls
 that raised in one record and returned in the other, apart from those that
-lost their convergence.  Beside it, it counts the
+lost their convergence, and the calls that returned in both with another
+step count, with the largest change.  Beside it, it counts the
 factored matrices of each record by side: m*M (the positions alone: a
 z-free L's Newton matrix, or the held one of a z-coupled L) or larger (the
 augmented matrix of a z-coupled L).
@@ -105,6 +106,15 @@ def _raise_changes(before, after):
     return changes
 
 
+def _step_changes(before, after):
+    """Calls of tests in both records that returned in both with another
+    step count: (key, steps before, steps after)."""
+    after = dict(_keyed(after))
+    return [(key, b["steps"], after[key]["steps"]) for key, b in _keyed(before)
+            if "steps" in b and "steps" in after.get(key, {})
+            and b["steps"] != after[key]["steps"]]
+
+
 def _sides(records):
     """The factored matrices of side m*M and of a larger side."""
     sides = [(s, r["m"] * r["M"]) for r in records for s in r.get("sides", [])]
@@ -121,7 +131,12 @@ if __name__ == "__main__":
         print(f"no longer converges: {test}, call {k} (M={M})")
     for (test, k), was, now in _raise_changes(*records):
         print(f"{was} -> {now}: {test}, call {k}")
-    print(f"{len(records[0])} and {len(records[1])} calls, {len(lost)} lost")
+    steps = _step_changes(*records)
+    for (test, k), was, now in steps:
+        print(f"steps {was} -> {now}: {test}, call {k}")
+    largest = max((abs(now - was) for _, was, now in steps), default=0)
+    print(f"{len(records[0])} and {len(records[1])} calls, {len(lost)} lost, "
+          f"{len(steps)} with another step count (largest change {largest})")
     for name, r in zip(("before", "after"), records):
         positions, augmented = _sides(r)
         print(f"{name}: {positions} factored matrices of side m*M, "

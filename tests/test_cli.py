@@ -74,6 +74,26 @@ L = "0.5*xd1^2 + 0.25*tau_x1^2 - z"
 mu1 = "1"
 """
 
+# dL/dz reads z: the z march takes Newton sweeps, not one affine sweep
+Z_SQUARED_DELAYED = """
+[problem]
+a = 0.0
+b = 1.0
+tau = 0.25
+n = 1
+m = 1
+gamma = 0.0
+
+[lagrangian]
+L = "0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2"
+
+[history]
+mu1 = "1"
+
+[candidate]
+x1 = "1 + 0.3*sin(3*t)"
+"""
+
 CONSTANT_RATE = """
 [problem]
 a = 0.0
@@ -533,6 +553,14 @@ def test_solve_and_verify_delayed_end_to_end(tmp_path, capsys):
     assert main(["verify", spec, out]) == 0
     stdout = capsys.readouterr().out
     assert "sup el1" in stdout and "sup el2" in stdout
+
+
+def test_solve_and_verify_non_affine_in_z_end_to_end(tmp_path, capsys):
+    spec = write(tmp_path, "zsq.spec", Z_SQUARED_DELAYED)
+    out = str(tmp_path / "sol.csv")
+    assert main(["solve", spec, "--h", "1e-2", "--out", out]) == 0
+    assert "converged: True" in capsys.readouterr().out
+    assert main(["verify", spec, out]) == 0
 
 
 def test_solve_free_particle_end_to_end(tmp_path, capsys):

@@ -120,20 +120,23 @@ def test_delayed_slots_feed_simulation():
 
 
 def test_batch_rk4_matches_scalar():
-    p = make_problem("0.5*xd1^2 - 0.3*x1*z - z", tau=0.25, mu=("1 - t",))
+    # one sweep over every row at once for an L affine in z, row by row
+    # sweeps for z^2: either way each row is its own march, bit for bit
     g = tr.align_grid(0.0, 1.0, 0.25, n=1, M=80)
     rng = np.random.default_rng(8)
     batch = rng.uniform(0.5, 1.5, size=(4, 1, g.M + 1))
     batch[:, 0, 0] = 1.0
     xb = tr.build_series(batch, g.h, 1)
-    zb = fn.rk4_z(p, g, xb, fn.slot_args(p, g, xb))
-    for i in range(4):
-        traj = oracles.from_positions(p, g, batch[i])
-        zs = fn.rk4_z(p, g, traj.x, fn.slot_args(p, g, traj.x))
-        assert np.array_equal(zb[i], zs)
+    for L in ("0.5*xd1^2 - 0.3*x1*z - z", "0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2"):
+        p = make_problem(L, tau=0.25, mu=("1 - t",))
+        zb = fn.rk4_z(p, g, xb, fn.slot_args(p, g, xb))
+        for i in range(4):
+            traj = oracles.from_positions(p, g, batch[i])
+            zs = fn.rk4_z(p, g, traj.x, fn.slot_args(p, g, traj.x))
+            assert np.array_equal(zb[i], zs)
 
 
-# Lagrangians affine in z, which rk4_z marches by its step map, and a
+# Lagrangians affine in z, which rk4_z marches in one sweep, and a
 # z-free one; x1 = 1 + 0.3*sin(3t) keeps 1/x1 finite
 AFFINE = {
     "z-x1": ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", {}),
@@ -162,26 +165,104 @@ def test_affine_march_matches_step_loop(name, M, monkeypatch):
     p, g, x = _march_input(*AFFINE[name], M)
     args = fn.slot_args(p, g, x)
     want = oracles.rk4_loop(p, g, x, args)
-    monkeypatch.setattr(fn, "_step_loop", None)  # the step map must not loop
+    calls = []
+    step_maps = fn.step_maps
+    monkeypatch.setattr(fn, "step_maps", lambda *a: calls.append(a) or step_maps(*a))
     z = fn.rk4_z(p, g, x, args)
+    assert len(calls) == 1  # one sweep, linearized at z = 0
     assert z[0] == p.gamma
     assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_non_affine_march_is_the_step_loop():
-    # dL/dz reads z: rk4_z runs the loop, equal bit for bit to one RK4 step
-    # after another from the node and midpoint slot arrays
+    # dL/dz reads z: the Newton sweeps settle on the step-by-step RK4 loop
+    # to rounding (they round differently, so not bit for bit)
     p, g, x = _march_input("0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2",
                            {"tau": 0.25}, 200)
-    cur, mid = fn.slot_args(p, g, x), fn.slot_args(p, g, x, mid=True)
-    t, h, L = cur[0], g.h, p.lagrangian.compiled("body")
-    want = np.empty(g.M + 1)
-    want[0] = p.gamma
-    for i in range(g.M):
-        want[i + 1] = fn._rk4_step(
-            L, t[i], t[i] + 0.5 * h, t[i + 1], h, [A[i] for A in cur[1:]],
-            [A[i] for A in mid[1:]], [A[i + 1] for A in cur[1:]], want[i])
-    assert np.array_equal(fn.rk4_z(p, g, x, cur), want)
+    args = fn.slot_args(p, g, x)
+    want = oracles.rk4_loop(p, g, x, args)
+    assert np.max(np.abs(fn.rk4_z(p, g, x, args) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# Lagrangians not affine in z, with their gamma, on x1 = 1 + 0.3*sin(3t); the
+# last two blow up inside [0, 1]
+NON_AFFINE = {
+    "z-squared-delayed": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2", {"tau": 0.25}),
+    "sin": ("0.5*xd1^2 - 0.5*x1^2 + sin(z)", {}),
+    "stiff-sin": ("0.5*xd1^2 + 30*sin(5*z)", {"gamma": 0.1}),
+    "z-x1-squared": ("0.5*xd1^2 + 20*z*x1 - z^2", {"gamma": 1.0}),
+    "cubic": ("0.5*xd1^2 - 50*z^3", {"gamma": 1.0}),
+    "blow-up-squared": ("0.5*xd1^2 - 5*z^2", {"gamma": -10.0}),
+    "blow-up-exp": ("0.5*xd1^2 + exp(z)", {"gamma": 3.0}),
+}
+
+
+@pytest.mark.parametrize("M", [200, 1000])
+@pytest.mark.parametrize("name", sorted(NON_AFFINE))
+def test_non_affine_march_matches_step_loop(name, M):
+    p, g, x = _march_input(*NON_AFFINE[name], M)
+    args = fn.slot_args(p, g, x)
+    want = oracles.rk4_loop(p, g, x, args)
+    z = fn.rk4_z(p, g, x, args)
+    assert z[0] == p.gamma
+    bad = ~np.isfinite(want)
+    if not bad.any():
+        assert not name.startswith("blow-up")
+        assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
+        return
+    # the same first node that is not finite, NaN after it, and close
+    # before it, where z grows without bound
+    i = int(np.argmax(bad))
+    assert np.all(np.isfinite(z[:i])) and not np.isfinite(z[i])
+    assert np.all(np.isnan(z[i + 1:]))
+    assert np.all(np.abs(z[:i] - want[:i]) <= 1e-10 * (1.0 + np.abs(want[:i])))
+    with pytest.raises(NonFiniteLagrangian) as err:
+        fn.simulate_z(p, tr.StateTrajectory(g, x))
+    assert err.value.t == g.a + g.h * (i - 1)
+
+
+def test_non_affine_march_without_a_finite_slope(monkeypatch):
+    # dL/dz = 1/(2 sqrt(z)) is infinite along z = 0, where x = 1 keeps z:
+    # a step with no finite slope is linearized as a shift, so the sweeps
+    # settle the whole window at once, not one node a sweep
+    p = make_problem("0.5*xd1^2 + sqrt(z)")
+    g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=1000)
+    x = tr.from_expressions(p, g, ["1"]).x
+    args = fn.slot_args(p, g, x)
+    calls = []
+    step_maps = fn.step_maps
+    monkeypatch.setattr(fn, "step_maps", lambda *a: calls.append(a) or step_maps(*a))
+    z = fn.rk4_z(p, g, x, args)
+    assert np.array_equal(z, oracles.rk4_loop(p, g, x, args))
+    assert len(calls) <= 2 * -(-g.M // fn._WINDOW)
+
+
+PSI_ORACLE = {
+    "z-squared": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2", {}),
+    "z-squared-delayed": ("0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2", {"tau": 0.25}),
+    "z-coupled-delayed": ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2",
+                          {"tau": 0.25}),
+    "sin": ("0.5*xd1^2 - 0.5*x1^2 + sin(z)", {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSI_ORACLE))
+def test_step_map_products_are_a_second_psi(name):
+    # psi(t_i) = exp(integral_{t_i}^b dL/dz) is the product of the step
+    # maps' z derivatives from step i on: the reversed cumulative product of
+    # 1 + delta_i at the marched z, a second psi by another code path
+    errs = []
+    for M in (200, 400, 800):
+        p, g, x = _march_input(*PSI_ORACLE[name], M)
+        args = fn.slot_args(p, g, x)
+        z = fn.rk4_z(p, g, x, args)
+        lag = p.lagrangian
+        _, delta = fn.step_maps(lag.compiled("body"), lag.compiled("z"), g.h, args,
+                                fn.slot_args(p, g, x, mid=True), z[:-1])
+        lam = np.append(np.cumprod((1.0 + delta)[::-1])[::-1], 1.0)
+        errs.append(np.max(np.abs(lam - fn.psi_values(p, g, args, z))))
+    order = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(order >= 3.5), (errs, order)
 
 
 def test_affine_march_reports_the_loop_node_when_not_finite():
