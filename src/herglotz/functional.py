@@ -1,10 +1,12 @@
 """Forward simulation of the Herglotz functional z and the multiplier psi.
 
 z is driven by dz/dt = L(t, x(t), ..., x(t - tau), ..., z(t)) with classical
-fixed-step RK4, marched by Newton sweeps of its step maps (``march_z``).
-psi(t) = exp(integral_t^b dL/dz) via composite Simpson taken cumulatively
-from b (an odd leftover interval closed with the 3-point rule, so psi stays
-fourth order).
+fixed-step RK4.  When L is affine in z, every step is an affine map of z
+whose coefficients are computed for all steps at once, and only the scalar
+recurrence runs step by step; any other L is stepped one RK4 step at a
+time.  psi(t) = exp(integral_t^b dL/dz) via composite Simpson taken
+cumulatively from b (an odd leftover interval closed with the 3-point rule,
+so psi stays fourth order).
 
 L's arguments along a derivative series are built once by ``slot_args``
 (``trajectory_args`` along a trajectory with z): the series and its copy
@@ -15,7 +17,7 @@ psi, and the summands, reports and charges of ``multipliers``,
 ``conditions`` and ``noether``, which take it from their caller.
 
 The low-level helpers accept leading batch axes on the sample arrays; the
-solver uses them to evaluate whole Jacobian chunks in one pass.
+solver uses them to evaluate whole Jacobian chunks in one sweep.
 """
 
 from __future__ import annotations
@@ -110,100 +112,102 @@ def eval_on_nodes(p: pb.ProblemSpec, grid: tr.Grid, x, z, which="body"):
     return eval_args(p, slot_args(p, grid, x), z, which).copy()
 
 
-def step_maps(L, g, h, nodes, mids, z):
-    """Phi_i(z_i), where one classical RK4 step of z' = L takes z_i, and
-    delta_i = dPhi_i/dz - 1 (apart from the 1, so no digit rounds away) by
-    the stage chain rule with g = dL/dz, for every step at once: ``nodes``
-    are L's arguments but z on the steps' nodes and ``mids`` at their
-    midpoints, step axis last; z broadcasts against them."""
-    (t0, *a0), (tm, *am), (t1, *a1) = ([A[..., :-1] for A in nodes], mids,
-                                       [A[..., 1:] for A in nodes])
+def _rk4_step(L, t0, tm, t1, h, a0, am, a1, z0):
+    """One classical RK4 step of z' = L from z0 at t0 to t1 = t0 + h, with
+    the slot arguments a0, am, a1 at t0, the midpoint tm and t1, and the z
+    of its later stages."""
+    k1 = L(t0, *a0, z0)
+    k2 = L(tm, *am, z2 := z0 + 0.5 * h * k1)
+    k3 = L(tm, *am, z3 := z0 + 0.5 * h * k2)
+    k4 = L(t1, *a1, z4 := z0 + h * k3)
+    return z0 + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), z2, z3, z4
+
+
+def stage_args(p: pb.ProblemSpec, grid: tr.Grid, x, args):
+    """The arguments of ``_rk4_step`` before z0 for every step at once, from
+    the node arguments ``args`` of x and its midpoint arguments, built here:
+    the times and slot values at t_i, t_i + h/2 and t_{i+1}, step axis
+    last."""
+    mid = slot_args(p, grid, x, mid=True)
+    return (args[0][:-1], mid[0], args[0][1:], grid.h,
+            [A[..., :-1] for A in args[1:]], mid[1:], [A[..., 1:] for A in args[1:]])
+
+
+def step_maps(L, g, stage, z):
+    """``_rk4_step`` Phi_i(z_i) for every step of ``stage`` at once and
+    delta_i = dPhi_i/dz - 1 by the stage chain rule with g = dL/dz, apart
+    from the 1 so that none of its digits are rounded away."""
+    t0, tm, t1, h, a0, am, a1 = stage
     with np.errstate(all="ignore"):
-        k1, d1 = L(t0, *a0, z), g(t0, *a0, z)
-        zs = z + 0.5 * h * k1
-        k2, d2 = L(tm, *am, zs), g(tm, *am, zs) * (1.0 + 0.5 * h * d1)
-        zs = z + 0.5 * h * k2
-        k3, d3 = L(tm, *am, zs), g(tm, *am, zs) * (1.0 + 0.5 * h * d2)
-        zs = z + h * k3
-        k4, d4 = L(t1, *a1, zs), g(t1, *a1, zs) * (1.0 + h * d3)
-        return (z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4),
-                (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4))
+        phi, z2, z3, z4 = _rk4_step(L, *stage, z)
+        d1 = g(t0, *a0, z)
+        d2 = g(tm, *am, z2) * (1.0 + 0.5 * h * d1)
+        d3 = g(tm, *am, z3) * (1.0 + 0.5 * h * d2)
+        d4 = g(t1, *a1, z4) * (1.0 + h * d3)
+    return phi, (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
-_WINDOW = 512  # steps per Newton sweep of an L not affine in z
+def march_z(L, g, stage, gamma, steps):
+    """March z' = L by RK4 from z = gamma over ``steps`` steps and return
+    z on the steps + 1 nodes; leading batch axes are carried through.
 
-
-def march_z(L, g, h, nodes, mids, gamma, affine):
-    """z on the nodes of the steps of ``step_maps`` for z' = L from z =
-    gamma, batch axes carried through: Newton on z_{i+1} = Phi_i(z_i), each
-    sweep z_{i+1} = (1 + delta_i) z_i + beta_i with the step maps at an
-    iterate w, beta_i = Phi_i(w_i) - (1 + delta_i) w_i.  For an L ``affine``
-    in z, one sweep at w = 0 over every row at once; else ``_sweeps``."""
-    shape = np.broadcast_shapes(*map(np.shape, nodes))
-    live, rows = shape[-1] - 1, np.empty(shape).reshape(-1, shape[-1])
-    if affine:
-        phi, delta = (np.broadcast_to(A, shape[:-1] + (live,)).reshape(-1, live).tolist()
-                      for A in step_maps(L, g, h, nodes, mids, 0.0))
-        for row, de, be in zip(rows, delta, phi):
-            row[:] = _recurrence(float(gamma), de, be)
+    ``stage`` holds the arguments ``(t0, tm, t1, h, a0, am, a1)`` of
+    ``_rk4_step`` before z0 for the first steps, step axis last; z holds
+    its value on the steps past their end.  ``g`` is the compiled dL/dz of
+    an L affine in z (dL/dz does not read z), or None.  With g one RK4 step
+    is exactly z_{i+1} = (1 + delta_i) z_i + beta_i, its ``step_maps`` at
+    z = 0 taken for every step at once, so only that scalar recurrence runs
+    step by step.  Without g, ``_step_loop`` takes one step at a time."""
+    t0, tm, t1, h, a0, am, a1 = stage
+    shape = np.broadcast_shapes(np.shape(t0), *map(np.shape, a0))
+    live = shape[-1]
+    z = np.empty(shape[:-1] + (steps + 1,))
+    if g is None:
+        z[..., 0] = gamma
+        _step_loop(L, stage, z)
     else:
-        nodes, mids = ([np.broadcast_to(A, shape[:-1] + (N,)).reshape(-1, N) for A in S]
-                       for S, N in ((nodes, live + 1), (mids, live)))
-        rows[:] = [_sweeps(L, g, h, [A[r] for A in nodes], [A[r] for A in mids], gamma)
-                   for r in range(len(rows))]
-    return rows.reshape(shape)
+        beta, delta = (np.broadcast_to(A, shape).reshape(-1, live).tolist()
+                       for A in step_maps(L, g, stage, 0.0))
+        for row, de, be in zip(z.reshape(-1, steps + 1), delta, beta):
+            zi = float(gamma)
+            out = [zi]
+            for d, b in zip(de, be):
+                zi += d * zi + b
+                out.append(zi)
+            row[:live + 1] = out
+    z[..., live + 1:] = z[..., live, None]
+    return z
 
 
-def _recurrence(y, delta, beta):
-    """[y_0 = y, y_1, ...], y_{i+1} = y_i + (delta_i y_i + beta_i)."""
-    out = [y]
-    for d, b in zip(delta, beta):
-        y += d * y + b
-        out.append(y)
-    return out
-
-
-def _sweeps(L, g, h, nodes, mids, gamma):
-    """z on one row's nodes by sweeps over the ``_WINDOW`` steps past the
-    settled nodes 0..s, each solving for z - w at the iterate w (at first
-    flat at gamma).  The step from node s is taken exactly, so node s + 1
-    settles; a later node settles with those before it once a sweep moves
-    it by at most 4 ulps of 1 + |z|.  w keeps a sweep's nodes up to the
-    first it moved no less than in the sweep before, flat past them: a
-    diverging linearization starts again.  A settled node not finite ends
-    the march."""
-    w = np.full(nodes[0].size, float(gamma))
-    last = np.full(w.size, np.inf)  # each node's move in the sweep before
-    s = 0
-    while s < w.size - 1 and np.isfinite(w[s]):
-        e = min(s + _WINDOW, w.size - 1)
-        phi, delta = step_maps(L, g, h, [A[s:e + 1] for A in nodes],
-                               [A[s:e] for A in mids], w[s:e])
-        old = w[s + 1:e + 1]
-        delta[~np.isfinite(delta)] = 0.0  # no slope: linearized as a shift
-        with np.errstate(all="ignore"):
-            rhs = (phi - old).tolist()  # y_{i+1} = (1 + delta_i) y_i + rhs_i
-            new = old + _recurrence(rhs[0], delta[1:].tolist(), rhs[1:])
-            new[0] = phi[0]
-            move = np.abs(new - old)
-            settled = move <= 4.0 * np.spacing(1.0 + np.abs(new))
-            kept = settled | (move < last[s + 1:e + 1])
-        settled[0] = kept[0] = True
-        j, i = (e - s if b.all() else int(np.argmin(b)) for b in (settled, kept))
-        w[s + 1:s + i + 1], last[s + 1:s + i + 1] = new[:i], move[:i]
-        w[s + i + 1:], last[s + i + 1:] = w[s + i], np.inf
-        s += j
-    w[s + 1:] = np.nan  # past a settled node that is not finite
-    return w
+def _step_loop(L, stage, z):
+    """Fill z after z[..., 0] one RK4 step at a time, for every step of
+    ``stage``."""
+    t0, tm, t1, h, a0, am, a1 = stage
+    with np.errstate(all="ignore"):
+        for i in range(len(t0)):
+            z[..., i + 1] = _rk4_step(
+                L, t0[i], tm[i], t1[i], h, [A[..., i] for A in a0],
+                [A[..., i] for A in am], [A[..., i] for A in a1], z[..., i])[0]
 
 
 def rk4_z(p: pb.ProblemSpec, grid: tr.Grid, x, args):
-    """``march_z`` along x (batch axes carried through) from z(a) = gamma,
-    in one sweep when dL/dz reads no z; ``args`` are x's node arguments."""
+    """March z along x from z(a) = gamma by ``march_z``, with its affine step
+    map when dL/dz does not read z; ``args`` are the node arguments of x.
+    Batch axes of x are carried through."""
     lag = p.lagrangian
-    return march_z(lag.compiled("body"), lag.compiled("z"), grid.h, args,
-                   slot_args(p, grid, x, mid=True), p.gamma,
-                   "z" not in ex.free_variables(lag.partials["z"]))
+    g = None if "z" in ex.free_variables(lag.partials["z"]) else lag.compiled("z")
+    return march_z(lag.compiled("body"), g, stage_args(p, grid, x, args), p.gamma,
+                   grid.M)
+
+
+def rk4_steps(p: pb.ProblemSpec, stage, z):
+    """The RK4 step maps of ``rk4_z`` at every step at once, with no march:
+    entry i is the value one step takes z[..., i] to, shape (..., M), for
+    the ``stage_args`` of a series."""
+    with np.errstate(all="ignore"):
+        out = _rk4_step(p.lagrangian.compiled("body"), *stage, z[..., :-1])[0]
+    return np.broadcast_to(out, np.broadcast_shapes(np.shape(out),
+                                                    *map(np.shape, stage[4])))
 
 
 def simulate_z(p: pb.ProblemSpec, traj: tr.StateTrajectory,

@@ -183,19 +183,20 @@ def _stacked_args(rp, stacked, j):
 def simulate_reduced(rp: ReducedProblem, stacked: StackedTrajectory) -> np.ndarray:
     """March z_j across [0, tau] for j = 1..N with the coupling conditions
     z_j(0) = z_{j-1}(tau), by ``functional.march_z`` on the stacked slot
-    arrays, in one sweep when dL_j/dz_j reads no z_j.  The padded interval
-    integrates only to the cut and holds z_N past it.  Returns the (N, P+1)
-    stacked z array."""
+    arrays: with the affine step map when dL_j/dz_j does not read z_j, else
+    step by step.  The padded interval integrates only to the cut and holds
+    z_N past it.  Returns the (N, P+1) stacked z array."""
     zr = np.empty((rp.N, stacked.P + 1))
     z0 = rp.gamma
     for j in range(1, rp.N + 1):
         g = ex.differentiate(rp.lagrangians[j - 1], z_name(j))
-        nodes, mids = _stacked_args(rp, stacked, j)
+        g = None if z_name(j) in ex.free_variables(g) else ex.compile_expr(
+            g, rp.interval_args(j))
+        (t, *nodes), (tm, *mids) = _stacked_args(rp, stacked, j)
         c = stacked.live_steps(j)
-        zr[j - 1] = np.pad(fn.march_z(
-            _interval_callable(rp, j), ex.compile_expr(g, rp.interval_args(j)),
-            stacked.h, [A[:c + 1] for A in nodes], [A[:c] for A in mids], z0,
-            z_name(j) not in ex.free_variables(g)), (0, stacked.P - c), mode="edge")
+        stage = (t[:c], tm[:c], t[1:c + 1], stacked.h, [A[:c] for A in nodes],
+                 [A[:c] for A in mids], [A[1:c + 1] for A in nodes])
+        zr[j - 1] = fn.march_z(_interval_callable(rp, j), g, stage, z0, stacked.P)
         z0 = zr[j - 1, -1]
     return zr
 

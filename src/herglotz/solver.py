@@ -299,8 +299,9 @@ class _System:
         recurrences of ``fn.integral_to_b``; the condition rows become
         F_U dU + F_z dz + (F_psi psi) dw.  a_i is exact, 1 + delta_i of
         ``fn.step_maps``; every other block is a colored difference of F,
-        of the step maps or of dL/dz, the other inputs held, a central one
-        for the step maps C, whose second derivative in U grows like 1/h."""
+        of the step maps or of dL/dz, the other inputs held; the step maps
+        C take a central one, since their second derivative in U grows like
+        1/h."""
         p, grid = self.p, self.grid
         x, args, z, psi, _ = build
         deltas = _FD_STEP * (1.0 + np.abs(U))
@@ -315,13 +316,13 @@ class _System:
                              grid.h, p.n)
         dz = _FD_STEP * (1.0 + np.abs(z))
         F_z, F_psi = self._node_derivatives(x, args, z, psi, R0, dz)
-        (_, delta), (phib, _), (phim, _) = (fn.step_maps(
-            p.lagrangian.compiled("body"), p.lagrangian.compiled("z"), grid.h, A,
-            fn.slot_args(p, grid, xs, mid=True), z[:-1])
-            for xs, A in ((x, args), (xb, argsb), (xm, fn.slot_args(p, grid, xm))))
+        stage = fn.stage_args(p, grid, x, args)
+        _, delta = fn.step_maps(p.lagrangian.compiled("body"), p.lagrangian.compiled("z"),
+                                stage, z[:-1])
         sr, sc = s.step_pattern
-        C = (np.broadcast_to(phib - phim, (Rb.shape[0], grid.M))[s.color[sc], sr]
-             / (2.0 * deltas[sc]))
+        C = ((fn.rk4_steps(p, fn.stage_args(p, grid, xb, argsb), z)
+              - fn.rk4_steps(p, fn.stage_args(p, grid, xm, fn.slot_args(p, grid, xm)),
+                             z))[s.color[sc], sr] / (2.0 * deltas[sc]))
         g0 = fn.eval_args(p, args, z, "z")
         G_z = (fn.eval_args(p, args, z + dz, "z") - g0) / dz
         G_U = _diff(s.g_pattern, s.color, fn.eval_args(p, argsb, z, "z"), g0, deltas)

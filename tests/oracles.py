@@ -17,7 +17,7 @@ interval [a - tau, a], and the stacked Hamiltonian.  These read the
 library's summands and the stacked slot arrays of ``reduction``; what they
 check is the reduced view itself.  ``rk4_loop`` is the z march one RK4 step
 (``rk4_step``, the stages written out again) at a time, the reference for
-the Newton sweeps of ``functional.march_z``, and ``from_positions``
+both paths of ``functional.march_z``, and ``from_positions``
 builds a trajectory from position samples as a solve builds its series.
 ``savetxt_residual_csv`` is the residual CSV of ``verify --out`` as
 ``np.savetxt`` writes it, the reference for the bytes of the one table

@@ -120,8 +120,8 @@ def test_delayed_slots_feed_simulation():
 
 
 def test_batch_rk4_matches_scalar():
-    # one sweep over every row at once for an L affine in z, row by row
-    # sweeps for z^2: either way each row is its own march, bit for bit
+    # the affine step map over every row at once, and the step loop for
+    # z^2: either way each row is its own march, bit for bit
     g = tr.align_grid(0.0, 1.0, 0.25, n=1, M=80)
     rng = np.random.default_rng(8)
     batch = rng.uniform(0.5, 1.5, size=(4, 1, g.M + 1))
@@ -136,7 +136,7 @@ def test_batch_rk4_matches_scalar():
             assert np.array_equal(zb[i], zs)
 
 
-# Lagrangians affine in z, which rk4_z marches in one sweep, and a
+# Lagrangians affine in z, which rk4_z marches by its step map, and a
 # z-free one; x1 = 1 + 0.3*sin(3t) keeps 1/x1 finite
 AFFINE = {
     "z-x1": ("0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1", {}),
@@ -165,23 +165,19 @@ def test_affine_march_matches_step_loop(name, M, monkeypatch):
     p, g, x = _march_input(*AFFINE[name], M)
     args = fn.slot_args(p, g, x)
     want = oracles.rk4_loop(p, g, x, args)
-    calls = []
-    step_maps = fn.step_maps
-    monkeypatch.setattr(fn, "step_maps", lambda *a: calls.append(a) or step_maps(*a))
+    monkeypatch.setattr(fn, "_step_loop", None)  # the step map must not loop
     z = fn.rk4_z(p, g, x, args)
-    assert len(calls) == 1  # one sweep, linearized at z = 0
     assert z[0] == p.gamma
     assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_non_affine_march_is_the_step_loop():
-    # dL/dz reads z: the Newton sweeps settle on the step-by-step RK4 loop
-    # to rounding (they round differently, so not bit for bit)
+    # dL/dz reads z: rk4_z runs the loop, equal bit for bit to one RK4 step
+    # after another from the node and midpoint slot arrays
     p, g, x = _march_input("0.5*xd1^2 + 0.25*tau_x1^2 - 0.05*z^2",
                            {"tau": 0.25}, 200)
     args = fn.slot_args(p, g, x)
-    want = oracles.rk4_loop(p, g, x, args)
-    assert np.max(np.abs(fn.rk4_z(p, g, x, args) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(fn.rk4_z(p, g, x, args), oracles.rk4_loop(p, g, x, args))
 
 
 # Lagrangians not affine in z, with their gamma, on x1 = 1 + 0.3*sin(3t); the
@@ -203,38 +199,23 @@ def test_non_affine_march_matches_step_loop(name, M):
     p, g, x = _march_input(*NON_AFFINE[name], M)
     args = fn.slot_args(p, g, x)
     want = oracles.rk4_loop(p, g, x, args)
-    z = fn.rk4_z(p, g, x, args)
-    assert z[0] == p.gamma
+    assert np.array_equal(fn.rk4_z(p, g, x, args), want, equal_nan=True)
     bad = ~np.isfinite(want)
-    if not bad.any():
-        assert not name.startswith("blow-up")
-        assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
-        return
-    # the same first node that is not finite, NaN after it, and close
-    # before it, where z grows without bound
-    i = int(np.argmax(bad))
-    assert np.all(np.isfinite(z[:i])) and not np.isfinite(z[i])
-    assert np.all(np.isnan(z[i + 1:]))
-    assert np.all(np.abs(z[:i] - want[:i]) <= 1e-10 * (1.0 + np.abs(want[:i])))
-    with pytest.raises(NonFiniteLagrangian) as err:
-        fn.simulate_z(p, tr.StateTrajectory(g, x))
-    assert err.value.t == g.a + g.h * (i - 1)
+    assert bad.any() == name.startswith("blow-up")
+    if bad.any():  # reported at the loop's first node that is not finite
+        with pytest.raises(NonFiniteLagrangian) as err:
+            fn.simulate_z(p, tr.StateTrajectory(g, x))
+        assert err.value.t == g.a + g.h * (int(np.argmax(bad)) - 1)
 
 
-def test_non_affine_march_without_a_finite_slope(monkeypatch):
-    # dL/dz = 1/(2 sqrt(z)) is infinite along z = 0, where x = 1 keeps z:
-    # a step with no finite slope is linearized as a shift, so the sweeps
-    # settle the whole window at once, not one node a sweep
-    p = make_problem("0.5*xd1^2 + sqrt(z)")
-    g = tr.align_grid(0.0, 1.0, 0.0, n=1, M=1000)
-    x = tr.from_expressions(p, g, ["1"]).x
-    args = fn.slot_args(p, g, x)
-    calls = []
-    step_maps = fn.step_maps
-    monkeypatch.setattr(fn, "step_maps", lambda *a: calls.append(a) or step_maps(*a))
-    z = fn.rk4_z(p, g, x, args)
-    assert np.array_equal(z, oracles.rk4_loop(p, g, x, args))
-    assert len(calls) <= 2 * -(-g.M // fn._WINDOW)
+def test_non_affine_march_takes_one_rk4_step_a_node():
+    # L evaluated at four points a step, on a stiff L too: the march costs
+    # what the step loop costs, whatever L does
+    p, g, x = _march_input(*NON_AFFINE["stiff-sin"], 1000)
+    L, points = p.lagrangian.compiled("body"), []
+    fn.march_z(lambda *a: points.append(np.broadcast(*a).size) or L(*a), None,
+               fn.stage_args(p, g, x, fn.slot_args(p, g, x)), p.gamma, g.M)
+    assert sum(points) == 4 * g.M
 
 
 PSI_ORACLE = {
@@ -257,8 +238,8 @@ def test_step_map_products_are_a_second_psi(name):
         args = fn.slot_args(p, g, x)
         z = fn.rk4_z(p, g, x, args)
         lag = p.lagrangian
-        _, delta = fn.step_maps(lag.compiled("body"), lag.compiled("z"), g.h, args,
-                                fn.slot_args(p, g, x, mid=True), z[:-1])
+        _, delta = fn.step_maps(lag.compiled("body"), lag.compiled("z"),
+                                fn.stage_args(p, g, x, args), z[:-1])
         lam = np.append(np.cumprod((1.0 + delta)[::-1])[::-1], 1.0)
         errs.append(np.max(np.abs(lam - fn.psi_values(p, g, args, z))))
     order = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

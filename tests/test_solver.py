@@ -493,11 +493,8 @@ def test_condensed_local_patterns(name):
     def series(U):
         return tr.build_series(system.unpack(U), grid.h, p.n)
 
-    def steps(x, z):
-        lag = p.lagrangian
-        return fn.step_maps(lag.compiled("body"), lag.compiled("z"), grid.h,
-                            fn.slot_args(p, grid, x), fn.slot_args(p, grid, x, mid=True),
-                            z[:-1])[0]
+    def stage(x):
+        return fn.stage_args(p, grid, x, fn.slot_args(p, grid, x))
 
     def at_U(U, w):
         return np.broadcast_to(U, w.shape[:-1] + U.shape)
@@ -510,7 +507,7 @@ def test_condensed_local_patterns(name):
         F_psi = _probe(lambda w: system.residual(at_U(U, w), z, w)[0], psi)
         for probe in (F_z, F_psi):
             assert _outside(aug.node_pattern, (nr, M + 1), probe) == 0
-        C = _probe(lambda V: steps(series(V), z), U)
+        C = _probe(lambda V: fn.rk4_steps(p, stage(series(V)), z), U)
         assert _outside(aug.step_pattern, (M, nu), C) == 0
         G_U = _probe(lambda V: fn.eval_on_nodes(p, grid, series(V), z, "z"), U)
         assert _outside(aug.g_pattern, (M + 1, nu), G_U) == 0
