@@ -39,9 +39,12 @@ those rows have a zero right-hand side and the U part of the step is the
 step of the condensed Jacobian, the matrix's Schur complement, whose
 structure is built with the first augmented matrix.  Its step maps' z
 derivative is exact; their U derivative is a central difference, as their
-second derivative in U grows like 1/h.  A matrix is factored by scipy's
-splu after its exact zeros are dropped; without scipy the dense LU of the
-same matrix gives the columns of its inverse that a step reads.
+second derivative in U grows like 1/h.  A matrix is factored after its
+exact zeros are dropped: F_U by LAPACK's band LU (scipy's dgbtrf) in the
+order of its rows and columns with the smaller band, node order or, at
+tau > 0, the folded method-of-steps order, in which F_U's band does not grow
+with M; the augmented matrix by scipy's splu.  Without scipy the dense LU of
+the same matrix gives the columns of its inverse that a step reads.
 
 One residual builds the derivative series at U, L's arguments and the block
 sums once and returns that build, with z and psi, next to R.  The iteration
@@ -201,6 +204,19 @@ class _System:
             lambda b: (0, back, ahead if b.weighted else None))
         self.pattern = _expand_pattern(*self.rows_read, m, M)
         self.color, self.n_colors = _modular_coloring([self.rows_read], m, M)
+        # F_U's band order: rows and columns sorted by their node in node
+        # order, or at tau > 0 in the folded method-of-steps order, node c at
+        # position s = c mod p of interval c div p, the positions folded as
+        # 0, p-1, 1, p-2, ... and the intervals interleaved at each; the
+        # smaller band wins
+        nodes = (np.concatenate([np.tile(b.nodes, b.copies) for b in self.row_blocks]),
+                 np.tile(np.arange(1, M + 1), m))
+        orders = [nodes]
+        if q:
+            orders.append([np.minimum(2 * (c % q), 2 * (q - 1 - c % q) + 1)
+                           * (M // q + 1) + c // q for c in nodes])
+        self.band = min((_band_order(self.pattern, *keys) for keys in orders),
+                        key=lambda b: b.kl + b.ku)
         # the Newton matrix appends z, g = dL/dz and w = log psi on the nodes
         self.n_augmented = self.n_unknowns + (0 if self.z_free else 3 * (M + 1))
 
@@ -483,6 +499,26 @@ def _expand_pattern(lo, hi, m, M, first=1):
     return np.divmod(flat[np.diff(flat, prepend=-1) != 0], m * N)
 
 
+class _Band(NamedTuple):
+    """A row and column permutation, ``rows[i]`` and ``cols[j]`` the
+    positions of row i and column j, and the lower and upper half-bandwidths
+    kl and ku of the pattern it permutes."""
+    rows: np.ndarray
+    cols: np.ndarray
+    kl: int
+    ku: int
+
+
+def _band_order(pattern, row_keys, col_keys):
+    """The rows and the columns each sorted by their keys, ties kept in
+    index order, and the half-bandwidths of the pattern in that order."""
+    perm = [np.empty(k.size, dtype=np.int64) for k in (row_keys, col_keys)]
+    for p, k in zip(perm, (row_keys, col_keys)):
+        p[np.argsort(k, kind="stable")] = np.arange(k.size)
+    d = perm[0][pattern[0]] - perm[1][pattern[1]]
+    return _Band(*perm, max(int(d.max()), 0), max(int(-d.min()), 0))
+
+
 def _modular_coloring(parts, m, M, first=1):
     """Color c mod P (and component) for the least period P such that no two
     same-colored columns share a row of any of the ``parts``, each a (lo, hi)
@@ -539,9 +575,12 @@ def solve_extremal(p: pb.ProblemSpec, opts: SolveOptions | None = None) -> Solve
         return (U_try, R_try, norm_try, build_try) if keep(norm_try) else None
 
     def factor(held):
-        # the matrix at the iterate, factored: F_U alone when held
+        # the matrix at the iterate, factored: F_U alone, in its band order,
+        # when held or z-free
+        F_U = held or sys.z_free
         return _factor(sys.jacobian(U, R, build, held),
-                       sys.n_unknowns if held else sys.n_augmented, R.size)
+                       sys.n_unknowns if F_U else sys.n_augmented, R.size,
+                       sys.band if F_U else None)
 
     held = not sys.z_free  # z and psi held until a held step fails to contract
     solve = None  # the kept factor, reused by chord steps while R contracts
@@ -612,15 +651,18 @@ def _sup(v):
     return float(m) if np.isfinite(m) else float("inf")
 
 
-def _factor(J, size, n):
+def _factor(J, size, n, band=None):
     """The Newton matrix J, COO triplets of a size x size matrix, factored
     once: returns solve(R), the first n entries of the solution d of
     J d = [-R, 0, ...] for an R of n entries.  Its exact zeros are dropped;
     a row or column left empty, or a non-finite entry, makes J singular.
-    Otherwise it is factored by scipy's splu (COLAMD ordering).  numpy has no
-    reusable LU, so without scipy the dense LU of the same matrix gives once
-    the n columns of J^-1 that such a right-hand side reaches, and each solve
-    is a product with their first n rows."""
+    Given its ``band`` order (F_U, whose pattern holds each entry once), J
+    is scattered in that order into LAPACK band storage and factored by
+    scipy's dgbtrf, each solve a dgbtrs; otherwise by scipy's splu (COLAMD
+    ordering).  A zero pivot makes J singular.  numpy has no reusable LU, so
+    without scipy the dense LU of the same matrix gives once the n columns
+    of J^-1 that such a right-hand side reaches, and each solve is a product
+    with their first n rows."""
     rows, cols, vals = J
     if not np.all(np.isfinite(vals)):
         raise SingularJacobian()
@@ -631,19 +673,34 @@ def _factor(J, size, n):
         raise SingularJacobian()
     try:
         try:  # imported here: a module-level import would cost every command
-            from scipy.sparse.linalg import splu
-            from scipy.sparse import csc_array
+            if band is None:
+                from scipy.sparse.linalg import splu
+                from scipy.sparse import csc_array
+            else:
+                from scipy.linalg.lapack import dgbtrf, dgbtrs
         except ImportError:  # numpy only: the dense LU of the same matrix
             A = np.bincount(rows * size + cols, vals, size * size).reshape(size, size)
             inv = np.linalg.solve(A, np.eye(size, n))[:n].copy()
             return lambda R: -(inv @ R)
-        lu = splu(csc_array((vals, (rows, cols)), shape=(size, size)))
+        if band is None:
+            lu = splu(csc_array((vals, (rows, cols)), shape=(size, size)))
+        else:
+            kl, ku = band.kl, band.ku
+            ab = np.zeros((2 * kl + ku + 1, size), order="F")
+            c = band.cols[cols]
+            ab[kl + ku + band.rows[rows] - c, c] = vals
+            ab, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+            if info > 0:  # a zero pivot
+                raise SingularJacobian()
     except (RuntimeError, np.linalg.LinAlgError):  # an exactly singular factor
         raise SingularJacobian() from None
     rhs = np.zeros(size)
 
     def solve(R):
-        rhs[:n] = -R
-        return lu.solve(rhs)[:n]
+        if band is None:
+            rhs[:n] = -R
+            return lu.solve(rhs)[:n]
+        rhs[band.rows[:n]] = -R
+        return dgbtrs(ab, kl, ku, rhs, piv)[0][band.cols[:n]]
 
     return solve

@@ -43,9 +43,9 @@ def pytest_load_initial_conftests(early_config, parser, args):
     def recorded(p, opts=None):
         sides, factor = [], solver._factor
 
-        def counted(J, size, n):
+        def counted(J, size, n, band=None):
             sides.append(size)
-            return factor(J, size, n)
+            return factor(J, size, n, band)
 
         record = {
             "test": os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0],

@@ -908,7 +908,7 @@ def test_numeric_failure_warns_of_nothing(tmp_path, command, L, tau, mu):
 @pytest.mark.parametrize("scipy", [True, False], ids=["scipy", "dense"])
 def test_empty_newton_rows_print_no_blas_text(tmp_path, scipy):
     # rows and columns of this Newton matrix are empty; handed to splu, it
-    # made OpenBLAS print to stdout
+    # made OpenBLAS print to stdout.  It is singular before any factor
     spec = _delayed_spec(tmp_path, "xd1*x1 + 0.65*tau_xd1^3 + 0.25*tanh(1)*tau_x1",
                          0.5, "1 + 0.5*t")
     block = "" if scipy else "sys.modules['scipy'] = None\n"
@@ -917,6 +917,21 @@ def test_empty_newton_rows_print_no_blas_text(tmp_path, scipy):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "numeric failure: Newton Jacobian is singular\n"
+
+
+def test_legendre_singular_solve_exits_alike_with_and_without_scipy(tmp_path):
+    # splu factored this z-free Newton matrix with OpenBLAS "illegal value"
+    # lines on stdout and exit 3, where the dense LU took steps to exit 4
+    spec = _delayed_spec(tmp_path, "xd1*tau_x1 + x1", 0.5, "log(t + 2)")
+    codes = []
+    for block in ("", "sys.modules['scipy'] = None\n"):
+        proc = _run_python(f"import sys\n{block}from herglotz.cli import main\n"
+                           f"sys.exit(main(['solve', {spec!r}, '--M', '80']))\n",
+                           tmp_path)
+        assert "illegal value" not in proc.stdout
+        assert "Traceback" not in proc.stderr
+        codes.append(proc.returncode)
+    assert codes[0] == codes[1]
 
 
 MUTABLE = DELAYED.replace('"0.5*xd1^2 + 0.25*tau_x1^2 - z"',

@@ -1,11 +1,14 @@
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from herglotz import conditions as cd
+from herglotz import expr as ex
 from herglotz import functional as fn
 from herglotz import multipliers as ml
+from herglotz import problem as pb
 from herglotz import trajectory as tr
 from herglotz.errors import SingularJacobian, ValidationError
 from herglotz.reduction import verify_reduction_equivalence
@@ -562,9 +565,9 @@ def _factored_sides(monkeypatch, p, opts):
     """The solve of p and the side of every matrix it factored."""
     sides, factor = [], sv._factor
 
-    def counted(J, size, n):
+    def counted(J, size, n, band=None):
         sides.append(size)
-        return factor(J, size, n)
+        return factor(J, size, n, band)
 
     monkeypatch.setattr(sv, "_factor", counted)
     return solve_extremal(p, opts), sides
@@ -692,28 +695,138 @@ def test_panel_rows_match_integral_to_b(M):
     assert np.max(np.abs(w - fn.integral_to_b(g.T, 0.1).T)) <= 1e-14
 
 
+def _without_scipy(monkeypatch):
+    """Make the scipy imports of ``_factor`` fail, as on a numpy-only
+    install."""
+    for name in ("scipy.sparse.linalg", "scipy.linalg.lapack"):
+        monkeypatch.setitem(sys.modules, name, None)
+
+
 @pytest.mark.parametrize("L", [
     "0.5*xd1^2 + 0.25*tau_x1^2 - 0.3*x1*tau_xd1 - 0.2*z",
     "0.5*xd1^2 - 0.5*x1^2 - 0.1*z*x1 + 0.15*tau_x1^2",
 ], ids=["z-free", "zcoupled"])
 def test_dense_fallback_step_equals_splu_step(monkeypatch, L):
-    # without scipy the same Newton matrix is solved by the dense LU; each
-    # kept factor also solves a second right-hand side, as a chord step does
+    # without scipy the same Newton matrix is solved by the dense LU; with it
+    # a z-free L's matrix by the band LU in its band order and the augmented
+    # one by splu.  Each kept factor also solves a second right-hand side, as
+    # a chord step does
     p = make_problem(L, tau=0.25, mu=("1 + 0.5*t",))
     system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
     U = system.pack(system.initial_positions())
     R, build = system.residual(U)
     J = system.jacobian(U, R, build, False)
-    splu_solve = sv._factor(J, system.n_augmented, R.size)
-    monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
-    dense_solve = sv._factor(J, system.n_augmented, R.size)
-    R2, _ = system.residual(U + splu_solve(R))
+    band = system.band if system.z_free else None
+    fast_solve = sv._factor(J, system.n_augmented, R.size, band)
+    _without_scipy(monkeypatch)
+    dense_solve = sv._factor(J, system.n_augmented, R.size, band)
+    R2, _ = system.residual(U + fast_solve(R))
     for rhs in (R, R2):
-        splu_step, dense_step = splu_solve(rhs), dense_solve(rhs)
-        assert (np.max(np.abs(dense_step - splu_step))
+        fast_step, dense_step = fast_solve(rhs), dense_solve(rhs)
+        assert (np.max(np.abs(dense_step - fast_step))
                 <= 1e-10 * np.max(np.abs(dense_step)))
     with pytest.raises(SingularJacobian):
         solve_extremal(make_problem("x1 - z"), SolveOptions(M=100, h=None))
+
+
+# F_U's band order and its LU
+
+def _reads_across(p):
+    """Whether a current-slot partial of L reads a delayed slot, or a
+    delayed-slot partial a current one."""
+    cur, tau = map(set, pb.slot_names(p.n, p.m))
+    reads = {s: ex.free_variables(p.lagrangian.partials[s]) for s in cur | tau}
+    return any(reads[s] & tau for s in cur) or any(reads[s] & cur for s in tau)
+
+
+@pytest.mark.parametrize("name", sorted(Z_FREE))
+def test_folded_order_is_taken_for_an_L_that_reads_across(name):
+    # node order has a band of about p when L reads one delay away; the
+    # folded method-of-steps order keeps it near the stencil's reach
+    L, kw = Z_FREE[name]
+    p = make_problem(L, **kw)
+    M = 400
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=M))
+    band = system.band
+    rows, cols = system.pattern
+    d = band.rows[rows] - band.cols[cols]
+    assert np.array_equal(np.sort(band.rows), np.arange(system.n_res))
+    assert np.array_equal(np.sort(band.cols), np.arange(system.n_unknowns))
+    assert (d.max(), -d.min()) == (band.kl, band.ku)
+    # node order: rows and columns sorted by their node, ties in index order
+    at_row = np.concatenate([np.tile(b.nodes, b.copies) for b in system.row_blocks])
+    at_col = np.tile(np.arange(1, M + 1), p.m)
+    rank = [np.argsort(np.argsort(a, kind="stable")) for a in (at_row, at_col)]
+    d = rank[0][rows] - rank[1][cols]
+    folded = band.kl + band.ku < d.max() - d.min()
+    assert folded == (p.tau > 0 and _reads_across(p))
+
+
+@pytest.mark.parametrize("name", sorted(Z_FREE))
+def test_band_width_is_the_same_at_every_M(name):
+    L, kw = Z_FREE[name]
+    p = make_problem(L, **kw)
+    (band,) = {(s.band.kl, s.band.ku) for s in (
+        sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=M)) for M in (1000, 4000))}
+    assert band == {"cross-delay": (34, 49), "m2-cross": (69, 99)}.get(name, band)
+
+
+@pytest.mark.parametrize("table, name", sorted(
+    [("free", k) for k in Z_FREE] + [("coupled", k) for k in Z_COUPLED]))
+def test_band_step_equals_dense_step(monkeypatch, table, name):
+    # F_U, a z-free L's matrix or the held one, factored in its band order;
+    # each factor also solves a second right-hand side, as a chord step does.
+    # At n >= 2, F_U's condition number is 1e12 (n = 2) to 1e17 (n = 3) at
+    # M = 200, and no two LUs agree on the step (splu and the dense LU differ
+    # by 5e-6 and by 2 relative): there the band step's backward error
+    # |F_U d + R| is held to that of the dense step
+    L, kw = (Z_FREE if table == "free" else Z_COUPLED)[name]
+    p = make_problem(L, **kw)
+    system = sv._System(p, tr.align_grid(p.a, p.b, p.tau, n=p.n, M=200))
+    U = system.pack(system.initial_positions())
+    R, build = system.residual(U)
+    J = system.jacobian(U, R, build, True)
+    A = np.zeros((R.size, R.size))
+    np.add.at(A, J[:2], J[2])
+    band_solve = sv._factor(J, system.n_unknowns, R.size, system.band)
+    _without_scipy(monkeypatch)
+    dense_solve = sv._factor(J, system.n_unknowns, R.size, system.band)
+    R2, _ = system.residual(U + band_solve(R))
+    for rhs in (R, R2):
+        band_step, dense_step = band_solve(rhs), dense_solve(rhs)
+        if p.n == 1:
+            assert (np.max(np.abs(dense_step - band_step))
+                    <= 1e-10 * np.max(np.abs(dense_step)))
+        else:
+            assert (np.max(np.abs(A @ band_step + rhs))
+                    <= 10 * np.max(np.abs(A @ dense_step + rhs)))
+
+
+def test_exactly_singular_band_is_singular():
+    # rows 0 and 1 are parallel, so the second pivot is an exact zero
+    J = (np.array([0, 0, 1, 1, 2]), np.array([0, 1, 0, 1, 2]),
+         np.array([1.0, 2.0, 2.0, 4.0, 1.0]))
+    band = sv._Band(np.arange(3), np.arange(3), 1, 1)
+    with pytest.raises(SingularJacobian):
+        sv._factor(J, 3, 3, band)
+
+
+def test_z_free_and_held_solves_never_reach_splu(monkeypatch):
+    calls = []
+
+    def splu(*args, **kw):
+        calls.append(args)
+        raise AssertionError("splu was handed F_U")
+
+    linalg = types.ModuleType("scipy.sparse.linalg")
+    linalg.splu = splu
+    monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", linalg)
+    for L, kw in (Z_FREE["delayed"], Z_FREE["cross-delay"], Z_COUPLED["delayed"]):
+        with pytest.MonkeyPatch.context() as patch:
+            res, sides = _factored_sides(patch, make_problem(L, **kw),
+                                         SolveOptions(M=200, h=None))
+        assert res.converged and sides
+    assert calls == []
 
 
 # chord steps: the kept factor is reused while the residual contracts
@@ -753,7 +866,7 @@ def test_budget_of_one_is_one_newton_step():
     U = system.pack(system.initial_positions())
     R, build = system.residual(U)
     U1 = U + sv._factor(system.jacobian(U, R, build, False), system.n_augmented,
-                        R.size)(R)
+                        R.size, system.band)(R)
     assert [lam for _, _, lam in res.iterations] == [1.0, 1.0]
     assert res.iterations[-1][1] == sv._sup(system.residual(U1)[0])
     assert np.array_equal(system.pack(res.trajectory.x[:, 0]), U1)
